@@ -61,14 +61,12 @@ handleUsage(int argc, char **argv, const std::string &name,
         "                      generators); same seed => identical\n"
         "                      statistics\n"
         "  RCNVM_TUPLES        tuples per benchmark table\n"
-        "  RCNVM_THREADS       channel worker threads (default 1);\n"
-        "                      any value reproduces the same stats\n"
         "  RCNVM_STATS_DIR     write per-run stats CSV artifacts\n"
         "                      into this directory\n"
         "  RCNVM_EPOCH_TICKS   sample gauges every N ticks into an\n"
         "                      epoch series (exported with stats)\n"
         "  RCNVM_CHROME_TRACE  write a chrome://tracing JSON to this\n"
-        "                      path (forces single-threaded)\n";
+        "                      path\n";
     return true;
 }
 

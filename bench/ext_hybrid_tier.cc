@@ -18,8 +18,7 @@
  * therefore hold the OLTP tail below both static placements.
  *
  * `--smoke` runs a reduced sweep for CI. RCNVM_SEED reseeds tables
- * and generators; the same seed reproduces identical statistics at
- * any RCNVM_THREADS.
+ * and generators; the same seed reproduces identical statistics.
  */
 
 #include <cstdint>

@@ -26,7 +26,7 @@
  * streamScans / segmentsCompleted = attached streams.
  *
  * RCNVM_SEED reseeds tables and generators; two runs with the same
- * seed (at any RCNVM_THREADS) produce identical statistics. Shape
+ * seed produce identical statistics. Shape
  * overrides: RCNVM_SERVE_STREAMS (total backfill streams),
  * RCNVM_SERVE_IA (mean OLTP inter-arrival, ticks),
  * RCNVM_SERVE_HORIZON.

@@ -14,7 +14,6 @@
  * replays through Machine::run instead — the two paths are
  * golden-tested to produce byte-identical statistics, and CI diffs
  * their stats JSON. `--smoke` restricts to RC-NVM + DRAM for CI.
- * RCNVM_THREADS selects the sharded engine as usual.
  *
  * A trace may use operations a device cannot execute (column ops on
  * DRAM, gathered loads anywhere but GS-DRAM). Following the paper's

@@ -103,7 +103,7 @@ BM_ChannelControllerThroughput(benchmark::State &state)
     std::uint64_t completions = 0;
     for (auto _ : state) {
         for (const Addr a : addrs) {
-            mem::MemRequest req;
+            mem::MemPacket req;
             req.addr = a;
             req.orient = Orientation::Row;
             req.onComplete = [&completions](Tick) { ++completions; };
@@ -155,118 +155,89 @@ BM_EndToEndSimulatedAccesses(benchmark::State &state)
 }
 BENCHMARK(BM_EndToEndSimulatedAccesses);
 
-void
-BM_ShardedEngineScaling(benchmark::State &state)
+/** One mixed load/store plan per core (a store every third access),
+ *  spread over every channel of @p map. */
+std::vector<cpu::AccessPlan>
+crossChannelPlans(const mem::AddressMap &map, unsigned cores,
+                  unsigned ops_per_core)
 {
-    // Simulated-tick rate of the channel-sharded engine at 1..8
-    // worker threads over a 4-channel RC-NVM machine (workers clamp
-    // to the channel count). Four cores stream mixed loads/stores
-    // spread across all channels through a deliberately small LLC,
-    // so the channel shards carry most of the event load. On a host
-    // with spare hardware threads the 4-worker rate should scale
-    // towards the channel count; on a single-CPU host the lines
-    // collapse and only the synchronisation overhead is visible.
+    const mem::Geometry &g = map.geometry();
+    std::vector<cpu::AccessPlan> plans(cores);
+    for (unsigned core = 0; core < cores; ++core) {
+        for (unsigned i = 0; i < ops_per_core; ++i) {
+            mem::DecodedAddr d;
+            d.channel = (core + i) % g.channels;
+            d.rank = i % g.ranksPerChannel;
+            d.bank = (i / 3) % g.banksPerRank;
+            d.subarray = (i / 7) % g.subarraysPerBank;
+            d.row = (core * 31 + i * 7) % g.rowsPerSubarray;
+            d.col = ((i * 13) % (g.colsPerSubarray / 8)) * 8;
+            const Addr a = map.encode(d, Orientation::Row);
+            plans[core].push_back(i % 3 == 0 ? cpu::MemOp::store(a)
+                                             : cpu::MemOp::load(a));
+        }
+    }
+    return plans;
+}
+
+/** Time whole runs of @p plans on @p machine from cold caches. */
+void
+timeRuns(benchmark::State &state, cpu::Machine &machine,
+         const std::vector<cpu::AccessPlan> &plans)
+{
+    std::int64_t ops = 0;
+    for (const cpu::AccessPlan &plan : plans)
+        ops += static_cast<std::int64_t>(plan.size());
+    std::uint64_t simTicks = 0;
+    for (auto _ : state) {
+        machine.reset();
+        const cpu::RunResult r = machine.run(plans);
+        simTicks += r.ticks.value();
+        benchmark::DoNotOptimize(r.ticks);
+    }
+    state.SetItemsProcessed(state.iterations() * ops);
+    state.counters["simTicks/s"] = benchmark::Counter(
+        static_cast<double>(simTicks), benchmark::Counter::kIsRate);
+}
+
+void
+BM_FourChannelSmallLlc(benchmark::State &state)
+{
+    // A 4-channel RC-NVM machine behind a deliberately small LLC:
+    // four cores stream mixed loads/stores spread across all
+    // channels, so controllers and write-back drains carry most of
+    // the event load.
     util::setLogLevel(util::LogLevel::Quiet);
     cpu::MachineConfig config;
     config.device = mem::DeviceKind::RcNvm;
     mem::Geometry geometry = mem::geometryFor(config.device);
     geometry.channels = 4;
     config.geometry = geometry;
-    config.threads = static_cast<unsigned>(state.range(0));
     config.hierarchy.l3 =
         cache::CacheConfig{"L3", 64 * 1024, 64, 8};
     config.seed = 42;
     cpu::Machine machine(config);
-    const mem::AddressMap &map = machine.map();
-    std::vector<cpu::AccessPlan> plans(4);
-    for (unsigned core = 0; core < 4; ++core) {
-        for (unsigned i = 0; i < 4096; ++i) {
-            mem::DecodedAddr d;
-            d.channel = (core + i) % geometry.channels;
-            d.rank = i % geometry.ranksPerChannel;
-            d.bank = (i / 3) % geometry.banksPerRank;
-            d.subarray = (i / 7) % geometry.subarraysPerBank;
-            d.row = (core * 31 + i * 7) % geometry.rowsPerSubarray;
-            d.col =
-                ((i * 13) % (geometry.colsPerSubarray / 8)) * 8;
-            const Addr a = map.encode(d, Orientation::Row);
-            plans[core].push_back(i % 3 == 0 ? cpu::MemOp::store(a)
-                                             : cpu::MemOp::load(a));
-        }
-    }
-    std::uint64_t simTicks = 0;
-    for (auto _ : state) {
-        machine.reset();
-        const cpu::RunResult r = machine.run(plans);
-        simTicks += r.ticks.value();
-        benchmark::DoNotOptimize(r.ticks);
-    }
-    state.SetItemsProcessed(state.iterations() * 4096 * 4);
-    state.counters["simTicks/s"] = benchmark::Counter(
-        static_cast<double>(simTicks), benchmark::Counter::kIsRate);
+    timeRuns(state, machine, crossChannelPlans(machine.map(), 4, 4096));
 }
-BENCHMARK(BM_ShardedEngineScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_FourChannelSmallLlc)->Unit(benchmark::kMillisecond);
 
 void
-BM_Serve16EngineScaling(benchmark::State &state)
+BM_Serve16Machine(benchmark::State &state)
 {
-    // The same thread sweep on the serving machine preset
-    // (core::serve16Machine: 16 cores, 8 channels, 16 MB LLC, deep
-    // MSHR and controller queues) — the "bigger machine" the sharded
-    // engine was built for. Sixteen cores stream mixed loads/stores
-    // spread across all eight channels; with twice the shards of the
-    // 4-channel sweep the engine has twice the parallelism to
-    // harvest, so this is where scaling headroom (or its loss) shows
-    // first.
+    // The serving machine preset (core::serve16Machine: 16 cores,
+    // 8 channels, 16 MB LLC, deep MSHR and controller queues):
+    // sixteen cores stream mixed loads/stores spread across all
+    // eight channels.
     util::setLogLevel(util::LogLevel::Quiet);
     cpu::MachineConfig config =
         core::serve16Machine(mem::DeviceKind::RcNvm);
-    const mem::Geometry geometry = *config.geometry;
-    config.threads = static_cast<unsigned>(state.range(0));
     config.seed = 42;
     cpu::Machine machine(config);
-    const mem::AddressMap &map = machine.map();
-    const unsigned cores = config.hierarchy.cores;
-    std::vector<cpu::AccessPlan> plans(cores);
-    for (unsigned core = 0; core < cores; ++core) {
-        for (unsigned i = 0; i < 2048; ++i) {
-            mem::DecodedAddr d;
-            d.channel = (core + i) % geometry.channels;
-            d.rank = i % geometry.ranksPerChannel;
-            d.bank = (i / 3) % geometry.banksPerRank;
-            d.subarray = (i / 7) % geometry.subarraysPerBank;
-            d.row = (core * 31 + i * 7) % geometry.rowsPerSubarray;
-            d.col =
-                ((i * 13) % (geometry.colsPerSubarray / 8)) * 8;
-            const Addr a = map.encode(d, Orientation::Row);
-            plans[core].push_back(i % 3 == 0 ? cpu::MemOp::store(a)
-                                             : cpu::MemOp::load(a));
-        }
-    }
-    std::uint64_t simTicks = 0;
-    for (auto _ : state) {
-        machine.reset();
-        const cpu::RunResult r = machine.run(plans);
-        simTicks += r.ticks.value();
-        benchmark::DoNotOptimize(r.ticks);
-    }
-    state.SetItemsProcessed(state.iterations() * 2048 * cores);
-    state.counters["simTicks/s"] = benchmark::Counter(
-        static_cast<double>(simTicks), benchmark::Counter::kIsRate);
+    timeRuns(state, machine,
+             crossChannelPlans(machine.map(), config.hierarchy.cores,
+                               2048));
 }
-BENCHMARK(BM_Serve16EngineScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_Serve16Machine)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -9,7 +9,6 @@
 #define RCNVM_CACHE_LINE_HH_
 
 #include <cstdint>
-#include <functional>
 
 #include "util/types.hh"
 
@@ -42,16 +41,6 @@ struct LineKey {
     of(OrientedAddr<O> a)
     {
         return LineKey{a.value(), O};
-    }
-};
-
-/** Hash for LineKey (used by directory bookkeeping). */
-struct LineKeyHash {
-    std::size_t
-    operator()(const LineKey &k) const
-    {
-        const std::size_t h = std::hash<Addr>{}(k.addr);
-        return h ^ (k.orient == Orientation::Column ? 0x9e3779b9u : 0u);
     }
 };
 

@@ -46,9 +46,7 @@ serve16Machine(mem::DeviceKind kind)
     config.hierarchy.wbBufferDepth = 64;
     // 16 cores' misses can legitimately land ~64 outstanding
     // requests on one channel; deep queues also keep the serving
-    // benches clear of controller backpressure, where the sharded
-    // engine's window-stale occupancy view and the single-queue live
-    // view time rejects differently (RCNVM_THREADS equivalence).
+    // benches clear of controller backpressure.
     config.memQueueCapacity = 128;
     mem::Geometry geo = mem::geometryFor(kind);
     geo.channels = 8; // the device's Table-1 geometry, widened

@@ -41,9 +41,8 @@ cpu::MachineConfig hybridTable1Machine(mem::MigrationPolicyKind policy);
 /**
  * The serving-scale machine: 16 cores and an 8-channel device (the
  * Table-1 geometry widened 4x in channels), with the Table-1 cache
- * hierarchy and a 16 MB L3. Sized so the multi-tenant serving bench
- * and the sharded-engine scaling study have a machine whose channel
- * count matches a full worker pool (ROADMAP "bigger machines").
+ * hierarchy and a 16 MB L3: the machine of the multi-tenant serving
+ * bench and of the BM_Serve16Machine microbenchmark.
  */
 cpu::MachineConfig serve16Machine(mem::DeviceKind kind);
 

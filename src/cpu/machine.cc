@@ -21,74 +21,27 @@ Machine::Machine(const MachineConfig &config) : config_(config)
         config_.geometry ? *config_.geometry
                          : mem::geometryFor(config_.device);
 
-    // Channel sharding is an execution strategy, not a model change.
-    // The lookahead window is half the minimum channel-to-core
-    // response latency (a completion fires at least tCAS + tBURST
-    // after the issue that produced it), which licenses the engine's
-    // depth-1 window pipeline.
-    unsigned threads = std::max(1u, config_.threads);
-    if (threads > 1 && util::ChromeTracer::active() != nullptr) {
-        util::warn("RCNVM_THREADS > 1 is incompatible with Chrome "
-                   "tracing (probes share one sink); running "
-                   "single-threaded");
-        threads = 1;
-    }
-    const mem::TimingParams nearTiming =
-        config_.tier.nearTiming ? *config_.tier.nearTiming
-                                : mem::TimingParams::ddr3_1333();
-    Tick smin = timing.cyc(timing.tCAS) + timing.cyc(timing.tBURST);
-    if (config_.tier.enabled) {
-        // Both tiers' controllers share the channel shards, so the
-        // lookahead must cover the faster (near) device's minimum
-        // channel-to-core response latency too.
-        const Tick nearSmin = nearTiming.cyc(nearTiming.tCAS) +
-                              nearTiming.cyc(nearTiming.tBURST);
-        smin = std::min(smin, nearSmin);
-    }
-    const Tick window{smin.value() / 2};
-    if (threads > 1 && window == Tick{}) {
-        util::warn("device timing gives no cross-shard lookahead; "
-                   "running single-threaded");
-        threads = 1;
-    }
-
-    std::vector<sim::EventQueue *> channelQueues;
-    if (threads > 1) {
-        for (unsigned c = 0; c < geometry.channels; ++c) {
-            channelQueues_.push_back(
-                std::make_unique<sim::EventQueue>());
-            channelQueues.push_back(channelQueues_.back().get());
-        }
-    }
     memory_ = std::make_unique<mem::MemorySystem>(
         config_.device, eq_, timing, config_.salp,
-        config_.memQueueCapacity, geometry, channelQueues,
-        config_.schedPolicy);
+        config_.memQueueCapacity, geometry, config_.schedPolicy);
     tier_ = memory_.get();
     if (config_.tier.enabled) {
         // The near DRAM tier inherits the far device's channel count
-        // and row shape (a frame holds exactly one far row) and runs
-        // its controllers on the same channel shard queues.
+        // and row shape (a frame holds exactly one far row).
         mem::Geometry nearGeo = geometry;
         nearGeo.ranksPerChannel = config_.tier.nearRanksPerChannel;
         nearGeo.banksPerRank = config_.tier.nearBanksPerRank;
         nearGeo.subarraysPerBank = 1;
         nearGeo.rowsPerSubarray = config_.tier.nearRowsPerBank;
         near_ = std::make_unique<mem::MemorySystem>(
-            mem::DeviceKind::Dram, eq_, nearTiming, false,
-            config_.memQueueCapacity, nearGeo, channelQueues,
+            mem::DeviceKind::Dram, eq_,
+            config_.tier.nearTiming ? *config_.tier.nearTiming
+                                    : mem::TimingParams::ddr3_1333(),
+            false, config_.memQueueCapacity, nearGeo,
             config_.schedPolicy);
         hybrid_ = std::make_unique<mem::HybridMemory>(
             *memory_, *near_, config_.tier, eq_);
         tier_ = hybrid_.get();
-    }
-    if (threads > 1) {
-        engine_ = std::make_unique<sim::ParallelEngine>(
-            eq_, channelQueues, threads, window);
-        if (hybrid_)
-            hybrid_->attachShardLink(*engine_);
-        else
-            memory_->attachShardLink(*engine_);
     }
     hierarchy_ = std::make_unique<cache::Hierarchy>(
         config_.hierarchy, eq_, *tier_);
@@ -135,6 +88,41 @@ Machine::Machine(const MachineConfig &config) : config_(config)
 }
 
 RunResult
+Machine::drain(Tick start, const Tick *end)
+{
+    if (sampler_)
+        sampler_->start(config_.epochTicks);
+
+    eq_.run();
+
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+        if (!cores_[c]->finished())
+            rcnvm_panic("simulation deadlock: core ", c,
+                        " never finished");
+    }
+    // Every packet completed: nothing may be left in a controller
+    // queue or an MSHR once the event queue is empty.
+    if (tier_->queuedTotal() != 0 || hierarchy_->mshrInUse() != 0)
+        rcnvm_panic("run ended undrained: ", tier_->queuedTotal(),
+                    " queued requests, ", hierarchy_->mshrInUse(),
+                    " MSHRs in use");
+
+    // One snapshot of the shared registry replaces the old per-layer
+    // StatsMap merge: derived values are formulas evaluated here,
+    // over fully aggregated inputs, so nothing non-additive is ever
+    // pushed through StatsMap::merge.
+    RunResult result;
+    result.ticks = (end != nullptr ? *end : eq_.now()) - start;
+    result.stats = registry_.snapshot();
+    result.stats.set("run.ticks", static_cast<double>(result.ticks.value()));
+    if (sampler_) {
+        result.series = sampler_->series();
+        sampler_->clear();
+    }
+    return result;
+}
+
+RunResult
 Machine::run(const std::vector<AccessPlan> &plans)
 {
     if (plans.size() > cores_.size())
@@ -143,43 +131,14 @@ Machine::run(const std::vector<AccessPlan> &plans)
 
     const Tick start = eq_.now();
     Tick latest = start;
-    unsigned running = 0;
-
     for (std::size_t i = 0; i < plans.size(); ++i) {
         if (plans[i].empty())
             continue;
-        ++running;
-        cores_[i]->start(plans[i], [&latest, &running](Tick t) {
+        cores_[i]->start(plans[i], [&latest](Tick t) {
             latest = std::max(latest, t);
-            --running;
         });
     }
-
-    if (sampler_)
-        sampler_->start(config_.epochTicks);
-
-    if (engine_)
-        engine_->run();
-    else
-        eq_.run();
-
-    if (running != 0)
-        rcnvm_panic("simulation deadlock: ", running,
-                    " cores never finished");
-
-    // One snapshot of the shared registry replaces the old per-layer
-    // StatsMap merge: derived values are formulas evaluated here,
-    // over fully aggregated inputs, so nothing non-additive is ever
-    // pushed through StatsMap::merge.
-    RunResult result;
-    result.ticks = latest - start;
-    result.stats = registry_.snapshot();
-    result.stats.set("run.ticks", static_cast<double>(result.ticks.value()));
-    if (sampler_) {
-        result.series = sampler_->series();
-        sampler_->clear();
-    }
-    return result;
+    return drain(start, &latest);
 }
 
 RunResult
@@ -197,39 +156,14 @@ Machine::runSources(const std::vector<OpSource *> &sources)
 
     const Tick start = eq_.now();
     Tick latest = start;
-    unsigned running = 0;
-
     for (std::size_t i = 0; i < sources.size(); ++i) {
         if (sources[i] == nullptr)
             continue;
-        ++running;
-        cores_[i]->start(*sources[i], [&latest, &running](Tick t) {
+        cores_[i]->start(*sources[i], [&latest](Tick t) {
             latest = std::max(latest, t);
-            --running;
         });
     }
-
-    if (sampler_)
-        sampler_->start(config_.epochTicks);
-
-    if (engine_)
-        engine_->run();
-    else
-        eq_.run();
-
-    if (running != 0)
-        rcnvm_panic("simulation deadlock: ", running,
-                    " cores never finished");
-
-    RunResult result;
-    result.ticks = latest - start;
-    result.stats = registry_.snapshot();
-    result.stats.set("run.ticks", static_cast<double>(result.ticks.value()));
-    if (sampler_) {
-        result.series = sampler_->series();
-        sampler_->clear();
-    }
-    return result;
+    return drain(start, &latest);
 }
 
 void
@@ -256,31 +190,7 @@ Machine::startOnCore(unsigned c, const AccessPlan &plan, bool priority,
 RunResult
 Machine::serve()
 {
-    const Tick start = eq_.now();
-
-    if (sampler_)
-        sampler_->start(config_.epochTicks);
-
-    if (engine_)
-        engine_->run();
-    else
-        eq_.run();
-
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-        if (!cores_[c]->finished())
-            rcnvm_panic("service deadlock: core ", c,
-                        " never finished");
-    }
-
-    RunResult result;
-    result.ticks = eq_.now() - start;
-    result.stats = registry_.snapshot();
-    result.stats.set("run.ticks", static_cast<double>(result.ticks.value()));
-    if (sampler_) {
-        result.series = sampler_->series();
-        sampler_->clear();
-    }
-    return result;
+    return drain(eq_.now(), nullptr);
 }
 
 void

@@ -18,7 +18,6 @@
 #include "mem/memory_system.hh"
 #include "sim/epoch_sampler.hh"
 #include "sim/event_queue.hh"
-#include "sim/shard.hh"
 #include "util/random.hh"
 #include "util/stat_registry.hh"
 #include "util/stats.hh"
@@ -43,18 +42,10 @@ struct MachineConfig {
     /** Memory geometry override (channel-scaling studies; defaults
      *  to the device's Table-1 preset). */
     std::optional<mem::Geometry> geometry;
-    /**
-     * Channel worker threads for the sharded parallel engine;
-     * RCNVM_THREADS overrides the built-in default of 1. At 1 the
-     * machine runs the classic single-queue loop, byte-identical to
-     * every previous release; above 1 each memory channel gets a
-     * private event queue drained by a worker pool of this size
-     * (clamped to the channel count) behind a conservative window
-     * pipeline. Statistics are identical either way up to the
-     * documented saturation caveat (DESIGN.md section 4f).
-     */
-    unsigned threads =
-        static_cast<unsigned>(util::envUint64("RCNVM_THREADS", 1));
+    /** Threads simulating one machine: always 1, since every
+     *  machine runs on a single event queue (DESIGN.md section 4f).
+     *  Reports print it next to the host's CPU count. */
+    static constexpr unsigned threads = 1;
     /** Epoch-sample period in ticks; 0 disables the time series. */
     Tick epochTicks{0};
     /**
@@ -192,10 +183,6 @@ class Machine
      *  tier is disabled. */
     mem::MemorySystem *nearMemory() { return near_.get(); }
 
-    /** The sharded engine, or nullptr in single-queue mode (tests
-     *  and benchmarks inspect worker counts and round statistics). */
-    sim::ParallelEngine *engine() { return engine_.get(); }
-
     /** The machine-wide statistics registry (tests and reports).
      *  run() snapshots it; callers may read it mid-run too. */
     const util::StatRegistry &registry() const { return registry_; }
@@ -207,11 +194,18 @@ class Machine
     util::StatRegistry &registry() { return registry_; }
 
   private:
+    /**
+     * The tail run(), runSources() and serve() share: start the
+     * epoch sampler, drain the event queue, panic unless every core
+     * finished and the memory tier and MSHRs are empty, and snapshot
+     * the statistics. The reported span runs from @p start to
+     * @p *end as read after the drain (the last core's finish), or
+     * to the last executed event when @p end is null.
+     */
+    RunResult drain(Tick start, const Tick *end);
+
     MachineConfig config_;
-    sim::EventQueue eq_; //!< core/cache shard (the only queue at
-                         //!< threads = 1)
-    /** Per-channel shard queues (empty in single-queue mode). */
-    std::vector<std::unique_ptr<sim::EventQueue>> channelQueues_;
+    sim::EventQueue eq_;
     std::unique_ptr<mem::MemorySystem> memory_;
     /** Near DRAM tier and its composition (hybrid machines only). */
     std::unique_ptr<mem::MemorySystem> near_;
@@ -227,9 +221,6 @@ class Machine
      *  but the ordering keeps the invariant obvious). */
     util::StatRegistry registry_;
     std::unique_ptr<sim::EpochSampler> sampler_;
-    /** Declared last: its destructor joins the worker threads, so
-     *  every component the workers may touch outlives them. */
-    std::unique_ptr<sim::ParallelEngine> engine_;
 };
 
 } // namespace rcnvm::cpu

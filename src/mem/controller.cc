@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "sim/shard.hh"
 #include "util/chrome_trace.hh"
 #include "util/logging.hh"
 
@@ -49,7 +48,7 @@ ChannelController::bufferIndex(const DecodedAddr &d, Orientation o)
 }
 
 void
-ChannelController::enqueue(MemRequest &&req)
+ChannelController::enqueue(MemPacket &&req)
 {
     // The capacity is a soft cap: demand traffic respects
     // canAccept(), while write-backs may transiently overshoot so
@@ -130,8 +129,6 @@ ChannelController::issueFrom(unsigned b, std::size_t pos)
         bq.fifo.erase(bq.fifo.begin() +
                       static_cast<std::ptrdiff_t>(pos));
     --totalQueued_;
-    if (completionPort_)
-        dequeued_.fetch_add(1, std::memory_order_release);
 
     // Backpressure: tell the client the moment occupancy drops back
     // below capacity. Deferred to a same-tick event so client code
@@ -217,24 +214,10 @@ ChannelController::issueFrom(unsigned b, std::size_t pos)
         stats_.energyPJ += timing_.eReadBurst; // second burst slot
 
     if (p.req.onComplete) {
-        if (completionPort_) {
-            // Sharded mode: the completion continuation belongs to
-            // the core shard. Stamp it with the lineage a local
-            // schedule() would have recorded — scheduled at this
-            // event's tick by a producer scheduled at this event's
-            // own schedule tick — so the same-tick order at the
-            // core matches a single shared queue, including against
-            // core-local events due at the same tick.
-            completionPort_->post(
-                s.finish, eq_.now(), eq_.currentSchedTick(),
-                [cb = std::move(p.req.onComplete),
-                 finish = s.finish]() mutable { cb(finish); });
-        } else {
-            eq_.schedule(s.finish, [cb = std::move(p.req.onComplete),
-                                    finish = s.finish]() mutable {
-                cb(finish);
-            });
-        }
+        eq_.schedule(s.finish, [cb = std::move(p.req.onComplete),
+                                finish = s.finish]() mutable {
+            cb(finish);
+        });
     }
 }
 
@@ -350,7 +333,6 @@ ChannelController::reset()
     busFree_ = Tick{};
     cancelWakeup();
     spaceNotifyPending_ = false;
-    dequeued_.store(0, std::memory_order_release);
     statsSince_ = eq_.now();
     stats_ = ControllerStats{};
 }

@@ -8,7 +8,6 @@
 #define RCNVM_MEM_CONTROLLER_HH_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -24,10 +23,6 @@
 #include "sim/event_queue.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
-
-namespace rcnvm::sim {
-class ShardMailbox;
-} // namespace rcnvm::sim
 
 namespace rcnvm::mem {
 
@@ -95,7 +90,7 @@ class ChannelController
     bool canAccept() const { return totalQueued_ < capacity_; }
 
     /** Add a request (caller must have checked canAccept). */
-    void enqueue(MemRequest &&req);
+    void enqueue(MemPacket &&req);
 
     /** Number of queued (not yet issued) requests. */
     std::size_t queued() const { return totalQueued_; }
@@ -114,26 +109,6 @@ class ChannelController
         spaceCb_ = std::move(cb);
     }
 
-    /**
-     * Route completion callbacks through @p port instead of this
-     * channel's event queue (channel-sharded mode: completions must
-     * run on the core shard). While ported, the controller also
-     * counts dequeues in an atomic the core shard reads at window
-     * exchanges to maintain its occupancy mirror; the space callback
-     * mechanism is unused in this mode.
-     */
-    void setCompletionPort(sim::ShardMailbox *port)
-    {
-        completionPort_ = port;
-    }
-
-    /** Requests dequeued (issued to a bank) since construction or
-     *  reset. Safe to read from the core shard between rounds. */
-    std::uint64_t dequeueCount() const
-    {
-        return dequeued_.load(std::memory_order_acquire);
-    }
-
     /** Controller statistics. */
     const ControllerStats &stats() const { return stats_; }
 
@@ -145,7 +120,7 @@ class ChannelController
 
   private:
     struct Pending {
-        MemRequest req;
+        MemPacket req;
         DecodedAddr dec;
         Tick enqueueTick;
         std::uint64_t seq;    //!< global arrival order
@@ -204,8 +179,8 @@ class ChannelController
     const AddressMap &map_;
     TimingParams timing_;
     sim::EventQueue &eq_;
-    /** Selection policy; owned per controller so channel shards
-     *  never share policy state. */
+    /** Selection policy; owned per controller, since policies may
+     *  keep state across rounds. */
     std::unique_ptr<SchedulerPolicy> policy_;
     unsigned capacity_;
     unsigned channelId_;
@@ -222,8 +197,6 @@ class ChannelController
     ControllerStats stats_;
     std::function<void()> spaceCb_;
     bool spaceNotifyPending_ = false;
-    sim::ShardMailbox *completionPort_ = nullptr;
-    std::atomic<std::uint64_t> dequeued_{0};
 
     /** Max bypasses of the globally oldest request. */
     static constexpr unsigned starvationCap = 16;

@@ -173,13 +173,6 @@ HybridMemory::HybridMemory(MemorySystem &far, MemorySystem &near,
                     "construction; use a DRAM device");
 }
 
-void
-HybridMemory::attachShardLink(sim::ParallelEngine &engine)
-{
-    far_.attachShardLink(engine);
-    near_.attachShardLink(engine);
-}
-
 bool
 HybridMemory::canAccept(Addr addr, Orientation orient) const
 {
@@ -203,7 +196,7 @@ HybridMemory::channelOf(Addr addr, Orientation orient) const
 }
 
 void
-HybridMemory::issue(MemRequest &&req)
+HybridMemory::issue(MemPacket &&req)
 {
     if (req.orient == Orientation::Row) {
         const DecodedAddr d = far_.map().decode(req.addr, req.orient);

@@ -10,14 +10,6 @@
  * (only RC-NVM can serve them). A column access overlapping a dirty
  * mapped row first forces a write-back of the stale far segment so
  * column readers never observe pre-migration data.
- *
- * All tier state (remap table, tracker, frames) lives on the core
- * shard and is only touched from issue paths and core-shard events,
- * so the channel-sharded engine needs no extra synchronisation:
- * migration commits are core-shard events, and migration copy
- * traffic reaches the channels through the same window-boundary
- * mailboxes as demand traffic (THREADS=1 and THREADS=4 stay
- * stats-identical).
  */
 
 #ifndef RCNVM_MEM_HYBRID_TIER_HH_
@@ -59,7 +51,7 @@ struct TierFrame {
  * A migration policy: decides promotion on far-access locality,
  * demotion on column pressure, and victim ranking under capacity.
  * Stateless beyond its thresholds, so decisions are a pure function
- * of the tracker/frame inputs (deterministic across shard counts).
+ * of the tracker/frame inputs.
  */
 class MigrationPolicy
 {
@@ -112,17 +104,14 @@ struct HybridTierConfig {
 
 /**
  * The composed tier. Owns no devices: the far and near MemorySystems
- * are built (and their shard links attached) by the machine so their
- * controllers share the machine's channel shard queues.
+ * are built by the machine so their controllers share its event
+ * queue.
  */
 class HybridMemory : public MemoryTier
 {
   public:
     HybridMemory(MemorySystem &far, MemorySystem &near,
                  const HybridTierConfig &config, sim::EventQueue &eq);
-
-    /** Wire both devices to the sharded engine. */
-    void attachShardLink(sim::ParallelEngine &engine);
 
     /** The migration policy in use. */
     const MigrationPolicy &policy() const { return *policy_; }
@@ -139,7 +128,7 @@ class HybridMemory : public MemoryTier
     bool canAccept(Addr addr, Orientation orient) const override;
     unsigned channelOf(Addr addr, Orientation orient) const override;
     unsigned channels() const override { return far_.channels(); }
-    void issue(MemRequest &&req) override;
+    void issue(MemPacket &&req) override;
     [[nodiscard]] bool tryIssue(MemPacket &pkt) override;
     void setRetryCallback(std::function<void()> cb) override;
     void registerStats(util::StatRegistry &r) const override;

@@ -1,8 +1,5 @@
 #include "mem/memory_system.hh"
 
-#include <algorithm>
-
-#include "sim/shard.hh"
 #include "util/logging.hh"
 
 namespace rcnvm::mem {
@@ -31,96 +28,27 @@ MemorySystem::MemorySystem(DeviceKind kind, sim::EventQueue &eq,
                            const TimingParams &timing, bool salp,
                            unsigned queue_capacity)
     : MemorySystem(kind, eq, timing, salp, queue_capacity,
-                   geometryFor(kind), {})
+                   geometryFor(kind))
 {
 }
 
-MemorySystem::MemorySystem(
-    DeviceKind kind, sim::EventQueue &eq, const TimingParams &timing,
-    bool salp, unsigned queue_capacity, const Geometry &geometry,
-    const std::vector<sim::EventQueue *> &channel_queues,
-    SchedPolicyKind sched)
-    : kind_(kind),
-      caps_(capsFor(kind)),
-      map_(geometry),
-      eq_(eq)
+MemorySystem::MemorySystem(DeviceKind kind, sim::EventQueue &eq,
+                           const TimingParams &timing, bool salp,
+                           unsigned queue_capacity,
+                           const Geometry &geometry,
+                           SchedPolicyKind sched)
+    : kind_(kind), caps_(capsFor(kind)), map_(geometry)
 {
-    const unsigned n = map_.geometry().channels;
-    if (!channel_queues.empty() && channel_queues.size() != n)
-        rcnvm_panic("sharded memory system needs one queue per "
-                    "channel: got ", channel_queues.size(), " for ",
-                    n, " channels");
-    for (unsigned c = 0; c < n; ++c) {
-        sim::EventQueue &cq =
-            channel_queues.empty() ? eq_ : *channel_queues[c];
+    for (unsigned c = 0; c < map_.geometry().channels; ++c) {
         channels_.push_back(std::make_unique<ChannelController>(
-            map_, timing, cq, queue_capacity, salp, c, sched));
-    }
-    if (!channel_queues.empty()) {
-        sharded_ = true;
-        shardIssued_.assign(n, 0);
-        shardDequeued_.assign(n, 0);
-    }
-}
-
-void
-MemorySystem::attachShardLink(sim::ParallelEngine &engine)
-{
-    if (!sharded_)
-        rcnvm_panic("attachShardLink on a single-queue memory system");
-    engine_ = &engine;
-    for (unsigned c = 0; c < channels(); ++c)
-        channels_[c]->setCompletionPort(&engine.toCore(c));
-    engine.addExchangeHook(
-        [this](Tick next) { shardExchange(next); });
-}
-
-void
-MemorySystem::postIssue(unsigned c, MemPacket &&pkt)
-{
-    if (engine_ == nullptr)
-        rcnvm_panic("sharded issue before attachShardLink");
-    ++shardIssued_[c];
-    // The single-queue equivalent of this message is a plain call
-    // from the executing core event, so it stands in for that event
-    // on the channel queue: it inherits the event's own lineage
-    // stamps, and everything the enqueue schedules downstream sees
-    // the same currentSchedTick() a shared queue would have shown.
-    engine_->toChannel(c).post(
-        eq_.now(), eq_.currentSchedTick(), eq_.currentSchedTick2(),
-        [ch = channels_[c].get(), pkt = std::move(pkt)]() mutable {
-            ch->enqueue(std::move(pkt));
-        });
-}
-
-void
-MemorySystem::shardExchange(Tick next_window_start)
-{
-    for (unsigned c = 0; c < channels(); ++c)
-        shardDequeued_[c] = channels_[c]->dequeueCount();
-    if (!retryArmed_ || !retryCb_)
-        return;
-    for (unsigned c = 0; c < channels(); ++c) {
-        if (shardQueued(c) < channels_[c]->capacity()) {
-            // Mirror the single-queue contract (a deferred event,
-            // never a re-entrant call) at the granularity this mode
-            // can offer: the next window boundary.
-            retryArmed_ = false;
-            eq_.inject(next_window_start, next_window_start,
-                       next_window_start, [this] { retryCb_(); });
-            return;
-        }
+            map_, timing, eq, queue_capacity, salp, c, sched));
     }
 }
 
 bool
 MemorySystem::canAccept(Addr addr, Orientation orient) const
 {
-    const DecodedAddr d = map_.decode(addr, orient);
-    if (sharded_)
-        return shardQueued(d.channel) <
-               channels_[d.channel]->capacity();
-    return channels_[d.channel]->canAccept();
+    return channels_[map_.decode(addr, orient).channel]->canAccept();
 }
 
 unsigned
@@ -130,7 +58,7 @@ MemorySystem::channelOf(Addr addr, Orientation orient) const
 }
 
 void
-MemorySystem::issue(MemRequest &&req)
+MemorySystem::issue(MemPacket &&req)
 {
     if (req.orient == Orientation::Column && !caps_.columnAccess) {
         rcnvm_panic("column-oriented request issued to ",
@@ -141,10 +69,6 @@ MemorySystem::issue(MemRequest &&req)
         rcnvm_panic("gathered request issued to ", toString(kind_));
 
     const DecodedAddr d = map_.decode(req.addr, req.orient);
-    if (sharded_) {
-        postIssue(d.channel, std::move(req));
-        return;
-    }
     channels_[d.channel]->enqueue(std::move(req));
 }
 
@@ -154,11 +78,8 @@ MemorySystem::tryIssue(MemPacket &pkt)
     // Decoded once: this runs for every miss, and routing through
     // canAccept() + issue() would repeat the address decode.
     const DecodedAddr d = map_.decode(pkt.addr, pkt.orient);
-    if (sharded_ ? shardQueued(d.channel) >=
-                       channels_[d.channel]->capacity()
-                 : !channels_[d.channel]->canAccept()) {
+    if (!channels_[d.channel]->canAccept()) {
         rejectedIssues_.inc();
-        retryArmed_ = true;
         return false;
     }
     if (pkt.orient == Orientation::Column && !caps_.columnAccess) {
@@ -168,10 +89,6 @@ MemorySystem::tryIssue(MemPacket &pkt)
     }
     if (pkt.gathered && !caps_.gather)
         rcnvm_panic("gathered request issued to ", toString(kind_));
-    if (sharded_) {
-        postIssue(d.channel, std::move(pkt));
-        return true;
-    }
     channels_[d.channel]->enqueue(std::move(pkt));
     return true;
 }
@@ -182,13 +99,6 @@ MemorySystem::setRetryCallback(std::function<void()> cb)
     // All channels share the one client-side retry hook: a client
     // that was refused re-probes canAccept() per packet, so a spare
     // wakeup from another channel is harmless.
-    if (sharded_) {
-        // Per-dequeue space callbacks would need zero-lookahead
-        // channel-to-core traffic; the window exchange delivers the
-        // same notification at window granularity instead.
-        retryCb_ = std::move(cb);
-        return;
-    }
     for (auto &ch : channels_)
         ch->setSpaceCallback(cb);
 }
@@ -294,14 +204,6 @@ std::size_t
 MemorySystem::queuedTotal() const
 {
     std::size_t n = 0;
-    if (sharded_) {
-        // The mirrors, not the live controller state: the channel
-        // shards may be mid-window, and the mirror is the core
-        // shard's deterministic view.
-        for (unsigned c = 0; c < channels(); ++c)
-            n += shardQueued(c);
-        return n;
-    }
     for (const auto &ch : channels_)
         n += ch->queued();
     return n;
@@ -313,11 +215,6 @@ MemorySystem::reset()
     for (auto &ch : channels_)
         ch->reset();
     rejectedIssues_.reset();
-    if (sharded_) {
-        std::fill(shardIssued_.begin(), shardIssued_.end(), 0);
-        std::fill(shardDequeued_.begin(), shardDequeued_.end(), 0);
-        retryArmed_ = false;
-    }
 }
 
 } // namespace rcnvm::mem

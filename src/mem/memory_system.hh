@@ -19,10 +19,6 @@
 #include "util/stat_registry.hh"
 #include "util/stats.hh"
 
-namespace rcnvm::sim {
-class ParallelEngine;
-} // namespace rcnvm::sim
-
 namespace rcnvm::mem {
 
 /**
@@ -56,7 +52,7 @@ class MemoryTier
     virtual unsigned channels() const = 0;
 
     /** Queue a request unconditionally (write-back overshoot). */
-    virtual void issue(MemRequest &&req) = 0;
+    virtual void issue(MemPacket &&req) = 0;
 
     /** Backpressured issue; on refusal @p pkt is left untouched. */
     [[nodiscard]] virtual bool tryIssue(MemPacket &pkt) = 0;
@@ -96,30 +92,12 @@ class MemorySystem : public MemoryTier
 
     /**
      * Full-control constructor: explicit geometry (scaling studies
-     * and multi-channel benchmarks) and, for the channel-sharded
-     * engine, one private event queue per channel. An empty
-     * @p channel_queues builds the classic single-queue system on
-     * @p eq; otherwise @p eq remains the core-shard queue (client
-     * callbacks, retry events) while controller @p c runs entirely
-     * on @p channel_queues[c], and the system must be connected to
-     * the engine with attachShardLink() before the first issue.
+     * and multi-channel benchmarks) and request-selection policy.
      */
     MemorySystem(DeviceKind kind, sim::EventQueue &eq,
                  const TimingParams &timing, bool salp,
                  unsigned queue_capacity, const Geometry &geometry,
-                 const std::vector<sim::EventQueue *> &channel_queues,
                  SchedPolicyKind sched = SchedPolicyKind::FrFcfs);
-
-    /**
-     * Wire the sharded memory system to the engine: controller
-     * completions route through the per-channel core-bound
-     * mailboxes, and the engine's window exchange drives this
-     * system's occupancy mirrors and deferred retry notifications.
-     */
-    void attachShardLink(sim::ParallelEngine &engine);
-
-    /** True when built with per-channel queues (sharded mode). */
-    bool sharded() const { return sharded_; }
 
     /** Device kind being modelled. */
     DeviceKind kind() const { return kind_; }
@@ -147,7 +125,7 @@ class MemorySystem : public MemoryTier
      * panic on devices without column access (the compiler must not
      * emit them).
      */
-    void issue(MemRequest &&req) override;
+    void issue(MemPacket &&req) override;
 
     /**
      * Backpressured issue: queue @p pkt only if its channel has
@@ -187,42 +165,11 @@ class MemorySystem : public MemoryTier
     void reset() override;
 
   private:
-    /** Post @p pkt's enqueue to channel @p c's shard, stamped with
-     *  the issuing core event's position in the same-tick order. */
-    void postIssue(unsigned c, MemPacket &&pkt);
-
-    /** Window-exchange hook body (sharded mode): fold controller
-     *  dequeue counts into the occupancy mirrors and wake a refused
-     *  client at @p next_window_start when space appeared. */
-    void shardExchange(Tick next_window_start);
-
-    /** Core-side occupancy mirror of channel @p c (sharded mode):
-     *  issues counted immediately, dequeues as of the last window
-     *  exchange, so it conservatively over-estimates by at most one
-     *  window's drain. */
-    std::size_t shardQueued(unsigned c) const
-    {
-        return static_cast<std::size_t>(shardIssued_[c] -
-                                        shardDequeued_[c]);
-    }
-
     DeviceKind kind_;
     DeviceCaps caps_;
     AddressMap map_;
-    sim::EventQueue &eq_; //!< core-shard queue in sharded mode
     std::vector<std::unique_ptr<ChannelController>> channels_;
     util::Counter rejectedIssues_; //!< tryIssue refusals
-
-    // Channel-sharded mode. The mirrors and the retry flag are only
-    // touched from the core shard (issue paths and the exchange
-    // hook), so they need no synchronisation of their own.
-    bool sharded_ = false;
-    sim::ParallelEngine *engine_ = nullptr;
-    std::vector<std::uint64_t> shardIssued_;    //!< per channel
-    std::vector<std::uint64_t> shardDequeued_;  //!< as of exchange
-    std::function<void()> retryCb_;
-    bool retryArmed_ = false; //!< a client was refused since the
-                              //!< last retry notification
 };
 
 /** Geometry preset for a device kind. */

@@ -66,10 +66,6 @@ struct MemPacket {
 static_assert(sizeof(MemPacket) <= 152, "MemPacket outgrew the "
               "event-queue inline callback budget");
 
-/** Historical name, kept for call sites that predate the packet
- *  pipeline; a request and a packet are the same object. */
-using MemRequest = MemPacket;
-
 } // namespace rcnvm::mem
 
 #endif // RCNVM_MEM_REQUEST_HH_

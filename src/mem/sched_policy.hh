@@ -47,8 +47,8 @@ bool parseSchedPolicy(std::string_view s, SchedPolicyKind &out);
 /**
  * A request-selection policy. The controller drives one round per
  * scheduling pass: begin(), one offer() per ready candidate, then
- * choose(). Policies are per-controller objects (channel shards must
- * never share one) and may keep state across rounds.
+ * choose(). Policies are per-controller objects and may keep state
+ * across rounds.
  */
 class SchedulerPolicy
 {

@@ -24,10 +24,9 @@ namespace rcnvm::mem {
  * worth, 8 KB for the Table-1 RC-NVM). Every far row has a dense
  * flat id; a mapped row redirects its row-oriented accesses to one
  * near-tier frame in the same channel (migrations are channel-local
- * by construction, which keeps them shard-local under the parallel
- * engine). The near geometry must agree with the far geometry on
- * channels, row width, and word size so the column/offset fields of
- * a far address carry over to the near frame unchanged.
+ * by construction). The near geometry must agree with the far
+ * geometry on channels, row width, and word size so the column/offset
+ * fields of a far address carry over to the near frame unchanged.
  *
  * The table is pure indirection: map() and unmap() are exact
  * inverses, so any even number of migrations returns a row to

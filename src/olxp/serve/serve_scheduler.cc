@@ -445,10 +445,9 @@ ServeScheduler::sloTick()
 
     // Reschedule only while the serving layer itself has work (or
     // can still generate it), so the run can drain. Deliberately NOT
-    // eq.pending(): the core shard's pending count differs between
-    // the single-queue and sharded engines (channel events live
-    // elsewhere when sharded), and the tick pattern must be
-    // byte-identical across RCNVM_THREADS.
+    // eq.pending(): the epoch sampler reschedules itself while any
+    // other event is pending, so the two would keep each other alive
+    // and the run would never drain.
     if (eq.now() < cfg_.horizon || inFlightCount_ > 0 ||
         queuedTotal() > 0 || !parked_.empty())
         eq.scheduleAfter(cfg_.sloPeriod, [this] { sloTick(); });

@@ -29,8 +29,8 @@
  * counted; closed-loop segments are parked and deterministically
  * retried — deferred, never dropped.
  *
- * Everything runs on the machine's core-shard event queue, so all
- * serve.* statistics are byte-identical across RCNVM_THREADS.
+ * Everything runs on the machine's event queue, so all serve.*
+ * statistics are deterministic for a given seed.
  */
 
 #ifndef RCNVM_OLXP_SERVE_SERVE_SCHEDULER_HH_

@@ -36,8 +36,7 @@ isBackfill(TenantClass cls)
 /**
  * Deterministic token bucket: @p rate tokens accrue per tick up to
  * @p burst. Refill is computed from the event-queue clock, so runs
- * are reproducible — and identical across RCNVM_THREADS settings,
- * since every charge happens on the core-shard event queue.
+ * are reproducible.
  */
 class TokenBucket
 {

@@ -59,37 +59,23 @@ EventQueue::run()
         const Entry entry = popTop();
         Callback cb = takeSlot(entry.slot);
         now_ = entry.when;
-        currentSchedTick_ = entry.schedTick;
-        currentSchedTick2_ = entry.schedTick2;
         ++executed_;
         cb();
-        currentSchedTick_ = now_;
-        currentSchedTick2_ = now_;
     }
 }
 
 void
 EventQueue::runUntil(Tick limit)
 {
-    drainThrough(limit);
-    if (now_ < limit)
-        now_ = limit;
-}
-
-void
-EventQueue::drainThrough(Tick limit)
-{
     while (!heap_.empty() && heap_.front().when <= limit) {
         const Entry entry = popTop();
         Callback cb = takeSlot(entry.slot);
         now_ = entry.when;
-        currentSchedTick_ = entry.schedTick;
-        currentSchedTick2_ = entry.schedTick2;
         ++executed_;
         cb();
-        currentSchedTick_ = now_;
-        currentSchedTick2_ = now_;
     }
+    if (now_ < limit)
+        now_ = limit;
 }
 
 } // namespace rcnvm::sim

@@ -23,7 +23,7 @@ namespace rcnvm::sim {
 
 /** Move-only inline-storage callable used for event callbacks.
  *  The widened inline capacity fits the largest hot-path capture (a
- *  moved-in MemRequest carrying its completion continuation), so
+ *  moved-in MemPacket carrying its completion continuation), so
  *  scheduling an event never allocates. */
 using UniqueFunction = util::UniqueFunction<void(), 160>;
 
@@ -32,23 +32,9 @@ using UniqueFunction = util::UniqueFunction<void(), 160>;
  *
  * Events are arbitrary callables. The queue owns no component state;
  * everything interesting happens inside the callbacks. Internally a
- * heap of small POD entries ordering (tick, schedule tick, producer
- * schedule tick, seq); the
- * callbacks themselves live in a slab indexed by the entries, so
- * heap sifts move small PODs instead of relocating whole captures.
- *
- * The schedule-tick components exist for the channel-sharded
- * parallel engine: every entry remembers the tick at which it was
- * scheduled and, one level deeper, the tick at which its *producer*
- * was scheduled, and inject() lets the engine splice a message from
- * another shard into the order *as if* it had been scheduled there
- * with those stamps. For purely local scheduling the extra
- * components are inert: schedule ticks are non-decreasing in seq,
- * and within one (when, schedTick) class entries are produced by
- * events executing in producer-schedule-tick order, so
- * (when, schedTick, schedTick2, seq) orders identically to the
- * historical (when, seq) and single-threaded runs are
- * byte-identical.
+ * heap of small POD entries ordered by (tick, seq); the callbacks
+ * themselves live in a slab indexed by the entries, so heap sifts
+ * move small PODs instead of relocating whole captures.
  */
 class EventQueue
 {
@@ -72,8 +58,7 @@ class EventQueue
     {
         if (when < now_)
             panicPastEvent(when);
-        pushEntry(Entry{when, now_, currentSchedTick_, nextSeq_++,
-                        storeSlot(std::move(cb))});
+        pushEntry(Entry{when, nextSeq_++, storeSlot(std::move(cb))});
     }
 
     /** Schedule @p cb to run @p delay ticks from now. */
@@ -82,56 +67,14 @@ class EventQueue
         schedule(now_ + delay, std::move(cb));
     }
 
-    /**
-     * Splice a cross-shard message into the order: run @p cb at
-     * @p when, ordered among same-tick events as if it had been
-     * scheduled at @p sched_tick (the tick of the event on the
-     * source shard that produced it) by a producer that was itself
-     * scheduled at @p sched_tick2. Only the parallel engine calls
-     * this; local code uses schedule(), whose stamps are implicitly
-     * (now(), currentSchedTick()).
-     * @pre when >= now()
-     */
-    void
-    inject(Tick when, Tick sched_tick, Tick sched_tick2, Callback cb)
-    {
-        if (when < now_)
-            panicPastEvent(when);
-        pushEntry(Entry{when, sched_tick, sched_tick2, nextSeq_++,
-                        storeSlot(std::move(cb))});
-    }
-
     /** Run events until the queue is empty. */
     void run();
 
     /** Run events with tick <= @p limit; later events stay queued. */
     void runUntil(Tick limit);
 
-    /**
-     * Run events with tick <= @p limit like runUntil(), but leave
-     * now() at the last executed event instead of advancing it to
-     * @p limit. The parallel engine's window loop uses this so a
-     * shard's clock never overshoots into a window it has not been
-     * granted, and so end-of-run clocks reflect real events.
-     */
-    void drainThrough(Tick limit);
-
     /** Current simulated time. */
     Tick now() const { return now_; }
-
-    /** Schedule tick of the event currently executing (now() when
-     *  no event is in flight). Cross-shard posts read this so a
-     *  message inherits its producing event's position in the
-     *  same-tick order. */
-    Tick currentSchedTick() const { return currentSchedTick_; }
-
-    /** Producer schedule tick of the event currently executing —
-     *  the next component of its same-tick lineage. Cross-shard
-     *  posts that must stand in for the executing event itself
-     *  (issue messages, whose single-queue equivalent is a plain
-     *  call from that event) forward this alongside
-     *  currentSchedTick(). */
-    Tick currentSchedTick2() const { return currentSchedTick2_; }
 
     /** Tick of the earliest pending event. @pre pending() > 0 */
     Tick
@@ -140,21 +83,12 @@ class EventQueue
         return heap_.front().when;
     }
 
-    /** Move the clock forward to @p t without running anything
-     *  (end-of-run alignment across shards). Never moves backward. */
-    void
-    advanceTo(Tick t)
-    {
-        if (t > now_)
-            now_ = t;
-    }
-
     /** Number of pending events. */
     std::size_t pending() const { return heap_.size(); }
 
     /** Heap arity: a 4-ary heap halves the sift depth of a binary
      *  one and its four-child scans touch at most three cache lines
-     *  of 40-byte entries, which measurably speeds up the
+     *  of 24-byte entries, which measurably speeds up the
      *  simulator's hottest loop. */
     static constexpr std::size_t kHeapArity = 4;
 
@@ -167,31 +101,18 @@ class EventQueue
 
     struct Entry {
         Tick when;
-        Tick schedTick;  //!< tick at which this entry was scheduled
-        Tick schedTick2; //!< tick at which its producer was scheduled
-        std::uint64_t seq;
+        std::uint64_t seq; //!< insertion order: breaks tick ties
         std::uint32_t slot;
     };
+    static_assert(sizeof(Entry) == 24,
+                  "heap entries must stay three words wide");
 
-    /** Strict ordering of the min-heap: tick, then schedule tick,
-     *  then producer schedule tick, then insertion order. For
-     *  local-only scheduling the middle components never reorder
-     *  anything (both rise with seq); they exist to place injected
-     *  cross-shard messages. Two lineage levels are needed because
-     *  an injected completion and a locally scheduled event can tie
-     *  on (when, schedTick) — scheduled at the same tick, due at
-     *  the same tick — and the single queue breaks that tie by the
-     *  order their *producers* executed, which is their producers'
-     *  schedule-tick order. */
+    /** Strict ordering of the min-heap: tick, then insertion order. */
     static bool
     earlier(const Entry &a, const Entry &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
-        if (a.schedTick != b.schedTick)
-            return a.schedTick < b.schedTick;
-        if (a.schedTick2 != b.schedTick2)
-            return a.schedTick2 < b.schedTick2;
         return a.seq < b.seq;
     }
 
@@ -237,8 +158,6 @@ class EventQueue
     std::vector<Callback> slab_;       //!< parked callbacks
     std::vector<std::uint32_t> free_;  //!< recycled slab slots
     Tick now_{0};
-    Tick currentSchedTick_{0};
-    Tick currentSchedTick2_{0};
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
 };

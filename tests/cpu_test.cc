@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <vector>
 
 #include "cpu/machine.hh"
+#include "fnv1a.hh"
+#include "util/stats_io.hh"
 
 namespace rcnvm::cpu {
 namespace {
@@ -207,6 +211,54 @@ TEST(MachineTest, SequentialLoadTraceGolden)
     EXPECT_LE(r.stats.get("mem.busUtilization"), 1.0);
     // One scheduler wakeup per bus slot, none duplicated.
     EXPECT_EQ(r.stats.get("mem.wakeups"), 4095.0);
+}
+
+/** One mixed load/store plan per core, spread over all channels. */
+std::vector<AccessPlan>
+crossChannelPlans(const Machine &machine, unsigned ops_per_core)
+{
+    const mem::AddressMap &map = machine.map();
+    const mem::Geometry &g = map.geometry();
+    std::vector<AccessPlan> plans(4);
+    for (unsigned core = 0; core < 4; ++core) {
+        for (unsigned i = 0; i < ops_per_core; ++i) {
+            mem::DecodedAddr d;
+            d.channel = (core + i) % g.channels;
+            d.rank = i % g.ranksPerChannel;
+            d.bank = (i / 3) % g.banksPerRank;
+            d.subarray = (i / 7) % g.subarraysPerBank;
+            d.row = (core * 31 + i * 7) % g.rowsPerSubarray;
+            d.col = ((i * 13) % (g.colsPerSubarray / 8)) * 8;
+            const Addr a = map.encode(d, Orientation::Row);
+            plans[core].push_back(i % 3 == 0 ? MemOp::store(a)
+                                             : MemOp::load(a));
+        }
+    }
+    return plans;
+}
+
+TEST(MachineTest, CrossChannelSmallLlcGolden)
+{
+    // Four cores spread over four channels behind a 64 KB LLC, so
+    // capacity write-backs drain into other channels than the
+    // demand misses that evicted them. Pins the finish tick and an
+    // FNV-1a hash of the full stats JSON.
+    MachineConfig config;
+    config.device = mem::DeviceKind::RcNvm;
+    mem::Geometry g = mem::geometryFor(mem::DeviceKind::RcNvm);
+    g.channels = 4;
+    config.geometry = g;
+    config.hierarchy.l3 = cache::CacheConfig{"L3", 64 * 1024, 64, 8};
+    config.seed = 42; // immune to an ambient RCNVM_SEED
+    Machine machine(config);
+    const RunResult r = machine.run(crossChannelPlans(machine, 400));
+    std::ostringstream os;
+    util::writeStatsJson(os, r.stats, "cross_channel", r.ticks);
+    test::Fnv1a json;
+    json.text(os.str());
+    EXPECT_EQ(r.ticks, Tick{8723500});
+    EXPECT_EQ(json.hash, 3676863729726900470ull);
+    EXPECT_GT(r.stats.get("cache.writebacks"), 0.0);
 }
 
 TEST(MachineTest, ZeroPlansRunsToCompletion)

@@ -13,7 +13,7 @@
 namespace rcnvm::mem {
 namespace {
 
-MemRequest
+MemPacket
 req(const AddressMap &map, unsigned subarray, unsigned row,
     unsigned col, Orientation o = Orientation::Row,
     bool write = false)
@@ -22,7 +22,7 @@ req(const AddressMap &map, unsigned subarray, unsigned row,
     d.subarray = subarray;
     d.row = row;
     d.col = col;
-    MemRequest r;
+    MemPacket r;
     r.addr = map.encode(d, o);
     r.orient = o;
     r.isWrite = write;
@@ -73,7 +73,7 @@ TEST(EnergyTest, GatheredLineCostsTwoBursts)
     sim::EventQueue eq;
     MemorySystem mem(DeviceKind::GsDram, eq);
     const TimingParams t = timingFor(DeviceKind::GsDram);
-    MemRequest r = req(mem.map(), 0, 5, 0);
+    MemPacket r = req(mem.map(), 0, 5, 0);
     r.gathered = true;
     mem.issue(std::move(r));
     eq.run();

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "fnv1a.hh"
 #include "mem/memory_system.hh"
 #include "sim/event_queue.hh"
 
@@ -23,7 +24,7 @@ struct Fixture {
     TimingParams timing = TimingParams::rcNvm();
 };
 
-MemRequest
+MemPacket
 makeReq(const AddressMap &map, unsigned bank, unsigned subarray,
         unsigned row, unsigned col, Orientation o,
         std::function<void(Tick)> cb)
@@ -33,7 +34,7 @@ makeReq(const AddressMap &map, unsigned bank, unsigned subarray,
     d.subarray = subarray;
     d.row = row;
     d.col = col;
-    MemRequest req;
+    MemPacket req;
     req.addr = map.encode(d, o);
     req.orient = o;
     req.onComplete = std::move(cb);
@@ -116,8 +117,8 @@ TEST(Controller, GatheredTransferOccupiesTwoBusSlots)
     const Tick slot = f.timing.cyc(f.timing.tBURST);
     EXPECT_EQ(ctrl.stats().busBusyTicks.value(), slot.value());
     // A gathered line's shuffled-column transfer costs two slots.
-    MemRequest req = makeReq(f.map, 0, 0, 5, 8, Orientation::Row,
-                             [](Tick) {});
+    MemPacket req = makeReq(f.map, 0, 0, 5, 8, Orientation::Row,
+                            [](Tick) {});
     req.gathered = true;
     ctrl.enqueue(std::move(req));
     f.eq.run();
@@ -204,14 +205,8 @@ TEST(Controller, DeterministicTraceRegression)
     Fixture f;
     ChannelController ctrl(f.map, f.timing, f.eq);
     std::uint64_t lcg = 0x2545F4914F6CDD1Dull;
-    std::uint64_t hash = 1469598103934665603ull; // FNV-1a offset
+    test::Fnv1a hash;
     unsigned completions = 0;
-    auto fold = [&hash](std::uint64_t v) {
-        for (int b = 0; b < 8; ++b) {
-            hash ^= (v >> (8 * b)) & 0xff;
-            hash *= 1099511628211ull; // FNV-1a prime
-        }
-    };
     for (unsigned i = 0; i < 96; ++i) {
         lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
         const std::uint64_t r = lcg >> 33;
@@ -221,11 +216,10 @@ TEST(Controller, DeterministicTraceRegression)
         const Orientation o = (r >> 12) % 4 == 0
                                   ? Orientation::Column
                                   : Orientation::Row;
-        MemRequest req = makeReq(
+        MemPacket req = makeReq(
             f.map, bank, 0, row, col, o, [&, i](Tick t) {
                 ++completions;
-                fold((std::uint64_t{i} << 48) ^
-                     t.value());
+                hash.word((std::uint64_t{i} << 48) ^ t.value());
             });
         req.isWrite = (r >> 14) % 4 == 0;
         req.gathered = (r >> 16) % 8 == 0;
@@ -239,7 +233,7 @@ TEST(Controller, DeterministicTraceRegression)
     EXPECT_EQ(completions, 96u);
     // Golden values recorded from the post-bugfix scheduler. A
     // mismatch means per-request timing outcomes changed.
-    EXPECT_EQ(hash, 4240260166787096171ull);
+    EXPECT_EQ(hash.hash, 4240260166787096171ull);
     EXPECT_EQ(f.eq.now(), Tick{1402500});
     EXPECT_EQ(ctrl.stats().bufferHits.value(), 3u);
 }
@@ -288,8 +282,8 @@ TEST(Controller, ReadPriorityServesOltpReadsFirst)
     // conflict and a younger plain hit queue up behind it.
     ctrl.enqueue(makeReq(f.map, 0, 0, 5, 8, Orientation::Row,
                          [&](Tick) { order.push_back(1); }));
-    MemRequest pri = makeReq(f.map, 0, 0, 9, 0, Orientation::Row,
-                             [&](Tick) { order.push_back(2); });
+    MemPacket pri = makeReq(f.map, 0, 0, 9, 0, Orientation::Row,
+                            [&](Tick) { order.push_back(2); });
     pri.priority = true;
     ctrl.enqueue(std::move(pri));
     ctrl.enqueue(makeReq(f.map, 0, 0, 5, 16, Orientation::Row,
@@ -319,8 +313,8 @@ TEST(Controller, ReadPriorityDoesNotPromoteWrites)
     // younger plain hit: the hit must still bypass the write.
     ctrl.enqueue(makeReq(f.map, 0, 0, 5, 8, Orientation::Row,
                          [&](Tick) { order.push_back(1); }));
-    MemRequest w = makeReq(f.map, 0, 0, 9, 0, Orientation::Row,
-                           [&](Tick) { order.push_back(2); });
+    MemPacket w = makeReq(f.map, 0, 0, 9, 0, Orientation::Row,
+                          [&](Tick) { order.push_back(2); });
     w.isWrite = true;
     w.priority = true;
     ctrl.enqueue(std::move(w));
@@ -443,7 +437,7 @@ TEST(MemorySystemTest, RoutesAndAggregatesStats)
         DecodedAddr d;
         d.channel = ch;
         d.row = 7;
-        MemRequest req;
+        MemPacket req;
         req.addr = mem.map().encode(d, Orientation::Row);
         req.onComplete = [&](Tick) { ++completions; };
         mem.issue(std::move(req));
@@ -461,7 +455,7 @@ TEST(MemorySystemTest, BusUtilizationExported)
     const TimingParams t = TimingParams::rcNvm();
     DecodedAddr d;
     d.row = 7;
-    MemRequest req;
+    MemPacket req;
     req.addr = mem.map().encode(d, Orientation::Row);
     Tick done{0};
     req.onComplete = [&](Tick t) { done = t; };
@@ -486,7 +480,7 @@ TEST(MemorySystemTest, BufferMissRateComputed)
     d.row = 3;
     for (int i = 0; i < 4; ++i) {
         d.col = static_cast<unsigned>(8 * i);
-        MemRequest req;
+        MemPacket req;
         req.addr = mem.map().encode(d, Orientation::Row);
         mem.issue(std::move(req));
         eq.run();
@@ -499,7 +493,7 @@ TEST(MemorySystemDeathTest, ColumnAccessRejectedOnDram)
 {
     sim::EventQueue eq;
     MemorySystem mem(DeviceKind::Dram, eq);
-    MemRequest req;
+    MemPacket req;
     req.orient = Orientation::Column;
     EXPECT_DEATH(mem.issue(std::move(req)),
                  "no column access support");
@@ -509,7 +503,7 @@ TEST(MemorySystemDeathTest, GatherRejectedOnPlainDram)
 {
     sim::EventQueue eq;
     MemorySystem mem(DeviceKind::Dram, eq);
-    MemRequest req;
+    MemPacket req;
     req.gathered = true;
     EXPECT_DEATH(mem.issue(std::move(req)), "gathered request");
 }
@@ -518,7 +512,7 @@ TEST(MemorySystemTest, GatherAcceptedOnGsDram)
 {
     sim::EventQueue eq;
     MemorySystem mem(DeviceKind::GsDram, eq);
-    MemRequest req;
+    MemPacket req;
     req.gathered = true;
     bool done = false;
     req.onComplete = [&](Tick) { done = true; };

@@ -4,7 +4,7 @@
  * text<->binary property equivalence, malformed-file rejection, the
  * mmap window residency bound, per-core demultiplexing, and the
  * headline guarantee that streaming replay produces byte-identical
- * statistics to fixed-plan replay at any thread count. Also the
+ * statistics to fixed-plan replay. Also the
  * regression death tests for the strict environment parsing at the
  * RCNVM_EPOCH_TICKS / RCNVM_TUPLES call sites.
  */
@@ -434,11 +434,10 @@ replayPlans()
 }
 
 cpu::MachineConfig
-replayConfig(unsigned threads)
+replayConfig()
 {
     cpu::MachineConfig config;
     config.device = mem::DeviceKind::RcNvm;
-    config.threads = threads;
     config.seed = 42; // immune to an ambient RCNVM_SEED
     return config;
 }
@@ -456,32 +455,17 @@ TEST(TraceReplay, StreamingMatchesFixedPlanByteForByte)
     const std::string path = tempTrace("replay1");
     writeBinaryTrace(path, replayPlans());
 
-    cpu::Machine fixed(replayConfig(1));
+    cpu::Machine fixed(replayConfig());
     const std::string fixedJson =
         statsJson(fixed.run(readBinaryTrace(path)));
 
     MmapTraceReader reader(path);
     TraceDemux demux(reader);
-    cpu::Machine streamed(replayConfig(1));
+    cpu::Machine streamed(replayConfig());
     const std::string streamJson =
         statsJson(streamed.runSources(demux.sources()));
 
     EXPECT_EQ(fixedJson, streamJson);
-}
-
-TEST(TraceReplay, FourThreadStreamingReproducesSingleThread)
-{
-    const std::string path = tempTrace("replay4");
-    writeBinaryTrace(path, replayPlans());
-
-    std::string json[2];
-    for (unsigned t = 0; t < 2; ++t) {
-        MmapTraceReader reader(path);
-        TraceDemux demux(reader);
-        cpu::Machine machine(replayConfig(t == 0 ? 1 : 4));
-        json[t] = statsJson(machine.runSources(demux.sources()));
-    }
-    EXPECT_EQ(json[0], json[1]);
 }
 
 TEST(TraceReplay, SmallWindowDoesNotChangeReplayStatistics)
@@ -493,13 +477,13 @@ TEST(TraceReplay, SmallWindowDoesNotChangeReplayStatistics)
 
     MmapTraceReader big(path);
     TraceDemux demuxBig(big);
-    cpu::Machine a(replayConfig(1));
+    cpu::Machine a(replayConfig());
     const std::string bigJson =
         statsJson(a.runSources(demuxBig.sources()));
 
     MmapTraceReader small(path, 1);
     TraceDemux demuxSmall(small);
-    cpu::Machine b(replayConfig(1));
+    cpu::Machine b(replayConfig());
     const std::string smallJson =
         statsJson(b.runSources(demuxSmall.sources()));
 

@@ -5,14 +5,7 @@
 # -DCTEST exit codes).
 #
 # Usage: run_sanitizers.sh [mode] [build-dir]
-#   mode: asan-ubsan (default) | tsan | integer
-#
-# tsan exists for the channel-sharded parallel engine: it rebuilds
-# with -fsanitize=thread and runs the multi-threaded tests (the
-# ParallelEngine suite plus anything else that spawns workers) with
-# RCNVM_THREADS=4 so the shard synchronisation is exercised under
-# the race detector. ThreadSanitizer cannot be combined with ASan,
-# hence the separate mode and build directory.
+#   mode: asan-ubsan (default) | integer
 #
 # integer hunts silent narrowing on the Tick/Cycles/Addr arithmetic
 # paths that the strong types (DESIGN.md 4e) cannot cover — .value()
@@ -58,20 +51,6 @@ asan-ubsan)
             '$tdir/sample.rtb' '$tdir/sample.trace'
     "
     ;;
-tsan)
-    bdir=${2:-"$root/build-tsan"}
-    cmake -B "$bdir" -S "$root" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DRCNVM_SANITIZE="thread"
-    cmake --build "$bdir" -j "$(nproc)"
-
-    # The whole suite runs with the engine forced on, so every
-    # machine-level test doubles as a shard-race probe; gtest death
-    # tests fork, which TSan tolerates but slows, so keep -j modest.
-    TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
-    RCNVM_THREADS=4 \
-        ctest --test-dir "$bdir" --output-on-failure -j 2
-    ;;
 integer)
     bdir=${2:-"$root/build-ubsan-int"}
 
@@ -115,7 +94,7 @@ integer)
     fi
     ;;
 *)
-    echo "unknown mode '$mode' (want asan-ubsan, tsan or integer)" >&2
+    echo "unknown mode '$mode' (want asan-ubsan or integer)" >&2
     exit 2
     ;;
 esac
