@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "olxp/service.hh"
+#include "olxp/serve/serve_scheduler.hh"
 
 using namespace rcnvm;
 
@@ -44,7 +44,7 @@ struct Placement {
 
 struct SweepPoint {
     Tick interArrival{0};
-    olxp::ServiceResult result;
+    olxp::serve::ServeResult result;
 
     double offered() const
     {
@@ -97,13 +97,25 @@ main(int argc, char **argv)
         bench::benchTuples(smoke ? 32768 : 65536);
     const std::uint64_t seed = util::envSeed(42);
 
-    olxp::ServiceConfig service;
-    service.oltpUpdateFraction = 0.2;
-    service.oltpHotTupleFraction = 0.125;
-    service.oltpHotProbability = 0.8;
-    service.olapStreams = 3;
-    service.olapTuplesPerScan = 512;
-    service.olapFields = 1;
+    // The OLXP scheduler's FIFO mode (DESIGN.md 4d): a hot-set OLTP
+    // tenant against three scan streams sharing one cursor.
+    olxp::serve::TenantConfig oltp;
+    oltp.name = "oltp";
+    oltp.cls = olxp::serve::TenantClass::OltpLatency;
+    oltp.oltpUpdateFraction = 0.2;
+    oltp.oltpHotTupleFraction = 0.125;
+    oltp.oltpHotProbability = 0.8;
+    olxp::serve::TenantConfig olap;
+    olap.name = "olap";
+    olap.cls = olxp::serve::TenantClass::OlapThroughput;
+    olap.segmentTuples = 512;
+    olap.segmentParallelism = 3;
+
+    olxp::serve::ServeConfig service;
+    service.oltpFirst = false;
+    service.slo = false;
+    service.optimizer = false;
+    service.scanFields = 1;
     service.horizon = smoke ? Tick{12000000} : Tick{30000000};
     service.runQueueCapacity = 64;
 
@@ -136,9 +148,9 @@ main(int argc, char **argv)
     util::TablePrinter t(
         "Extension: hybrid memory tier, OLXP service sweep (latency "
         "in us; offered load in OLTP req/us; hot set " +
-        bench::num(100.0 * service.oltpHotTupleFraction, 1) +
+        bench::num(100.0 * oltp.oltpHotTupleFraction, 1) +
         "% of table, P(hot) = " +
-        bench::num(service.oltpHotProbability, 2) + ")");
+        bench::num(oltp.oltpHotProbability, 2) + ")");
     t.addRow({"placement", "offered", "oltp done", "rej", "p50",
               "p99", "olap done", "promo", "demo", "nearHit%"});
 
@@ -158,9 +170,10 @@ main(int argc, char **argv)
         for (const Tick ia : loads) {
             cpu::Machine machine(p.config);
 
-            olxp::ServiceConfig cfg = service;
-            cfg.oltpInterArrival = ia;
-            olxp::QueryScheduler scheduler(machine, pd, cfg);
+            olxp::serve::ServeConfig cfg = service;
+            cfg.tenants = {oltp, olap};
+            cfg.tenants[0].oltpInterArrival = ia;
+            olxp::serve::ServeScheduler scheduler(machine, pd, cfg);
 
             SweepPoint point;
             point.interArrival = ia;
@@ -172,7 +185,7 @@ main(int argc, char **argv)
                                  point.result.run.ticks);
             }
 
-            const olxp::ServiceResult &r = point.result;
+            const olxp::serve::ServeResult &r = point.result;
             const util::StatsMap &s = r.run.stats;
             const double promos = s.get("tier.promotions");
             const double demos = s.get("tier.demotions");
@@ -181,7 +194,7 @@ main(int argc, char **argv)
                       std::to_string(r.oltpCompleted),
                       std::to_string(r.oltpRejected),
                       usLabel(r.oltpP50), usLabel(r.oltpP99),
-                      std::to_string(r.olapCompleted),
+                      std::to_string(r.segmentsCompleted),
                       p.hybrid ? bench::num(promos, 0) : "-",
                       p.hybrid ? bench::num(demos, 0) : "-",
                       p.hybrid ? bench::num(100.0 * hitRate, 1)
@@ -214,21 +227,19 @@ main(int argc, char **argv)
 
     // Verdict: does any migration policy beat BOTH static
     // placements on OLTP tail service at the heaviest load point?
-    // The log2 latency histogram quantizes percentiles to
-    // factor-of-two bucket edges, so saturated placements often tie
-    // on raw p99; rank lexicographically by (p99, rejects,
-    // -completions) — at equal tail latency, fewer admission drops
-    // and more completed requests is strictly better service.
-    const auto score = [](const olxp::ServiceResult &r) {
+    // Rank lexicographically by (p99, rejects, -completions) — at
+    // equal tail latency, fewer admission drops and more completed
+    // requests is strictly better service.
+    const auto score = [](const olxp::serve::ServeResult &r) {
         return std::make_tuple(
             r.oltpP99, r.oltpRejected,
             -static_cast<std::int64_t>(r.oltpCompleted));
     };
-    const olxp::ServiceResult &dram_h = sweeps[0].back().result;
-    const olxp::ServiceResult &rc_h = sweeps[1].back().result;
+    const olxp::serve::ServeResult &dram_h = sweeps[0].back().result;
+    const olxp::serve::ServeResult &rc_h = sweeps[1].back().result;
     int best = -1;
     for (std::size_t d = 2; d < sweeps.size(); ++d) {
-        const olxp::ServiceResult &h = sweeps[d].back().result;
+        const olxp::serve::ServeResult &h = sweeps[d].back().result;
         if (score(h) < score(dram_h) && score(h) < score(rc_h) &&
             (best < 0 ||
              score(h) < score(sweeps[best].back().result)))
@@ -240,7 +251,7 @@ main(int argc, char **argv)
               << "p99 = " << usLabel(rc_h.oltpP99) << " us ("
               << rc_h.oltpRejected << " rejects)";
     if (best >= 0) {
-        const olxp::ServiceResult &h = sweeps[best].back().result;
+        const olxp::serve::ServeResult &h = sweeps[best].back().result;
         std::cout << "; " << placements[best].label
                   << " beats both at p99 = " << usLabel(h.oltpP99)
                   << " us (" << h.oltpRejected << " rejects, "

@@ -3,25 +3,28 @@
  * Extension bench: OLXP service saturation curves. Sweeps the
  * offered open-loop OLTP load (Poisson point lookups/updates on
  * table-a) against a fixed closed-loop OLAP scan background on all
- * four devices and reports per-class p50/p95/p99 latency, completed
- * and rejected counts, and each device's saturation knee — the
- * highest offered load whose p99 OLTP latency stays under twice the
- * device's own lightest-load p99.
+ * four devices and reports OLTP p50/p95/p99 latency, completed and
+ * rejected counts, and completed scan segments. The service is the
+ * OLXP scheduler's FIFO mode (DESIGN.md 4d): requests run in arrival
+ * order, with no OLTP priority and no SLO loop.
  *
  * Expectation: RC-NVM's column scans touch ~8x fewer lines than the
  * strided scans a row-only device needs, so each scan segment
  * completes several times faster. With most cores busy serving the
  * analytic background, an arriving OLTP request waits for a scan
- * segment to drain before it gets a core — so RC-NVM both clears
- * more scans per second and holds its OLTP tail flat to a higher
- * offered load (a higher knee) than DRAM.
+ * segment to drain before it gets a core — so at the heaviest load
+ * RC-NVM holds a lower OLTP p99, completes more OLTP requests, and
+ * completes at least 1.5x DRAM's scan segments. The full sweep exits
+ * 1 unless all three hold. Each device's saturation knee — the
+ * highest offered load whose p99 stays under twice its own
+ * lightest-load p99 with no rejects — is printed for information;
+ * it rests on a few tail samples at the lightest load, so it moves
+ * with the seed.
  *
- * `--smoke` runs a reduced sweep (smaller tables, two load points)
- * for CI. RCNVM_SEED reseeds tables and generators; two runs with
- * the same seed produce identical statistics. The service shape is
- * overridable for exploration: RCNVM_OLXP_STREAMS,
- * RCNVM_OLXP_SCAN_TUPLES, RCNVM_OLXP_SCAN_FIELDS,
- * RCNVM_OLXP_UPDATE_PCT, RCNVM_OLXP_HORIZON.
+ * `--smoke` runs a reduced sweep (smaller tables, three load points)
+ * for CI and does not gate. RCNVM_SEED reseeds tables and
+ * generators; two runs with the same seed produce identical
+ * statistics.
  */
 
 #include <cstring>
@@ -30,7 +33,7 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "olxp/service.hh"
+#include "olxp/serve/serve_scheduler.hh"
 
 using namespace rcnvm;
 
@@ -38,7 +41,7 @@ namespace {
 
 struct SweepPoint {
     Tick interArrival{0}; //!< mean OLTP inter-arrival gap (ticks)
-    olxp::ServiceResult result;
+    olxp::serve::ServeResult result;
 
     /** Offered load in requests per microsecond (1 us = 1e6 ticks). */
     double offered() const
@@ -63,8 +66,8 @@ main(int argc, char **argv)
             "Extension bench: OLXP service saturation curves. Sweeps "
             "the offered\nopen-loop OLTP load against a fixed "
             "closed-loop OLAP scan background\non all four devices "
-            "and reports per-class tail latency and each\ndevice's "
-            "saturation knee.",
+            "and reports OLTP tail latency, completions, scan\n"
+            "segments and each device's saturation knee.",
             {"--smoke  reduced sweep (smaller tables, fewer load "
              "points) for CI"}))
         return 0;
@@ -84,25 +87,24 @@ main(int argc, char **argv)
         bench::benchTuples(smoke ? 131072 : 262144);
     const std::uint64_t seed = util::envSeed(42);
 
-    // Service shape, overridable for exploration (RCNVM_OLXP_*).
-    // Strictly validated: a typo'd override must fail loudly, not
-    // silently run a different service shape.
-    const auto envU = [](const char *name,
-                         std::uint64_t fallback) -> std::uint64_t {
-        return util::envUint64(name, fallback);
-    };
-    olxp::ServiceConfig service;
-    service.oltpUpdateFraction =
-        static_cast<double>(envU("RCNVM_OLXP_UPDATE_PCT", 20)) /
-        100.0;
-    service.olapStreams = static_cast<unsigned>(
-        envU("RCNVM_OLXP_STREAMS", 3));
-    service.olapTuplesPerScan =
-        envU("RCNVM_OLXP_SCAN_TUPLES", 512);
-    service.olapFields = static_cast<unsigned>(
-        envU("RCNVM_OLXP_SCAN_FIELDS", 1));
-    service.horizon = static_cast<Tick>(envU(
-        "RCNVM_OLXP_HORIZON", smoke ? 16000000 : 40000000));
+    // One OLTP tenant against three scan streams sharing one cursor:
+    // 512-tuple single-field segments, unoptimized.
+    olxp::serve::TenantConfig oltp;
+    oltp.name = "oltp";
+    oltp.cls = olxp::serve::TenantClass::OltpLatency;
+    oltp.oltpUpdateFraction = 0.2;
+    olxp::serve::TenantConfig olap;
+    olap.name = "olap";
+    olap.cls = olxp::serve::TenantClass::OlapThroughput;
+    olap.segmentTuples = 512;
+    olap.segmentParallelism = 3;
+
+    olxp::serve::ServeConfig service;
+    service.oltpFirst = false;
+    service.slo = false;
+    service.optimizer = false;
+    service.scanFields = 1;
+    service.horizon = smoke ? Tick{16000000} : Tick{40000000};
     service.runQueueCapacity = 64;
 
     // Mean inter-arrival sweep, heaviest last. Each halving doubles
@@ -124,9 +126,9 @@ main(int argc, char **argv)
     util::TablePrinter t(
         "Extension: OLXP service saturation (latency in us; offered "
         "load in OLTP req/us; OLAP background: " +
-        std::to_string(service.olapStreams) + " scan stream(s))");
+        std::to_string(olap.segmentParallelism) + " scan stream(s))");
     t.addRow({"device", "offered", "oltp done", "rej", "p50", "p95",
-              "p99", "olap done", "olap p99"});
+              "p99", "olap done"});
 
     std::vector<std::vector<SweepPoint>> sweeps;
     for (const auto kind : bench::allDevices()) {
@@ -139,9 +141,10 @@ main(int argc, char **argv)
             config.seed = seed;
             cpu::Machine machine(config);
 
-            olxp::ServiceConfig cfg = service;
-            cfg.oltpInterArrival = ia;
-            olxp::QueryScheduler scheduler(machine, pd, cfg);
+            olxp::serve::ServeConfig cfg = service;
+            cfg.tenants = {oltp, olap};
+            cfg.tenants[0].oltpInterArrival = ia;
+            olxp::serve::ServeScheduler scheduler(machine, pd, cfg);
 
             SweepPoint point;
             point.interArrival = ia;
@@ -153,26 +156,25 @@ main(int argc, char **argv)
                                  point.result.run.ticks);
             }
 
-            const olxp::ServiceResult &r = point.result;
+            const olxp::serve::ServeResult &r = point.result;
             t.addRow({mem::toString(kind),
                       bench::num(point.offered(), 2),
                       std::to_string(r.oltpCompleted),
                       std::to_string(r.oltpRejected),
                       usLabel(r.oltpP50), usLabel(r.oltpP95),
                       usLabel(r.oltpP99),
-                      std::to_string(r.olapCompleted),
-                      usLabel(r.olapP99)});
+                      std::to_string(r.segmentsCompleted)});
             sweep.push_back(std::move(point));
         }
         sweeps.push_back(std::move(sweep));
     }
     t.print(std::cout);
 
-    // Knee: the highest offered load whose p99 stays under 2x the
-    // device's lightest-load baseline with no admission rejects.
+    // Knee (information only): the highest offered load whose p99
+    // stays under 2x the device's lightest-load baseline with no
+    // admission rejects.
     std::cout << "\nsaturation knees (p99 < 2x own baseline, no "
                  "rejects):\n";
-    std::vector<double> knees;
     for (std::size_t d = 0; d < sweeps.size(); ++d) {
         const std::vector<SweepPoint> &sweep = sweeps[d];
         const double base = sweep.front().result.oltpP99;
@@ -183,36 +185,37 @@ main(int argc, char **argv)
                 knee = std::max(knee, p.offered());
             }
         }
-        knees.push_back(knee);
         std::cout << "  " << mem::toString(bench::allDevices()[d])
                   << ": " << bench::num(knee, 2)
                   << " req/us (baseline p99 " << usLabel(base)
                   << " us)\n";
     }
 
-    // Headline: RC-NVM vs DRAM under the same concurrent scans.
-    // allDevices() order is RC-NVM, RRAM, GS-DRAM, DRAM.
-    const double rc_knee = knees[0], dram_knee = knees[3];
-    const olxp::ServiceResult &rc_heavy =
-        sweeps[0].back().result;
-    const olxp::ServiceResult &dram_heavy =
-        sweeps[3].back().result;
-    std::cout << "\nheadline: under concurrent column scans, "
-                 "RC-NVM sustains "
-              << bench::num(dram_knee > 0 ? rc_knee / dram_knee : 0,
-                            1)
-              << "x DRAM's offered OLTP load before its p99 "
-                 "doubles; at the heaviest point RC-NVM p99 = "
-              << usLabel(rc_heavy.oltpP99) << " us vs DRAM p99 = "
-              << usLabel(dram_heavy.oltpP99) << " us ("
-              << dram_heavy.oltpRejected << " DRAM rejects, "
-              << rc_heavy.oltpRejected << " RC-NVM rejects).\n";
+    // Headline and gate: RC-NVM vs DRAM at the heaviest load, under
+    // the same concurrent scans. allDevices() order is RC-NVM, RRAM,
+    // GS-DRAM, DRAM.
+    const olxp::serve::ServeResult &rc = sweeps[0].back().result;
+    const olxp::serve::ServeResult &dram = sweeps[3].back().result;
+    std::cout << "\nheadline: at the heaviest load ("
+              << bench::num(sweeps[0].back().offered(), 2)
+              << " req/us) RC-NVM p99 = " << usLabel(rc.oltpP99)
+              << " us vs DRAM p99 = " << usLabel(dram.oltpP99)
+              << " us; OLTP completed " << rc.oltpCompleted << " vs "
+              << dram.oltpCompleted << "; scan segments "
+              << rc.segmentsCompleted << " vs "
+              << dram.segmentsCompleted << ".\n";
 
-    if (rc_knee <= dram_knee) {
-        std::cout << "WARNING: expected RC-NVM knee > DRAM knee\n";
-        // The smoke sweep has too few tail samples per point to pin
-        // the knee down to a log2 bucket; it validates the service
-        // pipeline, the full sweep enforces the result.
+    const bool holds =
+        rc.oltpP99 < dram.oltpP99 &&
+        rc.oltpCompleted > dram.oltpCompleted &&
+        2 * rc.segmentsCompleted >= 3 * dram.segmentsCompleted;
+    if (!holds) {
+        std::cout << "WARNING: expected RC-NVM to beat DRAM on OLTP "
+                     "p99 and completions and to complete >= 1.5x "
+                     "its scan segments at the heaviest load\n";
+        // The smoke sweep stops at a light load where the devices
+        // barely separate; it validates the service pipeline, the
+        // full sweep enforces the result.
         return smoke ? 0 : 1;
     }
     return 0;

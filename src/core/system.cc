@@ -37,12 +37,4 @@ RcNvmSystem::runPlans(const std::vector<cpu::AccessPlan> &plans) const
     return core::runPlans(table1Machine(options_.device), plans);
 }
 
-olxp::ServiceResult
-RcNvmSystem::runService(const olxp::ServiceConfig &config) const
-{
-    cpu::Machine machine(table1Machine(options_.device));
-    olxp::QueryScheduler scheduler(machine, pd_, config);
-    return scheduler.run();
-}
-
 } // namespace rcnvm::core

@@ -13,7 +13,6 @@
 
 #include "core/experiment.hh"
 #include "mem/geometry.hh"
-#include "olxp/service.hh"
 #include "util/random.hh"
 
 namespace rcnvm::core {
@@ -67,15 +66,6 @@ class RcNvmSystem
     /** Run custom per-core plans against this system's device. */
     ExperimentResult
     runPlans(const std::vector<cpu::AccessPlan> &plans) const;
-
-    /**
-     * Serve concurrent OLXP traffic (open-loop Poisson OLTP against
-     * a closed-loop OLAP scan background) on a fresh Table-1
-     * machine and report per-class tail latency — the service-layer
-     * counterpart of the batch runQuery entry points.
-     */
-    olxp::ServiceResult
-    runService(const olxp::ServiceConfig &config) const;
 
     /** Subarrays (or 8 MB regions) used by the placement. */
     unsigned binsUsed() const { return pd_.db->binsUsed(); }

@@ -6,12 +6,6 @@
 
 namespace rcnvm::olxp {
 
-const char *
-toString(RequestClass cls)
-{
-    return cls == RequestClass::Oltp ? "oltp" : "olap";
-}
-
 OltpGenerator::OltpGenerator(const workload::PlacedDatabase &pd,
                              Tick mean_inter_arrival,
                              double update_fraction,
@@ -45,8 +39,8 @@ OltpGenerator::nextGap()
     return t < Tick{1} ? Tick{1} : t;
 }
 
-Request
-OltpGenerator::make(Tick arrival)
+cpu::AccessPlan
+OltpGenerator::make()
 {
     std::uint64_t t = rng_.nextBounded(tuples_);
     // Hot-set skew (hybrid-tier studies): folded onto the uniform
@@ -66,42 +60,7 @@ OltpGenerator::make(Tick arrival)
                   b.costs().materialize);
     if (update)
         b.storeFieldWord(pd_->a, {t}, w);
-    return Request{RequestClass::Oltp, b.take(), arrival};
-}
-
-OlapGenerator::OlapGenerator(const workload::PlacedDatabase &pd,
-                             std::uint64_t tuples_per_scan,
-                             unsigned scan_fields, std::uint64_t seed)
-    : pd_(&pd),
-      tuplesPerScan_(tuples_per_scan),
-      scanFields_(scan_fields),
-      tuples_(pd.db->table(pd.a).tuples()),
-      tupleWords_(pd.db->table(pd.a).schema().tupleWords()),
-      rng_(seed)
-{
-    if (tuplesPerScan_ == 0 || tuplesPerScan_ > tuples_)
-        tuplesPerScan_ = tuples_;
-    if (scanFields_ == 0 || scanFields_ > tupleWords_)
-        scanFields_ = tupleWords_;
-}
-
-Request
-OlapGenerator::make(Tick arrival)
-{
-    const unsigned w =
-        static_cast<unsigned>(rng_.nextBounded(scanFields_));
-    const std::uint64_t t0 = cursor_;
-    std::uint64_t t1 = t0 + tuplesPerScan_;
-    if (t1 >= tuples_) {
-        t1 = tuples_;
-        cursor_ = 0;
-    } else {
-        cursor_ = t1;
-    }
-
-    imdb::PlanBuilder b(*pd_->db);
-    b.scanFieldWord(pd_->a, w, t0, t1, b.costs().aggregate);
-    return Request{RequestClass::Olap, b.take(), arrival};
+    return b.take();
 }
 
 } // namespace rcnvm::olxp

@@ -1,18 +1,14 @@
 /**
  * @file
- * OLXP request generators: the traffic sources of the service layer.
+ * The OLTP request generator: the open-loop traffic source of the
+ * OLXP scheduler (the closed-loop scan side is the scheduler's
+ * shared-scan cursor, DESIGN.md 4i).
  *
- * Two generator shapes model the paper's mixed workload:
- *
- *  - OltpGenerator — an *open-loop* Poisson stream of point lookups
- *    and single-field updates on table-a. Arrivals are independent
- *    of service completions, so queueing delay under overload shows
- *    up as tail latency (and, past the admission bound, as rejects)
- *    instead of silently throttling the offered load.
- *  - OlapGenerator — a *closed-loop* stream of Table-2-style field
- *    range scans: each stream keeps exactly one scan in flight and
- *    submits the next one when the previous completes, providing a
- *    sustained column-scan background.
+ * An open-loop Poisson stream of point lookups and single-field
+ * updates on table-a. Arrivals are independent of service
+ * completions, so queueing delay under overload shows up as tail
+ * latency (and, past the admission bound, as rejects) instead of
+ * silently throttling the offered load.
  *
  * All randomness flows through util::Random so a seed reproduces the
  * exact request sequence.
@@ -29,26 +25,6 @@
 #include "workload/queries.hh"
 
 namespace rcnvm::olxp {
-
-/** Traffic class of one service request. */
-enum class RequestClass : std::uint8_t {
-    Oltp, //!< point lookup / update (open-loop)
-    Olap, //!< field range scan (closed-loop)
-};
-
-/** Readable class name ("oltp" / "olap"). */
-const char *toString(RequestClass cls);
-
-/**
- * One in-flight service request: its compiled plan plus the arrival
- * tick latency is measured from. The scheduler owns the request for
- * its whole lifetime because the executing core borrows the plan.
- */
-struct Request {
-    RequestClass cls = RequestClass::Oltp;
-    cpu::AccessPlan plan;
-    Tick arrival{0};
-};
 
 /**
  * Open-loop Poisson OLTP source over table-a: uniformly random
@@ -77,9 +53,8 @@ class OltpGenerator
     /** Exponential inter-arrival draw, at least one tick. */
     Tick nextGap();
 
-    /** Compile the next random point request arriving at
-     *  @p arrival. */
-    Request make(Tick arrival);
+    /** Compile the next random point request. */
+    cpu::AccessPlan make();
 
   private:
     const workload::PlacedDatabase *pd_;
@@ -89,46 +64,6 @@ class OltpGenerator
     std::uint64_t hotTuples_;
     double hotProbability_;
     unsigned tupleWords_;
-    util::Random rng_;
-};
-
-/**
- * Closed-loop OLAP source over table-a: single-field range scans of
- * a fixed tuple count, walking the table round-robin with a random
- * field per scan (an aggregation like Q4/Q6, restricted to a range
- * so one request has a bounded service time).
- *
- * The field is drawn from the first @p scan_fields columns: analytic
- * background traffic typically aggregates the same few measures over
- * and over, so its *column* working set is small even when the table
- * is huge. A column store therefore re-reads a footprint of
- * scan_fields * tuples * 8 bytes, while a row store drags every
- * tuple's full line through the hierarchy regardless of the field —
- * the access-count asymmetry the paper builds on.
- */
-class OlapGenerator
-{
-  public:
-    /**
-     * @param pd  placed database the plans compile against
-     * @param tuples_per_scan  range length of one scan request
-     * @param scan_fields  fields the scans draw from (0 = all)
-     * @param seed  generator seed
-     */
-    OlapGenerator(const workload::PlacedDatabase &pd,
-                  std::uint64_t tuples_per_scan, unsigned scan_fields,
-                  std::uint64_t seed);
-
-    /** Compile the next range scan arriving at @p arrival. */
-    Request make(Tick arrival);
-
-  private:
-    const workload::PlacedDatabase *pd_;
-    std::uint64_t tuplesPerScan_;
-    unsigned scanFields_;
-    std::uint64_t tuples_;
-    unsigned tupleWords_;
-    std::uint64_t cursor_ = 0;
     util::Random rng_;
 };
 

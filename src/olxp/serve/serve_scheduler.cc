@@ -53,6 +53,8 @@ ServeScheduler::ServeScheduler(cpu::Machine &machine,
         rcnvm_fatal("serve scheduler needs at least one core");
     if (cfg_.tenants.empty())
         rcnvm_fatal("serve scheduler needs at least one tenant");
+    if (cfg_.slo && !cfg_.oltpFirst)
+        rcnvm_fatal("serve scheduler: slo needs oltpFirst dispatch");
 
     tenants_.reserve(cfg_.tenants.size());
     for (std::size_t i = 0; i < cfg_.tenants.size(); ++i) {
@@ -62,7 +64,9 @@ ServeScheduler::ServeScheduler(cpu::Machine &machine,
         if (tc.cls == TenantClass::OltpLatency) {
             ts.oltp.emplace(pd_, tc.oltpInterArrival,
                             tc.oltpUpdateFraction,
-                            baseSeed_ + 0x100 + i);
+                            baseSeed_ + 0x100 + i,
+                            tc.oltpHotTupleFraction,
+                            tc.oltpHotProbability);
         } else {
             ts.group = static_cast<int>(groups_.size());
             groups_.emplace_back(static_cast<unsigned>(i),
@@ -176,15 +180,15 @@ ServeScheduler::onOltpArrival(unsigned ti)
 {
     TenantState &ts = tenants_[ti];
     oltpGenerated_.inc();
-    Request r = ts.oltp->make(machine_.eventQueue().now());
-    if (queuedTotal() < cfg_.runQueueCapacity &&
-        ts.bucket.tryTake(machine_.eventQueue().now())) {
+    const Tick now = machine_.eventQueue().now();
+    cpu::AccessPlan plan = ts.oltp->make();
+    if (queuedTotal() < cfg_.runQueueCapacity && ts.bucket.tryTake(now)) {
         ts.admitted.inc();
         ServeRequest sr;
         sr.tenant = ti;
-        sr.plan = std::move(r.plan);
-        sr.arrival = r.arrival;
-        oltpQueue_.push_back(std::move(sr));
+        sr.plan = std::move(plan);
+        sr.arrival = now;
+        (cfg_.oltpFirst ? oltpQueue_ : runQueue_).push_back(std::move(sr));
         dispatch();
     } else {
         // Open loop: over-budget or over-bound arrivals drop.
@@ -273,7 +277,7 @@ ServeScheduler::admitBackfill(ServeRequest request)
         queuedTotal() < cfg_.runQueueCapacity &&
         ts.bucket.tryTake(now)) {
         ts.admitted.inc();
-        backfillQueue_.push_back(std::move(request));
+        runQueue_.push_back(std::move(request));
         return;
     }
     ts.denied.inc();
@@ -305,7 +309,7 @@ ServeScheduler::admitParked()
             continue;
         }
         ts.admitted.inc();
-        backfillQueue_.push_back(std::move(*it));
+        runQueue_.push_back(std::move(*it));
         it = parked_.erase(it);
     }
 }
@@ -348,20 +352,22 @@ ServeScheduler::dispatch()
     };
 
     // Latency class first: OLTP may take any idle core; backfill is
-    // limited to the (SLO-preemptible) slot count.
+    // limited to the (SLO-preemptible) slot count. In FIFO mode the
+    // OLTP queue stays empty and OLTP requests wait in the run queue
+    // behind the segments admitted before them.
     while (!oltpQueue_.empty()) {
         const int core = findIdle();
         if (core < 0)
             return;
         start(core, oltpQueue_, true);
     }
-    while (!backfillQueue_.empty() &&
-           backfillBusy_ < backfillSlots_) {
+    while (!runQueue_.empty() && backfillBusy_ < backfillSlots_) {
         const int core = findIdle();
         if (core < 0)
             return;
-        ++backfillBusy_;
-        start(core, backfillQueue_, false);
+        if (runQueue_.front().backfill)
+            ++backfillBusy_;
+        start(core, runQueue_, false);
     }
 }
 

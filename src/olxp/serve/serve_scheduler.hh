@@ -1,10 +1,10 @@
 /**
  * @file
- * The multi-tenant serving scheduler (DESIGN.md 4i).
+ * The OLXP scheduler (DESIGN.md 4d, 4i).
  *
- * Builds on the OLXP service layer's machine primitives (arrival
- * events + startOnCore + serve) and adds the three serving-layer
- * mechanisms of the ROADMAP's production-scale item:
+ * Serves open-loop OLTP and closed-loop scan tenants on one machine
+ * through its service primitives (arrival events + startOnCore +
+ * serve), with three serving-layer mechanisms:
  *
  *  - Plan optimization: backfill scans are described declaratively
  *    (ScanQuery) and compiled through the PlanOptimizer, which
@@ -28,6 +28,11 @@
  * Open-loop (OLTP) arrivals beyond budget or bound are rejected and
  * counted; closed-loop segments are parked and deterministically
  * retried — deferred, never dropped.
+ *
+ * With ServeConfig::oltpFirst off (FIFO mode) the class-aware
+ * dispatch is skipped: requests run in admission order, unflagged.
+ * One OLTP tenant plus one unoptimized single-field scan tenant in
+ * that mode is the 4d service.
  *
  * Everything runs on the machine's event queue, so all serve.*
  * statistics are deterministic for a given seed.
@@ -58,6 +63,12 @@ struct ServeConfig {
     /** Chunk/column pruning on (the off path is result-identical
      *  and used by the optimizer property tests). */
     bool optimizer = true;
+
+    /** OLTP requests dispatch ahead of backfill, with the packet
+     *  priority flag set. false = FIFO mode: every admitted request
+     *  joins one run queue in admission order and none is flagged
+     *  (the DESIGN.md 4d service); requires slo = false. */
+    bool oltpFirst = true;
 
     /** SLO-aware dispatch on; off = backfill may fill every core
      *  (the unprotected comparator of the bench). */
@@ -230,7 +241,7 @@ class ServeScheduler
     void registerStats();
     std::size_t queuedTotal() const
     {
-        return oltpQueue_.size() + backfillQueue_.size();
+        return oltpQueue_.size() + runQueue_.size();
     }
 
     void scheduleOltp(unsigned ti);
@@ -261,8 +272,11 @@ class ServeScheduler
     std::vector<TenantState> tenants_;
     std::vector<ScanGroup> groups_;
 
+    /** Admitted OLTP requests (oltpFirst mode only). */
     std::deque<ServeRequest> oltpQueue_;
-    std::deque<ServeRequest> backfillQueue_;
+    /** Admitted backfill segments — in FIFO mode, every admitted
+     *  request — in admission order. */
+    std::deque<ServeRequest> runQueue_;
     std::deque<ServeRequest> parked_;
     std::vector<std::optional<ServeRequest>> executing_; //!< per core
     unsigned inFlightCount_ = 0;

@@ -103,6 +103,12 @@ struct TenantConfig {
     Tick oltpInterArrival{100000};
     /** Fraction of OLTP requests that also write one field. */
     double oltpUpdateFraction = 0.2;
+    /** Leading fraction of the table forming the OLTP hot set
+     *  (used only when oltpHotProbability > 0). */
+    double oltpHotTupleFraction = 0.125;
+    /** Probability an OLTP lookup targets the hot set; 0 (the
+     *  default) keeps the historical uniform tuple draw. */
+    double oltpHotProbability = 0.0;
 
     /** Tuples one shared-scan segment covers (backfill classes);
      *  also the per-stream scan length credited by the cursor. */

@@ -17,7 +17,8 @@
 #include "cpu/machine.hh"
 #include "fnv1a.hh"
 #include "mem/hybrid_tier.hh"
-#include "olxp/service.hh"
+#include "olxp/generators.hh"
+#include "olxp/serve/serve_scheduler.hh"
 #include "util/stats_io.hh"
 #include "workload/tables.hh"
 
@@ -408,15 +409,26 @@ TEST(HybridDeterminism, SameSeedHybridServiceRunsAreByteIdentical)
         config.tier.hotThreshold = 2.0;
         cpu::Machine machine(config);
 
-        olxp::ServiceConfig cfg;
-        cfg.oltpInterArrival = Tick{20000};
-        cfg.oltpHotTupleFraction = 0.125;
-        cfg.oltpHotProbability = 0.8;
-        cfg.olapStreams = 1;
-        cfg.olapTuplesPerScan = 256;
+        olxp::serve::ServeConfig cfg;
+        cfg.oltpFirst = false;
+        cfg.slo = false;
+        cfg.optimizer = false;
         cfg.horizon = Tick{2000000};
-        olxp::QueryScheduler sched(machine, pd, cfg);
-        const olxp::ServiceResult r = sched.run();
+        cfg.runQueueCapacity = 64;
+        olxp::serve::TenantConfig oltp;
+        oltp.name = "oltp";
+        oltp.cls = olxp::serve::TenantClass::OltpLatency;
+        oltp.oltpInterArrival = Tick{20000};
+        oltp.oltpHotTupleFraction = 0.125;
+        oltp.oltpHotProbability = 0.8;
+        olxp::serve::TenantConfig olap;
+        olap.name = "olap";
+        olap.cls = olxp::serve::TenantClass::OlapThroughput;
+        olap.segmentTuples = 256;
+        olap.segmentParallelism = 1;
+        cfg.tenants = {oltp, olap};
+        olxp::serve::ServeScheduler sched(machine, pd, cfg);
+        const olxp::serve::ServeResult r = sched.run();
         std::ostringstream os;
         util::writeStatsJson(os, r.run.stats, "svc", r.run.ticks);
         return os.str();
@@ -439,10 +451,8 @@ TEST(HotSetKnob, SkewShrinksTheTupleFootprint)
         olxp::OltpGenerator gen(pd, Tick{1000}, 0.0, 7, hot_frac,
                                 hot_prob);
         std::set<Addr> first;
-        for (unsigned i = 0; i < 512; ++i) {
-            const olxp::Request r = gen.make(Tick{0});
-            first.insert(r.plan.front().addr);
-        }
+        for (unsigned i = 0; i < 512; ++i)
+            first.insert(gen.make().front().addr);
         return first.size();
     };
     const std::size_t uniform = footprint(0.0, 0.0);

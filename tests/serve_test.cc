@@ -6,15 +6,21 @@
  * optimizer-off path must be byte-identical to a direct PlanBuilder
  * compilation (the pre-optimizer golden) — plus tenant admission,
  * shared-scan accounting, the SLO control loop, and end-to-end
- * determinism of a serving run.
+ * determinism of a serving run — and FIFO mode (DESIGN.md 4d), whose
+ * goldens pin the traffic of the two-class service scheduler it
+ * replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "fnv1a.hh"
 #include "imdb/plan_builder.hh"
 #include "olxp/serve/serve_scheduler.hh"
 #include "util/random.hh"
@@ -25,30 +31,62 @@ namespace rcnvm::olxp::serve {
 namespace {
 
 constexpr std::uint64_t kTuples = 8192; // 8 summary chunks
+constexpr std::uint64_t kServiceTuples = 4096; // FIFO-mode goldens
 constexpr std::uint64_t kSeed = 99;
 
-/** One placed database shared by every test (placement is pure; the
- *  placed Database keeps a pointer to its static map). */
+/** Generated tables placed on one device. The placed Database keeps
+ *  pointers to the workload and map, so instances live in statics
+ *  and never move. */
+struct Placement {
+    Placement(std::uint64_t tuples, mem::DeviceKind kind)
+        : tables(workload::TableSet::standard(tuples, 256, kSeed)),
+          workload(tables),
+          map(mem::geometryFor(kind)),
+          pd(workload.place(kind, map))
+    {
+    }
+
+    workload::TableSet tables;
+    workload::QueryWorkload workload;
+    mem::AddressMap map;
+    workload::PlacedDatabase pd;
+};
+
+/** One placed database shared by every test (placement is pure). */
 const workload::PlacedDatabase &
 placedDb()
 {
-    static const workload::TableSet tables =
-        workload::TableSet::standard(kTuples, 256, kSeed);
-    static const workload::QueryWorkload workload(tables);
-    static const mem::AddressMap map(
-        mem::geometryFor(mem::DeviceKind::RcNvm));
-    static const workload::PlacedDatabase pd =
-        workload.place(mem::DeviceKind::RcNvm, map);
-    return pd;
+    static const Placement p(kTuples, mem::DeviceKind::RcNvm);
+    return p.pd;
+}
+
+/** The smaller placements the FIFO-mode service runs use. */
+const workload::PlacedDatabase &
+servicePlacedDb(mem::DeviceKind kind = mem::DeviceKind::RcNvm)
+{
+    static const Placement rc(kServiceTuples, mem::DeviceKind::RcNvm);
+    static const Placement dram(kServiceTuples, mem::DeviceKind::Dram);
+    return kind == mem::DeviceKind::Dram ? dram.pd : rc.pd;
 }
 
 cpu::MachineConfig
-serveMachine()
+serveMachine(mem::DeviceKind kind = mem::DeviceKind::RcNvm)
 {
     cpu::MachineConfig config;
-    config.device = mem::DeviceKind::RcNvm;
+    config.device = kind;
     config.seed = kSeed;
     return config;
+}
+
+/** FNV-1a of a run's stats JSON: one number pins every statistic. */
+std::uint64_t
+jsonHash(const cpu::RunResult &run)
+{
+    std::ostringstream os;
+    util::writeStatsJson(os, run.stats, "serve", run.ticks);
+    test::Fnv1a h;
+    h.text(os.str());
+    return h.hash;
 }
 
 /** Byte-level plan equality (MemOp has no operator==). */
@@ -369,6 +407,9 @@ TEST(ServeSchedulerTest, SloLoopShedsBackfillUnderBreach)
     // The loop shed backfill down to the floor and, with every
     // window breaching, never grew it back.
     EXPECT_EQ(sched.backfillSlots(), cfg.backfillFloor);
+    // SLO-on golden.
+    EXPECT_EQ(r.run.ticks, Tick{11400000});
+    EXPECT_EQ(jsonHash(r.run), 10749515581919042037ull);
 }
 
 TEST(ServeSchedulerTest, SloOffLetsBackfillKeepItsSlots)
@@ -414,26 +455,276 @@ TEST(ServeSchedulerTest, ServeStatsLandInTheMachineSnapshot)
               static_cast<double>(r.segmentsCompleted));
 }
 
+/**
+ * The DESIGN.md 4d service as a FIFO-mode config: one OLTP tenant
+ * and one unoptimized single-field scan tenant whose
+ * @p olap_streams closed-loop streams share one cursor.
+ */
+ServeConfig
+fifoService(unsigned olap_streams = 1)
+{
+    ServeConfig cfg;
+    cfg.oltpFirst = false;
+    cfg.slo = false;
+    cfg.optimizer = false;
+    cfg.scanFields = 1;
+    cfg.horizon = Tick{2000000};
+    cfg.runQueueCapacity = 16;
+    // The FIFO goldens below were recorded on the two-class service
+    // scheduler this mode replaced, which seeded its OLTP stream with
+    // seed + 0x01. Tenant i draws from seed + 0x100 + i, so this
+    // offset gives tenant 0 that stream at the machine seed.
+    cfg.seed = kSeed + 0x01 - 0x100;
+
+    TenantConfig oltp;
+    oltp.name = "oltp";
+    oltp.cls = TenantClass::OltpLatency;
+    oltp.oltpInterArrival = Tick{20000};
+    oltp.oltpUpdateFraction = 0.25;
+    TenantConfig olap = smallOlap(1);
+    olap.segmentTuples = 256;
+    olap.segmentParallelism = olap_streams;
+    cfg.tenants = {oltp, olap};
+    return cfg;
+}
+
+ServeResult
+runFifo(const cpu::MachineConfig &machine_cfg, const ServeConfig &cfg,
+        mem::DeviceKind placement = mem::DeviceKind::RcNvm)
+{
+    cpu::Machine machine(machine_cfg);
+    ServeScheduler sched(machine, servicePlacedDb(placement), cfg);
+    return sched.run();
+}
+
 TEST(ServeSchedulerTest, SameSeedServeRunsAreByteIdentical)
 {
-    const auto runOnce = [] {
+    const auto runOnce = [](const ServeConfig &cfg,
+                            const workload::PlacedDatabase &pd) {
         cpu::Machine machine(serveMachine());
-        ServeConfig cfg = cappedConfig(8);
-        cfg.tenants = {smallOlap(32)};
-        TenantConfig oltp;
-        oltp.name = "oltp";
-        oltp.cls = TenantClass::OltpLatency;
-        oltp.oltpInterArrival = Tick{50000};
-        cfg.horizon = Tick{2000000};
-        cfg.maxSegmentsPerGroup = 0;
-        cfg.tenants.push_back(oltp);
-        ServeScheduler sched(machine, placedDb(), cfg);
-        const ServeResult r = sched.run();
-        std::ostringstream os;
-        util::writeStatsJson(os, r.run.stats, "serve", r.run.ticks);
-        return os.str();
+        ServeScheduler sched(machine, pd, cfg);
+        return sched.run().run;
+    };
+
+    ServeConfig mix = cappedConfig(0);
+    mix.horizon = Tick{2000000};
+    TenantConfig oltp;
+    oltp.name = "oltp";
+    oltp.cls = TenantClass::OltpLatency;
+    oltp.oltpInterArrival = Tick{50000};
+    mix.tenants = {smallOlap(32), oltp};
+    const cpu::RunResult a = runOnce(mix, placedDb());
+    EXPECT_EQ(jsonHash(a), jsonHash(runOnce(mix, placedDb())));
+    // OLTP-first, SLO-off golden.
+    EXPECT_EQ(a.ticks, Tick{4279291});
+    EXPECT_EQ(jsonHash(a), 16497797982746821994ull);
+}
+
+TEST(ServeSchedulerTest, OlapScansWalkTheTableRoundRobin)
+{
+    // 4096 tuples / 256 per segment = 16 segments per pass; the 17th
+    // wraps the cursor to the start and must still scan a chunk.
+    ServeConfig cfg = fifoService();
+    const TenantConfig olap = cfg.tenants[1];
+    cfg.tenants = {olap};
+    cfg.horizon = Tick{1000000000000};
+    cfg.maxSegmentsPerGroup = 17;
+    const ServeResult r = runFifo(serveMachine(), cfg);
+    EXPECT_EQ(r.segmentsCompleted, 17u);
+    EXPECT_EQ(r.chunksScanned, 17u); // a segment sits in one chunk
+}
+
+TEST(ServeSchedulerDeathTest, SloNeedsOltpFirstDispatch)
+{
+    cpu::Machine machine(serveMachine());
+    ServeConfig cfg = fifoService();
+    cfg.slo = true;
+    EXPECT_EXIT(ServeScheduler(machine, servicePlacedDb(), cfg).run(),
+                ::testing::ExitedWithCode(1), "oltpFirst");
+}
+
+// ---------------------------------------------------------------
+// FIFO mode: the DESIGN.md 4d service.
+// ---------------------------------------------------------------
+
+/** A FIFO-mode run's pinned outcome. */
+struct FifoGolden {
+    Tick ticks;
+    std::uint64_t oltpGenerated, oltpCompleted, oltpRejected;
+    std::uint64_t segmentsCompleted, backfillDenied;
+    /** FNV-1a over the name and value bits of every statistic
+     *  outside the scheduler's own serve.* namespace. */
+    std::uint64_t machineStats;
+};
+
+void
+expectGolden(const ServeResult &r, const FifoGolden &g)
+{
+    EXPECT_EQ(r.run.ticks, g.ticks);
+    EXPECT_EQ(r.oltpGenerated, g.oltpGenerated);
+    EXPECT_EQ(r.oltpCompleted, g.oltpCompleted);
+    EXPECT_EQ(r.oltpRejected, g.oltpRejected);
+    EXPECT_EQ(r.segmentsCompleted, g.segmentsCompleted);
+    EXPECT_EQ(r.backfillDenied, g.backfillDenied);
+    test::Fnv1a h;
+    for (const auto &[name, entry] : r.run.stats.entries()) {
+        if (name.starts_with("serve."))
+            continue;
+        h.text(name);
+        h.word(std::bit_cast<std::uint64_t>(entry.value));
+    }
+    EXPECT_EQ(h.hash, g.machineStats);
+}
+
+TEST(FifoModeGolden, RcNvm)
+{
+    expectGolden(runFifo(serveMachine(), fifoService()),
+                 {Tick{2692500}, 100, 68, 32, 3, 1, 346620836748309902ull});
+}
+
+TEST(FifoModeGolden, Dram)
+{
+    expectGolden(runFifo(serveMachine(mem::DeviceKind::Dram),
+                         fifoService(), mem::DeviceKind::Dram),
+                 {Tick{2316244}, 100, 98, 2, 1, 0, 520261683435385751ull});
+}
+
+TEST(FifoModeGolden, OverloadParksScans)
+{
+    // ~100x over capacity on a 4-entry queue with three scan
+    // streams: segments find the queue full and park.
+    ServeConfig cfg = fifoService(3);
+    cfg.tenants[0].oltpInterArrival = Tick{200};
+    cfg.runQueueCapacity = 4;
+    expectGolden(runFifo(serveMachine(), cfg),
+                 {Tick{2882000}, 10057, 44, 10013, 6, 3,
+                  1067858186988522085ull});
+}
+
+TEST(FifoModeGolden, HybridHotSet)
+{
+    cpu::MachineConfig machine = serveMachine();
+    machine.tier.enabled = true;
+    machine.tier.policy = mem::MigrationPolicyKind::HotPage;
+    machine.tier.hotThreshold = 2.0;
+    ServeConfig cfg = fifoService();
+    cfg.runQueueCapacity = 64;
+    cfg.tenants[0].oltpUpdateFraction = 0.2;
+    cfg.tenants[0].oltpHotProbability = 0.8;
+    expectGolden(runFifo(machine, cfg),
+                 {Tick{4544500}, 110, 99, 11, 3, 1,
+                  13071255353937706169ull});
+}
+
+TEST(SchedulerTest, LatencyHistogramCountsMatchCompletions)
+{
+    const ServeResult r = runFifo(serveMachine(), fifoService());
+    EXPECT_GT(r.oltpCompleted, 0u);
+    EXPECT_GT(r.segmentsCompleted, 0u);
+    EXPECT_EQ(r.run.stats.get("serve.oltpLatency.samples"),
+              static_cast<double>(r.oltpCompleted));
+    // Every generated request either completed or was rejected.
+    EXPECT_EQ(r.oltpGenerated, r.oltpCompleted + r.oltpRejected);
+    // Percentiles are monotone and non-zero once samples exist.
+    EXPECT_GT(r.oltpP50, 0.0);
+    EXPECT_LE(r.oltpP50, r.oltpP95);
+    EXPECT_LE(r.oltpP95, r.oltpP99);
+}
+
+TEST(SchedulerTest, ServiceStatsLandInTheMachineSnapshot)
+{
+    const ServeResult r = runFifo(serveMachine(), fifoService());
+    const util::StatsMap &s = r.run.stats;
+    EXPECT_EQ(s.get("serve.oltpCompleted"),
+              static_cast<double>(r.oltpCompleted));
+    EXPECT_EQ(s.get("serve.oltpRejected"),
+              static_cast<double>(r.oltpRejected));
+    EXPECT_EQ(s.get("serve.segmentsCompleted"),
+              static_cast<double>(r.segmentsCompleted));
+    EXPECT_EQ(s.get("serve.backfillDenied"),
+              static_cast<double>(r.backfillDenied));
+    // The registry's p99 is the log2 bucket's upper edge, never
+    // below the exact sample percentile.
+    EXPECT_GE(s.get("serve.oltpLatencyP99"), r.oltpP99);
+}
+
+TEST(SchedulerTest, OverloadRejectsButNeverDropsOlap)
+{
+    cpu::MachineConfig machine_cfg = serveMachine();
+    machine_cfg.epochTicks = Tick{10000};
+    cpu::Machine machine(machine_cfg);
+    ServeConfig cfg = fifoService();
+    cfg.tenants[0].oltpInterArrival = Tick{200}; // ~100x capacity
+    cfg.runQueueCapacity = 4;
+    ServeScheduler sched(machine, servicePlacedDb(), cfg);
+    const ServeResult r = sched.run();
+
+    EXPECT_GT(r.oltpRejected, 0u);
+    // Under this overload the bound bit: segments were denied
+    // admission and parked, and none was left behind.
+    EXPECT_GT(r.backfillDenied, 0u);
+    EXPECT_EQ(sched.parkedCount(), 0u);
+    // The run-queue bound held in every epoch sample: parked
+    // segments wait outside the queue instead of overflowing it.
+    const sim::EpochSeries &series = r.run.series;
+    const auto col = std::find(series.names.begin(),
+                               series.names.end(), "serve.queueDepth");
+    ASSERT_NE(col, series.names.end());
+    const std::size_t c =
+        static_cast<std::size_t>(col - series.names.begin());
+    double peak = 0;
+    for (const std::vector<double> &row : series.rows)
+        peak = std::max(peak, row[c]);
+    EXPECT_GT(peak, 0.0);
+    EXPECT_LE(peak, static_cast<double>(cfg.runQueueCapacity));
+}
+
+TEST(SchedulerTest, HorizonStopsTheOpenLoop)
+{
+    const ServeConfig cfg = fifoService();
+    const ServeResult r = runFifo(serveMachine(), cfg);
+    // The offered load stops at the horizon, so the generated count
+    // stays near horizon / interArrival (Poisson, not unbounded).
+    const double expected =
+        static_cast<double>(cfg.horizon.value()) /
+        static_cast<double>(cfg.tenants[0].oltpInterArrival.value());
+    EXPECT_GT(static_cast<double>(r.oltpGenerated), expected * 0.5);
+    EXPECT_LT(static_cast<double>(r.oltpGenerated), expected * 1.5);
+    // The closed loop runs until a segment completes at or past the
+    // horizon, then the machine drains.
+    EXPECT_GE(r.run.ticks, cfg.horizon);
+}
+
+TEST(SchedulerTest, SameSeedServiceRunsAreByteIdentical)
+{
+    const auto runOnce = [] {
+        return jsonHash(runFifo(serveMachine(), fifoService()).run);
     };
     EXPECT_EQ(runOnce(), runOnce());
+}
+
+TEST(SchedulerTest, DifferentSeedsProduceDifferentTraffic)
+{
+    const auto runWithSeed = [](std::uint64_t seed) {
+        ServeConfig cfg = fifoService();
+        cfg.seed = seed;
+        return runFifo(serveMachine(), cfg);
+    };
+    // Arrival processes differ, so the run lengths practically
+    // cannot coincide tick for tick.
+    EXPECT_NE(runWithSeed(1).run.ticks, runWithSeed(2).run.ticks);
+}
+
+TEST(SchedulerTest, DevicesShareTheTrafficShape)
+{
+    // The same service runs on a row-only device: OLTP plans are
+    // row-oriented everywhere, and scan plans compile to the
+    // device's supported orientation.
+    const ServeResult r =
+        runFifo(serveMachine(mem::DeviceKind::Dram), fifoService(),
+                mem::DeviceKind::Dram);
+    EXPECT_GT(r.oltpCompleted, 0u);
+    EXPECT_GT(r.segmentsCompleted, 0u);
 }
 
 } // namespace
