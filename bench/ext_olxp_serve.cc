@@ -26,10 +26,7 @@
  * streamScans / segmentsCompleted = attached streams.
  *
  * RCNVM_SEED reseeds tables and generators; two runs with the same
- * seed produce identical statistics. Shape
- * overrides: RCNVM_SERVE_STREAMS (total backfill streams),
- * RCNVM_SERVE_IA (mean OLTP inter-arrival, ticks),
- * RCNVM_SERVE_HORIZON.
+ * seed produce identical statistics.
  */
 
 #include <cstring>
@@ -98,25 +95,20 @@ main(int argc, char **argv)
         bench::benchTuples(smoke ? 196608 : 393216);
     const std::uint64_t seed = util::envSeed(42);
 
-    const std::uint64_t totalStreams =
-        util::envUint64("RCNVM_SERVE_STREAMS", 1024);
-    const Tick ia{util::envUint64("RCNVM_SERVE_IA", 100000)};
-    const Tick horizon{util::envUint64(
-        "RCNVM_SERVE_HORIZON", smoke ? 64000000 : 128000000)};
+    const unsigned totalStreams = 1024;
+    const Tick horizon{smoke ? 64000000u : 128000000u};
 
     // The serving mix: one latency tenant, one throughput tenant
     // carrying ~70% of the streams on a shared cursor, and one
     // token-metered maintenance tenant carrying the rest (its dry
     // bucket exercises park/retry admission).
-    const unsigned olapStreams =
-        static_cast<unsigned>(totalStreams * 7 / 10);
-    const unsigned maintStreams =
-        static_cast<unsigned>(totalStreams) - olapStreams;
+    const unsigned olapStreams = totalStreams * 7 / 10;
+    const unsigned maintStreams = totalStreams - olapStreams;
 
     olxp::serve::TenantConfig oltp;
     oltp.name = "oltp";
     oltp.cls = olxp::serve::TenantClass::OltpLatency;
-    oltp.oltpInterArrival = ia;
+    oltp.oltpInterArrival = Tick{100000};
     oltp.oltpUpdateFraction = 0.2;
 
     olxp::serve::TenantConfig olap;

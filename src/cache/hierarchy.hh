@@ -150,6 +150,13 @@ class Hierarchy
     /** MSHR slots currently allocated (epoch gauge). */
     std::size_t mshrInUse() const { return mshrs_.inUse(); }
 
+    /** Packets waiting outside memory: deferred demand packets plus
+     *  parked write-backs (drain audit). */
+    std::size_t parkedPackets() const
+    {
+        return deferred_.size() + wbBuffer_.size();
+    }
+
     /** Demand misses past the LLC so far (epoch gauge). */
     std::uint64_t llcMissCount() const { return llcMisses_.value(); }
 

@@ -101,11 +101,17 @@ Machine::drain(Tick start, const Tick *end)
                         " never finished");
     }
     // Every packet completed: nothing may be left in a controller
-    // queue or an MSHR once the event queue is empty.
-    if (tier_->queuedTotal() != 0 || hierarchy_->mshrInUse() != 0)
+    // queue, an MSHR, the hierarchy's deferred or write-back lists,
+    // or a hybrid migration once the event queue is empty.
+    const std::size_t migrations =
+        hybrid_ ? hybrid_->migrationsInFlight() : 0;
+    if (tier_->queuedTotal() != 0 || hierarchy_->mshrInUse() != 0 ||
+        hierarchy_->parkedPackets() != 0 || migrations != 0)
         rcnvm_panic("run ended undrained: ", tier_->queuedTotal(),
                     " queued requests, ", hierarchy_->mshrInUse(),
-                    " MSHRs in use");
+                    " MSHRs in use, ", hierarchy_->parkedPackets(),
+                    " parked packets, ", migrations,
+                    " migrations in flight");
 
     // One snapshot of the shared registry replaces the old per-layer
     // StatsMap merge: derived values are formulas evaluated here,

@@ -197,10 +197,12 @@ class Machine
     /**
      * The tail run(), runSources() and serve() share: start the
      * epoch sampler, drain the event queue, panic unless every core
-     * finished and the memory tier and MSHRs are empty, and snapshot
-     * the statistics. The reported span runs from @p start to
-     * @p *end as read after the drain (the last core's finish), or
-     * to the last executed event when @p end is null.
+     * finished and the memory tier, the MSHRs, the hierarchy's
+     * deferred and write-back lists and the hybrid tier's migrations
+     * are empty, and snapshot the statistics. The reported span runs
+     * from @p start to @p *end as read after the drain (the last
+     * core's finish), or to the last executed event when @p end is
+     * null.
      */
     RunResult drain(Tick start, const Tick *end);
 

@@ -42,7 +42,7 @@ struct ControllerStats {
     util::Counter colBufferHits;
     util::Counter colBufferMisses;
     util::Sampled queueWaitTicks;
-    util::Log2Histogram queueWaitHist; //!< log2 buckets of wait ticks
+    util::Histogram queueWaitHist; //!< log2 buckets of wait ticks
     util::Sampled serviceTicks;
     util::Sampled bankQueueDepth; //!< target bank's depth at enqueue
     util::Sampled queueOccupancy; //!< total queued after each enqueue

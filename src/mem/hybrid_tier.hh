@@ -138,6 +138,12 @@ class HybridMemory : public MemoryTier
     }
     void reset() override;
 
+    /** Migrations started but not yet committed (drain audit). */
+    std::size_t migrationsInFlight() const
+    {
+        return inflightMigs_.size();
+    }
+
   private:
     /** An in-flight migration (promotion, optionally displacing a
      *  victim; or a pure demotion when promoteRow is absent). */

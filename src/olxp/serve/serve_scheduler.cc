@@ -19,24 +19,6 @@ percentileOf(std::string name, double p)
     };
 }
 
-/**
- * Exact nearest-rank percentile of @p samples (sorted in place);
- * 0 when empty. The log2 histogram only resolves powers of two —
- * too coarse for tail targets like "within 1.25x of baseline".
- */
-double
-exactPercentile(std::vector<std::uint64_t> &samples, double p)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    const std::size_t rank = std::min(
-        samples.size() - 1,
-        static_cast<std::size_t>(
-            p * static_cast<double>(samples.size())));
-    return static_cast<double>(samples[rank]);
-}
-
 } // namespace
 
 ServeScheduler::ServeScheduler(cpu::Machine &machine,
@@ -158,9 +140,9 @@ ServeScheduler::run()
     result.chunksPruned = optimizer_.chunksPruned().value();
     result.colsPruned = optimizer_.colsPruned().value();
     result.sloBreaches = sloBreaches_.value();
-    result.oltpP50 = exactPercentile(oltpSamples_, 0.50);
-    result.oltpP95 = exactPercentile(oltpSamples_, 0.95);
-    result.oltpP99 = exactPercentile(oltpSamples_, 0.99);
+    result.oltpP50 = oltpLatency_.percentile(0.50);
+    result.oltpP95 = oltpLatency_.percentile(0.95);
+    result.oltpP99 = oltpLatency_.percentile(0.99);
     result.scanChecksum = scanChecksum_;
     return result;
 }
@@ -382,10 +364,9 @@ ServeScheduler::onComplete(unsigned core, Tick finish)
     if (!backfill) {
         const Tick latency =
             finish > req.arrival ? finish - req.arrival : Tick{0};
-        oltpLatency_.sample(latency.value());
         if (req.arrival >= cfg_.measureFrom)
-            oltpSamples_.push_back(latency.value());
-        windowSamples_.push_back(latency.value());
+            oltpLatency_.sample(latency.value());
+        sloWindow_.sample(latency.value());
         oltpCompleted_.inc();
     } else {
         segmentsCompleted_.inc();
@@ -412,8 +393,8 @@ void
 ServeScheduler::sloTick()
 {
     sim::EventQueue &eq = machine_.eventQueue();
-    const double p99 = exactPercentile(windowSamples_, 0.99);
-    windowSamples_.clear();
+    const double p99 = sloWindow_.percentile(0.99);
+    sloWindow_.reset();
     const unsigned maxSlots = machine_.coreCount() > 1
                                   ? machine_.coreCount() - 1
                                   : 1;

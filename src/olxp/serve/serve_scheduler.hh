@@ -16,9 +16,10 @@
  *    idle core with the priority flag set (the read-priority channel
  *    policy serves their misses first); backfill classes are limited
  *    to a dynamic slot count. A periodic control loop measures OLTP
- *    p99 over the last window (histogram delta) and preempts
- *    backfill dispatch slots while the target is breached, growing
- *    them back when latency recovers.
+ *    p99 over the last window (a second latency histogram, reset at
+ *    every window edge) and preempts backfill dispatch slots while
+ *    the target is breached, growing them back when latency
+ *    recovers.
  *  - Shared scans: a backfill tenant's N streams attach to one
  *    shared cursor. The cursor issues bounded segments; each
  *    completed segment is credited to every attached stream, so 10^3
@@ -93,9 +94,9 @@ struct ServeConfig {
     /** Generators stop at this tick; queued work then drains. */
     Tick horizon{20000000};
     /** OLTP percentile measurement starts here: arrivals before this
-     *  tick are served and histogrammed but excluded from the
-     *  ServeResult percentiles, so a protected run's tail reflects
-     *  the converged control loop, not its warm-up transient. */
+     *  tick are served (and feed the SLO window) but stay out of
+     *  serve.oltpLatency, so a protected run's tail reflects the
+     *  converged control loop, not its warm-up transient. */
     Tick measureFrom{0};
     /** Stop each shared cursor after this many segments (0 = run to
      *  the horizon). A capped run executes exactly the same segment
@@ -126,10 +127,10 @@ struct ServeResult {
 
     std::uint64_t sloBreaches = 0;
 
-    /** Exact sample percentiles in ticks (the serve.oltpLatency*
-     *  formula stats are the log2-histogram approximations; tail
-     *  ratios like "within 1.25x of baseline" need sample
-     *  resolution). */
+    /** OLTP latency percentiles in ticks, read from the
+     *  serve.oltpLatency histogram (the same values as the
+     *  serve.oltpLatency{P50,P95,P99} stats): at most 1/128 above
+     *  the nearest-rank sample. */
     double oltpP50 = 0, oltpP95 = 0, oltpP99 = 0;
 
     /** Host-side result merged over every completed segment: the
@@ -161,7 +162,8 @@ struct ServeResult {
  * serve.* statistics into the machine's registry (the scheduler must
  * outlive later snapshots):
  *
- *   serve.oltpLatency                log2 histogram (ticks)
+ *   serve.oltpLatency                log-linear histogram (ticks,
+ *                                    arrivals from measureFrom on)
  *   serve.oltpLatency{P50,P95,P99}   formula percentiles
  *   serve.oltpGenerated/Completed/Rejected     counters
  *   serve.segmentsCompleted / streamScans      counters
@@ -192,6 +194,11 @@ class ServeScheduler
     std::size_t parkedCount() const { return parked_.size(); }
 
   private:
+    /** Sub-bucket bits of the OLTP latency histograms: a percentile
+     *  reads at most 1/128 above its sample, fine enough for the
+     *  1.15x SLO target. */
+    static constexpr unsigned kLatencySubBucketBits = 7;
+
     /** One admitted (or parked) unit of work. */
     struct ServeRequest {
         unsigned tenant = 0;
@@ -297,12 +304,11 @@ class ServeScheduler
     unsigned probeCountdown_ = 0;
     unsigned probeInterval_ = 8;
 
-    /** Every OLTP latency sample (ticks): exact percentiles. */
-    std::vector<std::uint64_t> oltpSamples_;
-    /** Samples since the last SLO window edge. */
-    std::vector<std::uint64_t> windowSamples_;
-
-    util::Log2Histogram oltpLatency_;
+    /** OLTP latency (ticks) of arrivals from measureFrom on: the
+     *  stats and ServeResult percentiles. */
+    util::Histogram oltpLatency_{kLatencySubBucketBits};
+    /** OLTP latency since the last SLO window edge. */
+    util::Histogram sloWindow_{kLatencySubBucketBits};
     util::Counter oltpGenerated_;
     util::Counter oltpCompleted_;
     util::Counter oltpRejected_;

@@ -51,7 +51,7 @@ StatRegistry::addSampled(const std::string &name, const Sampled &s)
 
 void
 StatRegistry::addHistogram(const std::string &name,
-                           const Log2Histogram &h)
+                           const Histogram &h)
 {
     entryFor(name, Kind::Histogram).hists.push_back(&h);
 }
@@ -102,14 +102,14 @@ StatRegistry::sampled(const std::string &name) const
     return out;
 }
 
-Log2Histogram
+Histogram
 StatRegistry::histogram(const std::string &name) const
 {
     const Entry &e = lookup(name);
     if (e.kind != Kind::Histogram)
         rcnvm_panic("statistic '", name, "' is not a histogram");
-    Log2Histogram out;
-    for (const Log2Histogram *h : e.hists)
+    Histogram out(e.hists.front()->subBucketBits());
+    for (const Histogram *h : e.hists)
         out.merge(*h);
     return out;
 }
@@ -158,7 +158,7 @@ StatRegistry::snapshot() const
             break;
           }
           case Kind::Histogram: {
-            const Log2Histogram h = histogram(name);
+            const Histogram h = histogram(name);
             out.add(name + ".samples",
                     static_cast<double>(h.count()));
             const unsigned used = h.usedBuckets();

@@ -57,10 +57,11 @@ class StatRegistry
      *  `<name>.count/.mean/.min/.max` Scalar entries. */
     void addSampled(const std::string &name, const Sampled &s);
 
-    /** Register a log2 histogram; snapshot flattens the non-empty
-     *  buckets into `<name>.b<i>` Additive entries plus a
-     *  `<name>.samples` Additive total. */
-    void addHistogram(const std::string &name, const Log2Histogram &h);
+    /** Register a histogram; snapshot flattens the non-empty buckets
+     *  into `<name>.b<i>` Additive entries (i indexes the histogram's
+     *  own layout) plus a `<name>.samples` Additive total. Every
+     *  source of one name must share one layout. */
+    void addHistogram(const std::string &name, const Histogram &h);
 
     /** Register a non-additive instantaneous value
      *  (snapshot kind: Scalar). */
@@ -79,7 +80,7 @@ class StatRegistry
     Sampled sampled(const std::string &name) const;
 
     /** Bucket-merge of every histogram source of @p name. */
-    Log2Histogram histogram(const std::string &name) const;
+    Histogram histogram(const std::string &name) const;
 
     /**
      * Generic read: counters sum, gauges and formulas evaluate,
@@ -116,7 +117,7 @@ class StatRegistry
         std::vector<const double *> values;
         std::vector<Gauge> fns; //!< counter-fns or the single gauge
         std::vector<const util::Sampled *> sampleds;
-        std::vector<const Log2Histogram *> hists;
+        std::vector<const Histogram *> hists;
         Formula formula;
     };
 

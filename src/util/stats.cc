@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/logging.hh"
+
 namespace rcnvm::util {
 
 void
@@ -18,41 +20,45 @@ Sampled::merge(const Sampled &other)
     count_ += other.count_;
 }
 
-unsigned
-Log2Histogram::usedBuckets() const
-{
-    for (unsigned i = kBuckets; i > 0; --i) {
-        if (buckets_[i - 1] != 0)
-            return i;
-    }
-    return 0;
-}
-
 double
-Log2Histogram::percentile(double p) const
+Histogram::percentile(double p) const
 {
     if (count_ == 0)
         return 0.0;
-    const double clamped = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
-    std::uint64_t rank = static_cast<std::uint64_t>(
-        std::ceil(clamped * static_cast<double>(count_)));
-    if (rank == 0)
-        rank = 1;
+    const double clamped = std::clamp(p, 0.0, 1.0);
+    const std::uint64_t rank = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               std::ceil(clamped * static_cast<double>(count_))));
     std::uint64_t cum = 0;
-    for (unsigned i = 0; i < kBuckets; ++i) {
+    for (unsigned i = lo_; i < hi_; ++i) {
         cum += buckets_[i];
         if (cum >= rank)
             return static_cast<double>(bucketHigh(i));
     }
-    return static_cast<double>(bucketHigh(kBuckets - 1));
+    return static_cast<double>(bucketHigh(hi_ - 1));
 }
 
 void
-Log2Histogram::merge(const Log2Histogram &other)
+Histogram::merge(const Histogram &other)
 {
-    for (unsigned i = 0; i < kBuckets; ++i)
+    if (other.k_ != k_)
+        rcnvm_panic("merging a histogram with ", other.k_,
+                    " sub-bucket bits into one with ", k_);
+    for (unsigned i = other.lo_; i < other.hi_; ++i)
         buckets_[i] += other.buckets_[i];
     count_ += other.count_;
+    lo_ = std::min(lo_, other.lo_);
+    hi_ = std::max(hi_, other.hi_);
+}
+
+void
+Histogram::reset()
+{
+    for (unsigned i = lo_; i < hi_; ++i)
+        buckets_[i] = 0;
+    count_ = 0;
+    lo_ = bucketCount();
+    hi_ = 0;
 }
 
 void

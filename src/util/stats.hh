@@ -1,14 +1,15 @@
 /**
  * @file
  * Lightweight statistics primitives: counters, scalar values,
- * sampled moments, log2-bucket histograms, and a named map so
+ * sampled moments, log-linear histograms, and a named map so
  * components can export their statistics to reports.
  */
 
 #ifndef RCNVM_UTIL_STATS_HH_
 #define RCNVM_UTIL_STATS_HH_
 
-#include <array>
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -77,55 +78,76 @@ class Sampled
 };
 
 /**
- * A power-of-two-bucket histogram of a non-negative integer quantity
- * (latencies in ticks, queue depths). Bucket 0 counts zero-valued
- * samples; bucket i >= 1 counts samples in [2^(i-1), 2^i). The
- * bucketing is exact at the boundaries: 1 lands in bucket 1, 2 in
- * bucket 2, 3 in bucket 2, 4 in bucket 3.
+ * A log-linear (HDR-style) histogram of a non-negative integer
+ * quantity (latencies in ticks, queue depths). With k sub-bucket
+ * bits, every value below 2^k has a bucket of its own, and each
+ * octave [2^e, 2^(e+1)) above that is split into 2^k equal buckets,
+ * so a bucket is never wider than 1/2^k of the values it holds.
+ * Memory is fixed at (65 - k) * 2^k counters, whatever the sample
+ * count.
+ *
+ * k = 0 is the power-of-two layout: bucket 0 counts zeros and bucket
+ * i >= 1 counts [2^(i-1), 2^i), so 1 lands in bucket 1, 2 and 3 in
+ * bucket 2, 4 in bucket 3. With k = 7, values below 128 are exact
+ * and [256, 512) splits into 128 buckets of width 2.
  */
-class Log2Histogram
+class Histogram
 {
   public:
-    /** Bucket 0 (zero) plus one bucket per bit of a 64-bit value. */
-    static constexpr unsigned kBuckets = 65;
+    /** An empty power-of-two (k = 0) histogram. */
+    Histogram() : Histogram(0) {}
+
+    /** An empty histogram with @p sub_bucket_bits = k. */
+    explicit Histogram(unsigned sub_bucket_bits)
+        : k_(sub_bucket_bits),
+          buckets_(std::size_t{65 - sub_bucket_bits} << sub_bucket_bits),
+          lo_(bucketCount())
+    {
+    }
+
+    /** The layout's k. */
+    unsigned subBucketBits() const { return k_; }
+
+    /** Number of buckets: (65 - k) * 2^k. */
+    unsigned bucketCount() const
+    {
+        return static_cast<unsigned>(buckets_.size());
+    }
 
     /** Bucket index @p v falls into. */
-    static unsigned
-    bucketOf(std::uint64_t v)
+    unsigned
+    bucketOf(std::uint64_t v) const
     {
-        if (v == 0)
-            return 0;
-        unsigned b = 1;
-        while (v >>= 1)
-            ++b;
-        return b;
+        const unsigned width = static_cast<unsigned>(std::bit_width(v));
+        const unsigned shift = width > k_ ? width - k_ - 1 : 0;
+        return (shift << k_) + static_cast<unsigned>(v >> shift);
     }
 
     /** Smallest value bucket @p i accepts (its left edge). */
-    static std::uint64_t
-    bucketLow(unsigned i)
+    std::uint64_t
+    bucketLow(unsigned i) const
     {
-        return i <= 1 ? i : std::uint64_t{1} << (i - 1);
+        const unsigned shift = shiftOf(i);
+        return std::uint64_t{i - (shift << k_)} << shift;
     }
 
     /** Largest value bucket @p i accepts (its inclusive right
-     *  edge): 0 for the zero bucket, 2^i - 1 otherwise. */
-    static std::uint64_t
-    bucketHigh(unsigned i)
+     *  edge). */
+    std::uint64_t
+    bucketHigh(unsigned i) const
     {
-        if (i == 0)
-            return 0;
-        if (i >= 64)
-            return ~std::uint64_t{0};
-        return (std::uint64_t{1} << i) - 1;
+        return bucketLow(i) + ((std::uint64_t{1} << shiftOf(i)) - 1);
     }
 
     /** Record one sample. */
     void
     sample(std::uint64_t v)
     {
-        ++buckets_[bucketOf(v)];
+        const unsigned b = bucketOf(v);
+        ++buckets_[b];
         ++count_;
+        lo_ = std::min(lo_, b);
+        hi_ = std::max(hi_, b + 1);
     }
 
     /** Number of samples recorded. */
@@ -135,33 +157,38 @@ class Log2Histogram
     std::uint64_t bucket(unsigned i) const { return buckets_[i]; }
 
     /**
-     * The @p p quantile (p in [0, 1]) at bucket resolution: the
-     * inclusive right edge of the bucket containing the
-     * ceil(p * count)-th smallest sample — a conservative upper
-     * bound on the true quantile, exact within the factor-of-two
-     * bucket width. (It used to return the left edge, which
-     * understated tails by up to 2x; reported percentiles never
-     * undersell latency now.) 0 when empty.
+     * The @p p quantile (p in [0, 1], clamped) at bucket resolution:
+     * the inclusive right edge of the bucket holding the
+     * ceil(p * count)-th smallest sample (the nearest rank, at least
+     * 1). It never understates that sample and overstates it by less
+     * than 1/2^k of its value. 0 when empty.
      */
     double percentile(double p) const;
 
     /** Highest non-empty bucket index plus one (0 when empty). */
-    unsigned usedBuckets() const;
+    unsigned usedBuckets() const { return hi_; }
 
-    /** Element-wise accumulation of another histogram. */
-    void merge(const Log2Histogram &other);
+    /** Element-wise accumulation of another histogram; panics when
+     *  the two layouts differ. */
+    void merge(const Histogram &other);
 
-    /** Drop all samples. */
-    void
-    reset()
-    {
-        buckets_.fill(0);
-        count_ = 0;
-    }
+    /** Drop all samples (clears only the buckets in use). */
+    void reset();
 
   private:
-    std::array<std::uint64_t, kBuckets> buckets_{};
+    /** log2 of bucket @p i's width. */
+    unsigned
+    shiftOf(unsigned i) const
+    {
+        return (i >> k_) == 0 ? 0 : (i >> k_) - 1;
+    }
+
+    unsigned k_;
+    std::vector<std::uint64_t> buckets_;
     std::uint64_t count_ = 0;
+    /** Non-empty buckets lie in [lo_, hi_); lo_ > hi_ when empty. */
+    unsigned lo_;
+    unsigned hi_ = 0;
 };
 
 /** How a statistic combines when two maps are merged. */

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cache/hierarchy.hh"
 #include "cache/mshr.hh"
 #include "cpu/machine.hh"
@@ -262,6 +265,44 @@ TEST(BackpressureTest, TinyQueuesCompleteWithoutDeadlock)
     EXPECT_GT(r.stats.get("mem.rejectedIssues"), 0.0);
     EXPECT_EQ(r.stats.get("cache.retries"), r.stats.get("cpu.retries"));
     EXPECT_GE(r.stats.get("cpu.retryStallTicks"), 0.0);
+}
+
+TEST(BackpressureTest, ParkedPacketsDrainBeforeTheRunEnds)
+{
+    // Depth-2 controller queues refuse packets the hierarchy has
+    // already committed to, so it parks them (deferred demand
+    // packets, write-backs) mid-run; Machine::run panics unless the
+    // parked lists are empty once the event queue drains.
+    MachineConfig cfg;
+    cfg.device = mem::DeviceKind::RcNvm;
+    cfg.memQueueCapacity = 2;
+    cfg.hierarchy.mshrs = 8;
+    cfg.epochTicks = Tick{5000};
+    Machine machine(cfg);
+    machine.epochSampler()->addGauge(
+        "parked", [h = &machine.hierarchy()] {
+            return static_cast<double>(h->parkedPackets());
+        });
+    std::vector<AccessPlan> plans(4);
+    for (unsigned c = 0; c < 4; ++c) {
+        for (unsigned i = 0; i < 128; ++i) {
+            const Addr a = Addr{c} * (1u << 20) + Addr{i} * 64;
+            plans[c].push_back(i % 4 == 3 ? MemOp::store(a)
+                                          : MemOp::load(a));
+        }
+    }
+    const RunResult r = machine.run(plans);
+
+    const auto &names = r.series.names;
+    const std::size_t col = static_cast<std::size_t>(
+        std::find(names.begin(), names.end(), "parked") -
+        names.begin());
+    ASSERT_LT(col, names.size());
+    double peak = 0;
+    for (const std::vector<double> &row : r.series.rows)
+        peak = std::max(peak, row[col]);
+    EXPECT_GT(peak, 0.0);
+    EXPECT_EQ(machine.hierarchy().parkedPackets(), 0u);
 }
 
 TEST(BackpressureTest, SharedLinesCoalesceUnderStress)

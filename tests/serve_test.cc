@@ -409,7 +409,7 @@ TEST(ServeSchedulerTest, SloLoopShedsBackfillUnderBreach)
     EXPECT_EQ(sched.backfillSlots(), cfg.backfillFloor);
     // SLO-on golden.
     EXPECT_EQ(r.run.ticks, Tick{11400000});
-    EXPECT_EQ(jsonHash(r.run), 10749515581919042037ull);
+    EXPECT_EQ(jsonHash(r.run), 12511730066676549493ull);
 }
 
 TEST(ServeSchedulerTest, SloOffLetsBackfillKeepItsSlots)
@@ -517,7 +517,40 @@ TEST(ServeSchedulerTest, SameSeedServeRunsAreByteIdentical)
     EXPECT_EQ(jsonHash(a), jsonHash(runOnce(mix, placedDb())));
     // OLTP-first, SLO-off golden.
     EXPECT_EQ(a.ticks, Tick{4279291});
-    EXPECT_EQ(jsonHash(a), 16497797982746821994ull);
+    EXPECT_EQ(jsonHash(a), 8811526091133822011ull);
+}
+
+TEST(ServeSchedulerTest, MeasureFromKeepsWarmUpOutOfTheLatencyHistogram)
+{
+    // A light OLTP-only load rejects nothing, so every arrival
+    // completes, and a run cut at the measurement start replays
+    // exactly the warm-up arrivals of the full run.
+    const auto runOltp = [](Tick horizon, Tick measure_from) {
+        ServeConfig cfg;
+        cfg.seed = kSeed;
+        cfg.slo = false;
+        cfg.horizon = horizon;
+        cfg.measureFrom = measure_from;
+        TenantConfig oltp;
+        oltp.name = "oltp";
+        oltp.cls = TenantClass::OltpLatency;
+        oltp.oltpInterArrival = Tick{20000};
+        cfg.tenants = {oltp};
+        cpu::Machine machine(serveMachine());
+        ServeScheduler sched(machine, placedDb(), cfg);
+        return sched.run();
+    };
+    const Tick half{1000000};
+    const ServeResult full = runOltp(Tick{2000000}, half);
+    const ServeResult warmUp = runOltp(half, Tick{0});
+    ASSERT_EQ(full.oltpRejected, 0u);
+    ASSERT_EQ(warmUp.oltpRejected, 0u);
+    ASSERT_GT(warmUp.oltpCompleted, 0u);
+    const double measured = full.run.stats.get("serve.oltpLatency.samples");
+    EXPECT_EQ(measured, static_cast<double>(full.oltpCompleted -
+                                            warmUp.oltpCompleted));
+    EXPECT_GT(measured, 0.0);
+    EXPECT_EQ(full.run.stats.get("serve.oltpLatencyP99"), full.oltpP99);
 }
 
 TEST(ServeSchedulerTest, OlapScansWalkTheTableRoundRobin)
@@ -643,9 +676,11 @@ TEST(SchedulerTest, ServiceStatsLandInTheMachineSnapshot)
               static_cast<double>(r.segmentsCompleted));
     EXPECT_EQ(s.get("serve.backfillDenied"),
               static_cast<double>(r.backfillDenied));
-    // The registry's p99 is the log2 bucket's upper edge, never
-    // below the exact sample percentile.
-    EXPECT_GE(s.get("serve.oltpLatencyP99"), r.oltpP99);
+    // The registry formulas and ServeResult read one histogram.
+    EXPECT_GT(r.oltpP99, 0.0);
+    EXPECT_EQ(s.get("serve.oltpLatencyP50"), r.oltpP50);
+    EXPECT_EQ(s.get("serve.oltpLatencyP95"), r.oltpP95);
+    EXPECT_EQ(s.get("serve.oltpLatencyP99"), r.oltpP99);
 }
 
 TEST(SchedulerTest, OverloadRejectsButNeverDropsOlap)

@@ -61,14 +61,14 @@ TEST(StatRegistry, SampledSourcesMomentMerge)
 
 TEST(StatRegistry, HistogramSourcesBucketMerge)
 {
-    Log2Histogram h0, h1;
+    Histogram h0, h1;
     h0.sample(1);
     h1.sample(1);
     h1.sample(8);
     StatRegistry r;
     r.addHistogram("hist", h0);
     r.addHistogram("hist", h1);
-    const Log2Histogram merged = r.histogram("hist");
+    const Histogram merged = r.histogram("hist");
     EXPECT_EQ(merged.count(), 3u);
     EXPECT_EQ(merged.bucket(1), 2u);
 
@@ -77,6 +77,22 @@ TEST(StatRegistry, HistogramSourcesBucketMerge)
     EXPECT_DOUBLE_EQ(snap.at("hist.b1"), 2.0);
     EXPECT_DOUBLE_EQ(snap.at("hist.b4"), 1.0);
     EXPECT_EQ(snap.kindOf("hist.samples"), StatKind::Additive);
+
+    // A k = 7 name merges in its own layout and flattens by its own
+    // bucket index: 300 is bucket 278 ([300, 301]), 8 is bucket 8.
+    Histogram f0(7), f1(7);
+    f0.sample(300);
+    f1.sample(300);
+    f1.sample(8);
+    r.addHistogram("fine", f0);
+    r.addHistogram("fine", f1);
+    const Histogram fine = r.histogram("fine");
+    EXPECT_EQ(fine.subBucketBits(), 7u);
+    EXPECT_DOUBLE_EQ(fine.percentile(1.0), 301.0);
+    const StatsMap fineSnap = r.snapshot();
+    EXPECT_DOUBLE_EQ(fineSnap.at("fine.samples"), 3.0);
+    EXPECT_DOUBLE_EQ(fineSnap.at("fine.b278"), 2.0);
+    EXPECT_DOUBLE_EQ(fineSnap.at("fine.b8"), 1.0);
 }
 
 TEST(StatRegistry, FormulasEvaluateOverAggregatedInputs)

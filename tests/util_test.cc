@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "util/bitfield.hh"
 #include "util/logging.hh"
@@ -330,9 +333,35 @@ TEST(Stats, SampledMergeNegativeValues)
     EXPECT_DOUBLE_EQ(a.mean(), -2.0);
 }
 
+/** The log2 bucketing the k = 0 layout must reproduce. */
+unsigned
+log2BucketOf(std::uint64_t v)
+{
+    unsigned b = 0;
+    for (; v != 0; v >>= 1)
+        ++b;
+    return b;
+}
+
+std::uint64_t
+log2BucketLow(unsigned i)
+{
+    return i <= 1 ? i : std::uint64_t{1} << (i - 1);
+}
+
+std::uint64_t
+log2BucketHigh(unsigned i)
+{
+    if (i == 0)
+        return 0;
+    return i >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << i) - 1;
+}
+
 TEST(Stats, HistogramBucketBoundaries)
 {
-    Log2Histogram h;
+    Histogram h;
+    EXPECT_EQ(h.subBucketBits(), 0u);
+    EXPECT_EQ(h.bucketCount(), 65u);
     h.sample(0); // bucket 0 holds exactly the zeros
     h.sample(1); // [1,2) -> bucket 1
     h.sample(2); // [2,4) -> bucket 2
@@ -347,16 +376,54 @@ TEST(Stats, HistogramBucketBoundaries)
     EXPECT_EQ(h.bucket(3), 2u);
     EXPECT_EQ(h.bucket(4), 1u);
     EXPECT_EQ(h.bucket(5), 0u);
-    EXPECT_EQ(Log2Histogram::bucketLow(0), 0u);
-    EXPECT_EQ(Log2Histogram::bucketLow(1), 1u);
-    EXPECT_EQ(Log2Histogram::bucketLow(2), 2u);
-    EXPECT_EQ(Log2Histogram::bucketLow(3), 4u);
-    EXPECT_EQ(Log2Histogram::bucketLow(4), 8u);
+    EXPECT_EQ(h.bucketLow(0), 0u);
+    EXPECT_EQ(h.bucketLow(1), 1u);
+    EXPECT_EQ(h.bucketLow(2), 2u);
+    EXPECT_EQ(h.bucketLow(3), 4u);
+    EXPECT_EQ(h.bucketLow(4), 8u);
+
+    // k = 0 is the log2 layout at every octave edge.
+    std::vector<std::uint64_t> edges = {0, ~std::uint64_t{0}};
+    for (unsigned i = 1; i < 64; ++i) {
+        const std::uint64_t p = std::uint64_t{1} << i;
+        edges.insert(edges.end(), {p - 1, p, p + 1});
+    }
+    for (const std::uint64_t v : edges)
+        EXPECT_EQ(h.bucketOf(v), log2BucketOf(v)) << v;
+    for (unsigned i = 0; i < h.bucketCount(); ++i) {
+        EXPECT_EQ(h.bucketLow(i), log2BucketLow(i)) << i;
+        EXPECT_EQ(h.bucketHigh(i), log2BucketHigh(i)) << i;
+    }
+
+    // k = 7: 58 octave rows of 128 buckets; exact below 128.
+    const Histogram fine(7);
+    EXPECT_EQ(fine.bucketCount(), 58u * 128u);
+    for (std::uint64_t v = 0; v < 128; ++v) {
+        EXPECT_EQ(fine.bucketOf(v), v);
+        EXPECT_EQ(fine.bucketLow(static_cast<unsigned>(v)), v);
+        EXPECT_EQ(fine.bucketHigh(static_cast<unsigned>(v)), v);
+    }
+    // [128, 256) still has width 1; [256, 512) has width 2.
+    EXPECT_EQ(fine.bucketOf(255), 255u);
+    EXPECT_EQ(fine.bucketOf(256), 256u);
+    EXPECT_EQ(fine.bucketOf(257), 256u);
+    EXPECT_EQ(fine.bucketOf(258), 257u);
+    EXPECT_EQ(fine.bucketLow(256), 256u);
+    EXPECT_EQ(fine.bucketHigh(256), 257u);
+    EXPECT_EQ(fine.bucketOf(~std::uint64_t{0}), fine.bucketCount() - 1);
+    EXPECT_EQ(fine.bucketHigh(fine.bucketCount() - 1),
+              ~std::uint64_t{0});
+    // Buckets tile the value range: each starts where the last ended.
+    for (unsigned i = 1; i < fine.bucketCount(); ++i) {
+        ASSERT_EQ(fine.bucketLow(i), fine.bucketHigh(i - 1) + 1) << i;
+        ASSERT_EQ(fine.bucketOf(fine.bucketLow(i)), i);
+        ASSERT_EQ(fine.bucketOf(fine.bucketHigh(i)), i);
+    }
 }
 
 TEST(Stats, HistogramPercentileReturnsBucketRightEdge)
 {
-    Log2Histogram h;
+    Histogram h;
     for (std::uint64_t v = 1; v <= 8; ++v)
         h.sample(v); // buckets: 1:[1] 2:[2,3] 3:[4..7] 4:[8..15]
     // rank = ceil(p * 8): p50 -> 4th smallest (value 4, bucket 3,
@@ -373,6 +440,19 @@ TEST(Stats, HistogramPercentileReturnsBucketRightEdge)
     // Out-of-range p clamps instead of reading past the buckets.
     EXPECT_DOUBLE_EQ(h.percentile(-1.0), 1.0);
     EXPECT_DOUBLE_EQ(h.percentile(2.0), 15.0);
+
+    // k = 7 resolves the same samples exactly, with the same ranks.
+    Histogram fine(7);
+    for (std::uint64_t v = 1; v <= 8; ++v)
+        fine.sample(v);
+    EXPECT_DOUBLE_EQ(fine.percentile(0.50), 4.0);
+    EXPECT_DOUBLE_EQ(fine.percentile(0.95), 8.0);
+    EXPECT_DOUBLE_EQ(fine.percentile(0.125), 1.0);
+    EXPECT_DOUBLE_EQ(fine.percentile(-1.0), 1.0);
+    EXPECT_DOUBLE_EQ(fine.percentile(2.0), 8.0);
+    // 1000 sits in [1000, 1003], a width-4 bucket of [512, 1024).
+    fine.sample(1000);
+    EXPECT_DOUBLE_EQ(fine.percentile(1.0), 1003.0);
 }
 
 TEST(Stats, HistogramPercentileNeverUnderstates)
@@ -380,7 +460,7 @@ TEST(Stats, HistogramPercentileNeverUnderstates)
     // The reported percentile must upper-bound the exact one for
     // every sampled value and every p (the bug this guards against
     // reported the bucket floor, up to 2x low).
-    Log2Histogram h;
+    Histogram h;
     const std::uint64_t values[] = {1, 3, 7, 12, 100, 1000, 4096};
     for (std::uint64_t v : values)
         h.sample(v);
@@ -395,33 +475,71 @@ TEST(Stats, HistogramPercentileNeverUnderstates)
     // Monotone in p.
     for (double p = 0.05; p < 1.0; p += 0.05)
         EXPECT_LE(h.percentile(p), h.percentile(p + 0.05)) << p;
+
+    // k = 7 on random samples spanning nine decades: the percentile
+    // lies between the nearest-rank sample and 1/128 above it.
+    Random rng(7);
+    for (const std::size_t count : {1u, 2u, 99u, 100u, 1000u, 4099u}) {
+        Histogram fine(7);
+        std::vector<std::uint64_t> samples;
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::uint64_t v =
+                rng.nextBounded(1000) << rng.nextBounded(30);
+            samples.push_back(v);
+            fine.sample(v);
+        }
+        std::sort(samples.begin(), samples.end());
+        for (const double p : {0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99,
+                               0.999, 1.0}) {
+            const auto rank = std::max<std::size_t>(
+                1, static_cast<std::size_t>(
+                       std::ceil(p * static_cast<double>(count))));
+            const double v = static_cast<double>(samples[rank - 1]);
+            EXPECT_GE(fine.percentile(p), v) << count << " p=" << p;
+            EXPECT_LE(fine.percentile(p), v * (1.0 + 1.0 / 128.0))
+                << count << " p=" << p;
+        }
+    }
 }
 
 TEST(Stats, HistogramPercentileEdgeCases)
 {
-    Log2Histogram empty;
-    EXPECT_DOUBLE_EQ(empty.percentile(0.99), 0.0);
+    for (const unsigned k : {0u, 7u}) {
+        Histogram empty(k);
+        EXPECT_DOUBLE_EQ(empty.percentile(0.99), 0.0);
+        EXPECT_EQ(empty.usedBuckets(), 0u);
 
-    Log2Histogram zeros;
-    zeros.sample(0);
-    zeros.sample(0);
-    EXPECT_DOUBLE_EQ(zeros.percentile(0.99), 0.0); // bucket 0 = zero
+        Histogram zeros(k);
+        zeros.sample(0);
+        zeros.sample(0);
+        EXPECT_DOUBLE_EQ(zeros.percentile(0.99), 0.0); // zero bucket
 
-    Log2Histogram one;
+        Histogram top(k);
+        top.sample(~std::uint64_t{0});
+        EXPECT_DOUBLE_EQ(top.percentile(0.5),
+                         static_cast<double>(~std::uint64_t{0}));
+        EXPECT_EQ(top.usedBuckets(), top.bucketCount());
+    }
+
+    Histogram one;
     one.sample(1000); // [512, 1024) -> right edge 1023
     EXPECT_DOUBLE_EQ(one.percentile(0.50), 1023.0);
     EXPECT_DOUBLE_EQ(one.percentile(0.99), 1023.0);
 
     // Exact powers of two sit at their bucket's left edge; the
     // reported right edge still bounds them.
-    Log2Histogram pow2;
+    Histogram pow2;
     pow2.sample(8); // [8,16) -> 15
     EXPECT_DOUBLE_EQ(pow2.percentile(1.0), 15.0);
+    Histogram finePow2(7);
+    finePow2.sample(std::uint64_t{1} << 20); // width 2^13
+    EXPECT_DOUBLE_EQ(finePow2.percentile(1.0),
+                     static_cast<double>((1u << 20) + (1u << 13) - 1));
 }
 
 TEST(Stats, HistogramMergeAddsBuckets)
 {
-    Log2Histogram a, b;
+    Histogram a, b;
     a.sample(1);
     a.sample(100);
     b.sample(1);
@@ -430,8 +548,43 @@ TEST(Stats, HistogramMergeAddsBuckets)
     EXPECT_EQ(a.count(), 4u);
     EXPECT_EQ(a.bucket(0), 1u);
     EXPECT_EQ(a.bucket(1), 2u);
-    EXPECT_EQ(a.bucket(Log2Histogram::bucketOf(100)), 1u);
-    EXPECT_GE(a.usedBuckets(), 3u);
+    EXPECT_EQ(a.bucket(a.bucketOf(100)), 1u);
+    EXPECT_EQ(a.usedBuckets(), a.bucketOf(100) + 1);
+
+    Histogram c(7), d(7);
+    c.sample(5000);
+    d.sample(5000);
+    d.sample(3);
+    c.merge(d);
+    EXPECT_EQ(c.count(), 3u);
+    EXPECT_EQ(c.bucket(c.bucketOf(5000)), 2u);
+    EXPECT_EQ(c.bucket(3), 1u);
+    EXPECT_DOUBLE_EQ(c.percentile(0.0), 3.0);
+}
+
+TEST(Stats, HistogramResetClearsTheUsedRange)
+{
+    Histogram h(7);
+    h.sample(10);
+    h.sample(1u << 30);
+    h.reset();
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.usedBuckets(), 0u);
+    EXPECT_DOUBLE_EQ(h.percentile(0.99), 0.0);
+    for (unsigned i = 0; i < h.bucketCount(); ++i)
+        ASSERT_EQ(h.bucket(i), 0u) << i;
+    // Reusable after a reset: the used range restarts from scratch.
+    h.sample(200);
+    EXPECT_EQ(h.usedBuckets(), h.bucketOf(200) + 1);
+    EXPECT_DOUBLE_EQ(h.percentile(0.0), 200.0);
+}
+
+TEST(StatsDeathTest, HistogramMergeAcrossLayoutsIsFatal)
+{
+    Histogram coarse;
+    Histogram fine(7);
+    EXPECT_DEATH(coarse.merge(fine), "sub-bucket bits");
+    EXPECT_DEATH(fine.merge(coarse), "sub-bucket bits");
 }
 
 class EnvSeedTest : public ::testing::Test
