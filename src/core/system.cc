@@ -20,7 +20,7 @@ RcNvmSystem::runQuery(workload::QueryId id,
 {
     const cpu::MachineConfig config = table1Machine(options_.device);
     const workload::CompiledQuery query = workload_->compile(
-        id, pd_, options_.cores, group_lines);
+        id, pd_, config.hierarchy.cores, group_lines);
     return runCompiled(config, query);
 }
 

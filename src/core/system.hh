@@ -37,7 +37,6 @@ class RcNvmSystem
         std::uint64_t microTuples = 32768;
         /** Table-content seed; RCNVM_SEED overrides the default. */
         std::uint64_t seed = util::envSeed(42);
-        unsigned cores = 4;
         imdb::ChunkLayout rcLayout =
             imdb::ChunkLayout::ColumnOriented;
     };
