@@ -7,7 +7,7 @@
 
 namespace rcnvm::cache {
 
-Cache::Cache(const CacheConfig &config)
+Cache::Cache(const CacheConfig &config, bool directory)
     : config_(config), numSets_(config.numSets())
 {
     if (!util::isPowerOfTwo(numSets_))
@@ -18,6 +18,8 @@ Cache::Cache(const CacheConfig &config)
         std::countr_zero(config_.lineBytes));
     setMask_ = numSets_ - 1;
     lines_.resize(std::size_t{numSets_} * config_.ways);
+    if (directory)
+        sharers_.resize(lines_.size());
 }
 
 std::optional<Cache::Victim>

@@ -1,7 +1,8 @@
 /**
  * @file
  * A single set-associative cache level with LRU replacement,
- * orientation-aware tags, crossing-bit storage, and pinning.
+ * orientation-aware tags, crossing-bit storage, pinning, and - for
+ * the shared L3 - a directory sharer mask per line.
  */
 
 #ifndef RCNVM_CACHE_CACHE_HH_
@@ -42,14 +43,25 @@ struct CacheConfig {
 class Cache
 {
   public:
+    /** Directory sharer mask: one bit per core whose private caches
+     *  may hold the line. Kept only by a directory cache. */
+    using SharerMask = std::uint32_t;
+
+    /** Cores a sharer mask can name. */
+    static constexpr unsigned maxSharers = 32;
+
     /** Description of a line evicted by insert(). */
     struct Victim {
         LineKey key;
         MesiState state = MesiState::Invalid;
         std::uint8_t crossing = 0;
+        SharerMask sharers = 0; //!< set by a directory cache's insert()
     };
 
-    explicit Cache(const CacheConfig &config);
+    /** @p directory adds a sharer mask per line (the shared L3). It is
+     *  kept beside the tag array, so CacheLine and set scans stay the
+     *  same size. */
+    explicit Cache(const CacheConfig &config, bool directory = false);
 
     /** The configuration this cache was built with. */
     const CacheConfig &config() const { return config_; }
@@ -110,12 +122,17 @@ class Cache
     /**
      * Insert a line, evicting the LRU non-pinned way if the set is
      * full. If every way is pinned, the LRU pinned line is unpinned
-     * and evicted (counted in the pinnedEvictions statistic).
+     * and evicted (counted in the pinnedEvictions statistic). On a
+     * directory cache a new line starts with an empty sharer mask, a
+     * victim carries its mask out, and re-inserting a live key keeps
+     * the key's mask.
      *
+     * @param installed when non-null, receives the inserted line
      * @return the evicted victim, if any
      */
     std::optional<Victim>
-    insert(const LineKey &key, MesiState state)
+    insert(const LineKey &key, MesiState state,
+           CacheLine **installed = nullptr)
     {
         const unsigned set = setIndex(key);
         CacheLine *base = &lines_[std::size_t{set} * config_.ways];
@@ -132,6 +149,8 @@ class Cache
                     line.orient == key.orient) {
                     line.state = state;
                     line.lru = ++lruClock_;
+                    if (installed)
+                        *installed = &line;
                     return std::nullopt;
                 }
                 if (!lru_any || line.lru < lru_any->lru)
@@ -162,6 +181,12 @@ class Cache
                 --columnLines_;
         }
 
+        if (!sharers_.empty()) {
+            SharerMask &mask = sharers(*target);
+            if (victim)
+                victim->sharers = mask;
+            mask = 0;
+        }
         target->tag = key.addr;
         target->orient = key.orient;
         target->state = state;
@@ -173,7 +198,17 @@ class Cache
             ++rowLines_;
         else
             ++columnLines_;
+        if (installed)
+            *installed = target;
         return victim;
+    }
+
+    /** Sharer mask of @p line, a line of this directory cache.
+     *  Reading or writing it touches no replacement state. */
+    SharerMask &
+    sharers(const CacheLine &line)
+    {
+        return sharers_[static_cast<std::size_t>(&line - lines_.data())];
     }
 
     /** Remove a line if present; returns its pre-invalidation copy. */
@@ -227,6 +262,8 @@ class Cache
     std::uint32_t lineShift_ = 0; //!< log2(lineBytes)
     std::uint32_t setMask_ = 0;   //!< numSets - 1
     std::vector<CacheLine> lines_; //!< numSets_ x ways, row-major
+    /** Sharer mask per entry of lines_; empty unless a directory. */
+    std::vector<SharerMask> sharers_;
     std::uint32_t epoch_ = 0;      //!< current reset generation
     std::uint64_t lruClock_ = 0;
     std::uint64_t rowLines_ = 0;

@@ -1,6 +1,7 @@
 #include "cache/hierarchy.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/bitfield.hh"
 #include "util/chrome_trace.hh"
@@ -19,11 +20,14 @@ Hierarchy::Hierarchy(const HierarchyConfig &config, sim::EventQueue &eq,
       deferredInChannel_(memory.channels(), 0),
       retryHandlers_(config.cores)
 {
+    if (config_.cores > Cache::maxSharers)
+        rcnvm_fatal("hierarchy: ", config_.cores, " cores exceed the ",
+                    Cache::maxSharers, "-bit directory sharer mask");
     for (unsigned c = 0; c < config_.cores; ++c) {
         l1_.push_back(std::make_unique<Cache>(config_.l1));
         l2_.push_back(std::make_unique<Cache>(config_.l2));
     }
-    l3_ = std::make_unique<Cache>(config_.l3);
+    l3_ = std::make_unique<Cache>(config_.l3, /*directory=*/true);
     memory_.setRetryCallback([this] { onMemorySpace(); });
 }
 
@@ -62,7 +66,7 @@ Hierarchy::onL3Fill(const LineKey &key)
 }
 
 CpuCycles
-Hierarchy::onWrite(unsigned core, const LineKey &key, unsigned word)
+Hierarchy::onWrite(const LineKey &key, unsigned word)
 {
     if (!synonymEnabled_)
         return CpuCycles{};
@@ -71,24 +75,21 @@ Hierarchy::onWrite(unsigned core, const LineKey &key, unsigned word)
         return CpuCycles{};
 
     // Keep the duplicated word coherent: update the crossed line in
-    // the shared L3 and in any private copies.
+    // the shared L3 and in the private copies its sharers may hold
+    // (the writer's included). Inclusion: a partner missing from L3
+    // has no private copies.
     const Crossing c = synonym_.crossingOfWord(key, word);
-    CacheLine *partner = l3_->find(c.partner);
     CpuCycles extra = config_.synonymUpdate;
-    if (partner)
+    if (CacheLine *partner = l3_->find(c.partner)) {
         partner->state = MesiState::Modified;
-    for (unsigned i = 0; i < config_.cores; ++i) {
-        if (i == core)
-            continue;
-        if (CacheLine *p1 = l1_[i]->find(c.partner))
-            p1->state = MesiState::Modified;
-        if (CacheLine *p2 = l2_[i]->find(c.partner))
-            p2->state = MesiState::Modified;
+        for (SharerMask m = l3_->sharers(*partner); m; m &= m - 1) {
+            const auto i = static_cast<unsigned>(std::countr_zero(m));
+            if (CacheLine *p1 = l1_[i]->find(c.partner))
+                p1->state = MesiState::Modified;
+            if (CacheLine *p2 = l2_[i]->find(c.partner))
+                p2->state = MesiState::Modified;
+        }
     }
-    if (CacheLine *own1 = l1_[core]->find(c.partner))
-        own1->state = MesiState::Modified;
-    if (CacheLine *own2 = l2_[core]->find(c.partner))
-        own2->state = MesiState::Modified;
 
     synonymUpdates_.inc();
     synonymTicks_.inc(config_.cyc(extra).value());
@@ -205,9 +206,11 @@ Hierarchy::notifyRetry()
 }
 
 void
-Hierarchy::backInvalidate(const LineKey &key, bool &was_dirty)
+Hierarchy::backInvalidate(const LineKey &key, SharerMask sharers,
+                          bool &was_dirty)
 {
-    for (unsigned i = 0; i < config_.cores; ++i) {
+    for (; sharers; sharers &= sharers - 1) {
+        const auto i = static_cast<unsigned>(std::countr_zero(sharers));
         if (auto v = l1_[i]->invalidate(key)) {
             if (v->state == MesiState::Modified)
                 was_dirty = true;
@@ -219,25 +222,28 @@ Hierarchy::backInvalidate(const LineKey &key, bool &was_dirty)
     }
 }
 
-void
+CacheLine &
 Hierarchy::fillL3(const LineKey &key, MesiState state, CpuCycles &extra)
 {
-    auto victim = l3_->insert(key, state);
+    CacheLine *line = nullptr;
+    auto victim = l3_->insert(key, state, &line);
     if (victim && victim->state != MesiState::Invalid) {
         // Inclusion: remove private copies of the evicted line.
         bool dirty = victim->state == MesiState::Modified;
-        backInvalidate(victim->key, dirty);
+        backInvalidate(victim->key, victim->sharers, dirty);
         onL3Evict(*victim);
         if (dirty)
             writeback(victim->key);
     }
     extra += onL3Fill(key);
+    return *line;
 }
 
 void
 Hierarchy::fillPrivate(unsigned core, const LineKey &key,
-                       MesiState state)
+                       MesiState state, CacheLine &llc_line)
 {
+    l3_->sharers(llc_line) |= SharerMask{1} << core;
     if (auto v2 = l2_[core]->insert(key, state)) {
         if (v2->state != MesiState::Invalid) {
             // L2 inclusion over L1.
@@ -263,12 +269,13 @@ Hierarchy::fillPrivate(unsigned core, const LineKey &key,
 }
 
 CpuCycles
-Hierarchy::coherenceOnRead(unsigned core, const LineKey &key)
+Hierarchy::coherenceOnRead(unsigned core, const LineKey &key,
+                           SharerMask sharers)
 {
     CpuCycles extra;
-    for (unsigned i = 0; i < config_.cores; ++i) {
-        if (i == core)
-            continue;
+    for (SharerMask m = sharers & ~(SharerMask{1} << core); m;
+         m &= m - 1) {
+        const auto i = static_cast<unsigned>(std::countr_zero(m));
         CacheLine *p1 = l1_[i]->find(key);
         CacheLine *p2 = l2_[i]->find(key);
         const bool dirty =
@@ -291,24 +298,42 @@ Hierarchy::coherenceOnRead(unsigned core, const LineKey &key)
 }
 
 CpuCycles
-Hierarchy::coherenceOnWrite(unsigned core, const LineKey &key)
+Hierarchy::coherenceOnWrite(unsigned core, const LineKey &key,
+                            SharerMask &sharers)
 {
     CpuCycles extra;
     bool any = false;
-    for (unsigned i = 0; i < config_.cores; ++i) {
-        if (i == core)
-            continue;
+    const SharerMask self = SharerMask{1} << core;
+    for (SharerMask m = sharers & ~self; m; m &= m - 1) {
+        const auto i = static_cast<unsigned>(std::countr_zero(m));
         if (l1_[i]->invalidate(key))
             any = true;
         if (l2_[i]->invalidate(key))
             any = true;
     }
+    sharers &= self;
     if (any) {
         cohInvalidations_.inc();
         cohTicks_.inc(config_.cyc(config_.invalidatePenalty).value());
         extra += config_.invalidatePenalty;
     }
     return extra;
+}
+
+Cache::SharerMask &
+Hierarchy::sharersOf(const LineKey &key)
+{
+    const CacheLine *line = l3_->probe(key);
+    if (!line)
+        rcnvm_panic("directory: a private copy's line is not in L3");
+    return l3_->sharers(*line);
+}
+
+Cache::SharerMask
+Hierarchy::sharers(const LineKey &key) const
+{
+    const CacheLine *line = l3_->probe(key);
+    return line ? l3_->sharers(*line) : 0;
 }
 
 void
@@ -344,8 +369,9 @@ Hierarchy::onFillComplete(unsigned mshr_idx)
     mshrs_.free(*entry);
 
     CpuCycles extra;
-    fillL3(key, any_write ? MesiState::Modified : MesiState::Exclusive,
-           extra);
+    CacheLine &l3line = fillL3(
+        key, any_write ? MesiState::Modified : MesiState::Exclusive, extra);
+    SharerMask &sharers = l3_->sharers(l3line);
 
     for (MshrTarget &t : fillScratch_) {
         if (t.prefetchOnly) {
@@ -363,14 +389,14 @@ Hierarchy::onFillComplete(unsigned mshr_idx)
         l2_[t.core]->prefetchSet(key);
         CpuCycles textra = extra;
         if (t.isWrite) {
-            textra += coherenceOnWrite(t.core, key);
-            textra += onWrite(t.core, key, t.word);
+            textra += coherenceOnWrite(t.core, key, sharers);
+            textra += onWrite(key, t.word);
         }
         const MesiState st =
             t.isWrite ? MesiState::Modified
             : (demand_targets == 1 && !any_write) ? MesiState::Exclusive
                                                   : MesiState::Shared;
-        fillPrivate(t.core, key, st);
+        fillPrivate(t.core, key, st, l3line);
         const Tick fill = config_.cyc(config_.l1Latency + textra);
         eq_.scheduleAfter(fill, [done = std::move(t.done),
                                  this]() mutable { done(eq_.now()); });
@@ -484,13 +510,13 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
         l1Hits_.inc();
         if (a.isWrite) {
             if (line->state == MesiState::Shared)
-                lat += coherenceOnWrite(core, key);
+                lat += coherenceOnWrite(core, key, sharersOf(key));
             line->state = MesiState::Modified;
             if (CacheLine *l2line = l2_[core]->find(key))
                 l2line->state = MesiState::Modified;
             if (CacheLine *l3line = l3_->find(key))
                 l3line->state = MesiState::Modified;
-            lat += onWrite(core, key, word);
+            lat += onWrite(key, word);
         }
         eq_.scheduleAfter(config_.cyc(lat),
                           [done = std::move(done), this]() mutable {
@@ -507,12 +533,12 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
         MesiState fill_state = line->state;
         if (a.isWrite) {
             if (line->state == MesiState::Shared)
-                lat += coherenceOnWrite(core, key);
+                lat += coherenceOnWrite(core, key, sharersOf(key));
             line->state = MesiState::Modified;
             fill_state = MesiState::Modified;
             if (CacheLine *l3line = l3_->find(key))
                 l3line->state = MesiState::Modified;
-            lat += onWrite(core, key, word);
+            lat += onWrite(key, word);
         }
         if (auto v1 = l1_[core]->insert(key, fill_state)) {
             if (v1->state == MesiState::Modified) {
@@ -532,15 +558,16 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
     if (CacheLine *line = l3_->find(key)) {
         accesses_.inc();
         l3Hits_.inc();
-        lat += coherenceOnRead(core, key);
+        SharerMask &sharers = l3_->sharers(*line);
+        lat += coherenceOnRead(core, key, sharers);
         MesiState fill_state = MesiState::Shared;
         if (a.isWrite) {
-            lat += coherenceOnWrite(core, key);
+            lat += coherenceOnWrite(core, key, sharers);
             line->state = MesiState::Modified;
             fill_state = MesiState::Modified;
-            lat += onWrite(core, key, word);
+            lat += onWrite(key, word);
         }
-        fillPrivate(core, key, fill_state);
+        fillPrivate(core, key, fill_state, *line);
         eq_.scheduleAfter(config_.cyc(lat),
                           [done = std::move(done), this]() mutable {
                               done(eq_.now());
@@ -560,10 +587,10 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
             // copy, so no coherence traffic is needed; the line
             // re-enters dirty because memory never saw the data.
             CpuCycles extra;
-            fillL3(key, MesiState::Modified, extra);
+            CacheLine &l3line = fillL3(key, MesiState::Modified, extra);
             if (a.isWrite)
-                extra += onWrite(core, key, word);
-            fillPrivate(core, key, MesiState::Modified);
+                extra += onWrite(key, word);
+            fillPrivate(core, key, MesiState::Modified, l3line);
             eq_.scheduleAfter(config_.cyc(lat + extra),
                               [done = std::move(done), this]() mutable {
                                   done(eq_.now());

@@ -3,8 +3,16 @@
  * Three-level cache hierarchy with directory-based MESI coherence
  * and the RC-NVM synonym extensions of Sec. 4.3.
  *
- * Private L1/L2 per core, shared inclusive L3. Crossing bits are
- * maintained at the shared L3, which doubles as the directory - the
+ * Private L1/L2 per core, shared inclusive L3. The L3 doubles as the
+ * directory: each L3 line keeps a sharer mask, one bit per core, set
+ * when the line enters that core's private caches. Back-invalidation
+ * of an L3 victim, remote-dirty fetches, write invalidations and
+ * synonym partner updates visit only the cores in the line's mask;
+ * inclusion guarantees no other core holds a copy. A bit may go stale
+ * when an L2 evicts silently - probing that core is a harmless miss.
+ * Directory reads touch no replacement state (DESIGN.md §4k).
+ *
+ * Crossing bits are maintained at the shared L3 as well - the
  * placement the paper prescribes for multi-core operation ("these
  * bits are stored in the cache directory"). Probe, update, and
  * clean-up work is charged to a synonym-overhead statistic that the
@@ -160,34 +168,53 @@ class Hierarchy
     /** Demand misses past the LLC so far (epoch gauge). */
     std::uint64_t llcMissCount() const { return llcMisses_.value(); }
 
+    /** Directory sharer mask of @p key's L3 line; 0 when the line is
+     *  not in L3. Touches no replacement state. */
+    Cache::SharerMask sharers(const LineKey &key) const;
+
     /** Drop all cache state and statistics. */
     void reset();
 
   private:
+    using SharerMask = Cache::SharerMask;
+
     /** Charge and account synonym work on an L3 fill. */
     CpuCycles onL3Fill(const LineKey &key);
 
     /** Propagate a write to a crossed line if the bit is set. */
-    CpuCycles onWrite(unsigned core, const LineKey &key, unsigned word);
+    CpuCycles onWrite(const LineKey &key, unsigned word);
 
     /** Clear partner crossing bits when an L3 line leaves. */
     void onL3Evict(const Cache::Victim &victim);
 
-    /** Insert into L3 handling eviction side effects. */
-    void fillL3(const LineKey &key, MesiState state, CpuCycles &extra);
+    /** Insert into L3 handling eviction side effects.
+     *  @return the installed L3 line */
+    CacheLine &fillL3(const LineKey &key, MesiState state,
+                      CpuCycles &extra);
 
-    /** Insert into a private level, maintaining inclusion. */
+    /** Insert into a private level, maintaining inclusion, and record
+     *  @p core as a sharer of @p llc_line, the key's L3 line. */
     void fillPrivate(unsigned core, const LineKey &key,
-                     MesiState state);
+                     MesiState state, CacheLine &llc_line);
 
-    /** Invalidate a key from every private cache (back-inval). */
-    void backInvalidate(const LineKey &key, bool &was_dirty);
+    /** Invalidate a key from its sharers' private caches
+     *  (back-invalidation of an L3 victim). */
+    void backInvalidate(const LineKey &key, SharerMask sharers,
+                        bool &was_dirty);
 
-    /** MESI: handle a miss that found the line in other cores. */
-    CpuCycles coherenceOnRead(unsigned core, const LineKey &key);
+    /** MESI: fetch back a dirty copy held by another sharer. */
+    CpuCycles coherenceOnRead(unsigned core, const LineKey &key,
+                              SharerMask sharers);
 
-    /** MESI: obtain exclusivity for a write. */
-    CpuCycles coherenceOnWrite(unsigned core, const LineKey &key);
+    /** MESI: obtain exclusivity for a write. Invalidates the other
+     *  sharers' copies; @p sharers keeps at most @p core's bit. */
+    CpuCycles coherenceOnWrite(unsigned core, const LineKey &key,
+                               SharerMask &sharers);
+
+    /** The mask of @p key's L3 line, looked up without touching LRU.
+     *  Panics when the line is missing: callers hold a private copy,
+     *  and inclusion puts every private line in L3. */
+    SharerMask &sharersOf(const LineKey &key);
 
     /** Park a write-back of an evicted dirty line and try to send. */
     void writeback(const LineKey &key);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the set-associative cache: orientation-aware tag match,
- * LRU replacement, pinning, crossing-bit storage, and the synonym
- * crossing geometry of Figure 8.
+ * LRU replacement, pinning, crossing-bit storage, directory sharer
+ * masks, and the synonym crossing geometry of Figure 8.
  */
 
 #include <gtest/gtest.h>
@@ -194,6 +194,71 @@ TEST(CacheTest, ResetDropsEverything)
     EXPECT_EQ(cache.find(LineKey{0x40, Orientation::Row}), nullptr);
     EXPECT_EQ(cache.rowLines(), 0u);
     EXPECT_EQ(cache.columnLines(), 0u);
+}
+
+// ---------------------------------------------------------------
+// Directory sharer masks (kept by the shared L3 only)
+// ---------------------------------------------------------------
+
+TEST(SharerMaskTest, NewLineStartsWithEmptyMask)
+{
+    Cache cache(tinyConfig(), /*directory=*/true);
+    // Fill one set, give every line a mask, then force each way to be
+    // recycled: the newcomer must not inherit its slot's old mask.
+    for (unsigned i = 0; i < 8; ++i) {
+        CacheLine *line = nullptr;
+        cache.insert(LineKey{Addr{i} * 256, Orientation::Row},
+                     MesiState::Shared, &line);
+        ASSERT_NE(line, nullptr);
+        EXPECT_EQ(cache.sharers(*line), 0u);
+        cache.sharers(*line) = 0xffu;
+    }
+    for (unsigned i = 8; i < 16; ++i) {
+        CacheLine *line = nullptr;
+        const auto victim = cache.insert(
+            LineKey{Addr{i} * 256, Orientation::Row},
+            MesiState::Shared, &line);
+        ASSERT_TRUE(victim.has_value());
+        EXPECT_EQ(cache.sharers(*line), 0u);
+    }
+    // A reset orphans lines in place; their slots start empty too.
+    cache.sharers(*cache.find(LineKey{8 * 256, Orientation::Row})) = 3;
+    cache.reset();
+    CacheLine *line = nullptr;
+    cache.insert(LineKey{0, Orientation::Row}, MesiState::Shared, &line);
+    EXPECT_EQ(cache.sharers(*line), 0u);
+}
+
+TEST(SharerMaskTest, VictimReportsItsMask)
+{
+    Cache cache(tinyConfig(), /*directory=*/true);
+    for (unsigned i = 0; i < 8; ++i) {
+        CacheLine *line = nullptr;
+        cache.insert(LineKey{Addr{i} * 256, Orientation::Row},
+                     MesiState::Shared, &line);
+        cache.sharers(*line) = 1u << i;
+    }
+    // Line 0 is LRU: its mask leaves with it.
+    const auto victim = cache.insert(LineKey{8 * 256, Orientation::Row},
+                                     MesiState::Shared);
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(victim->key.addr, 0u);
+    EXPECT_EQ(victim->sharers, 1u);
+}
+
+TEST(SharerMaskTest, ReinsertOfLiveKeyKeepsMask)
+{
+    Cache cache(tinyConfig(), /*directory=*/true);
+    const LineKey key{0x1000, Orientation::Column};
+    CacheLine *first = nullptr;
+    cache.insert(key, MesiState::Exclusive, &first);
+    cache.sharers(*first) = 0x8005u;
+    CacheLine *again = nullptr;
+    EXPECT_FALSE(
+        cache.insert(key, MesiState::Modified, &again).has_value());
+    EXPECT_EQ(again, first);
+    EXPECT_EQ(cache.sharers(*again), 0x8005u);
+    EXPECT_EQ(again->state, MesiState::Modified);
 }
 
 TEST(CacheConfigTest, SetCountArithmetic)

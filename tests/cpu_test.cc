@@ -9,10 +9,12 @@
 
 #include <cmath>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "cpu/machine.hh"
 #include "fnv1a.hh"
+#include "util/random.hh"
 #include "util/stats_io.hh"
 
 namespace rcnvm::cpu {
@@ -259,6 +261,79 @@ TEST(MachineTest, CrossChannelSmallLlcGolden)
     EXPECT_EQ(r.ticks, Tick{8723500});
     EXPECT_EQ(json.hash, 3676863729726900470ull);
     EXPECT_GT(r.stats.get("cache.writebacks"), 0.0);
+}
+
+/**
+ * Sixteen plans over one shared footprint: 24 crossing blocks of 8 x 8
+ * words, each contributing its 8 row lines and 8 column lines (384
+ * lines in all). The blocks sit in the first 32 sets of a 128-set
+ * L3, so the LLC holds about two thirds of the footprint at a time.
+ */
+std::vector<AccessPlan>
+sharedStreamPlans(const Machine &machine, unsigned ops_per_core)
+{
+    const mem::AddressMap &map = machine.map();
+    util::Random rng(16);
+    std::vector<std::pair<Addr, Orientation>> lines;
+    for (unsigned b = 0; b < 24; ++b) {
+        const auto m = static_cast<unsigned>(rng.nextBounded(32));
+        const auto k = static_cast<unsigned>(rng.nextBounded(32));
+        for (unsigned j = 0; j < 8; ++j) {
+            mem::DecodedAddr d;
+            d.bank = b % 8;
+            d.row = 8 * m + j;
+            d.col = 8 * k;
+            lines.emplace_back(map.encode(d, Orientation::Row),
+                               Orientation::Row);
+            d.row = 8 * m;
+            d.col = 8 * k + j;
+            lines.emplace_back(map.encode(d, Orientation::Column),
+                               Orientation::Column);
+        }
+    }
+    std::vector<AccessPlan> plans(16);
+    for (AccessPlan &plan : plans) {
+        for (unsigned i = 0; i < ops_per_core; ++i) {
+            const auto &[line, o] = lines[rng.nextBounded(lines.size())];
+            const bool row = o == Orientation::Row;
+            if (rng.nextBool(0.3)) {
+                const Addr a = line + 8 * rng.nextBounded(8);
+                plan.push_back(row ? MemOp::store(a) : MemOp::cstore(a));
+            } else {
+                plan.push_back(row ? MemOp::load(line)
+                                   : MemOp::cload(line));
+            }
+        }
+    }
+    return plans;
+}
+
+TEST(CoherenceGolden, SixteenCoreSharedStream)
+{
+    // Sixteen cores on RC-NVM behind 2 KB / 8 KB / 64 KB caches share
+    // a footprint in both orientations with 30% stores: L3 victims
+    // still held privately, remote dirty fetches, upgrade
+    // invalidations and synonym partner writes are all common. Pins
+    // the finish tick and an FNV-1a hash of the full stats JSON.
+    MachineConfig config;
+    config.device = mem::DeviceKind::RcNvm;
+    config.hierarchy.cores = 16;
+    config.hierarchy.l1 = cache::CacheConfig{"L1", 2 * 1024, 64, 8};
+    config.hierarchy.l2 = cache::CacheConfig{"L2", 8 * 1024, 64, 8};
+    config.hierarchy.l3 = cache::CacheConfig{"L3", 64 * 1024, 64, 8};
+    config.seed = 42; // immune to an ambient RCNVM_SEED
+    Machine machine(config);
+    const RunResult r = machine.run(sharedStreamPlans(machine, 600));
+    std::ostringstream os;
+    util::writeStatsJson(os, r.stats, "shared_stream", r.ticks);
+    test::Fnv1a json;
+    json.text(os.str());
+    EXPECT_GT(r.stats.get("cache.cohInvalidations"), 0.0);
+    EXPECT_GT(r.stats.get("cache.cohRemoteFetches"), 0.0);
+    EXPECT_GT(r.stats.get("cache.synonymUpdates"), 0.0);
+    EXPECT_GT(r.stats.get("cache.writebacks"), 0.0);
+    EXPECT_EQ(r.ticks, Tick{72040000});
+    EXPECT_EQ(json.hash, 10347315062352181817ull);
 }
 
 TEST(MachineTest, ZeroPlansRunsToCompletion)

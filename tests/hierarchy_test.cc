@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the cache hierarchy: level latencies, MESI coherence
- * actions, the synonym engine (crossing bits, write propagation,
- * eviction clean-up), pinning, and gather bypass.
+ * actions, the directory's sharer masks, the synonym engine
+ * (crossing bits, write propagation, eviction clean-up), pinning,
+ * and gather bypass.
  */
 
 #include <gtest/gtest.h>
@@ -255,6 +256,82 @@ TEST(HierarchyTest, DirtyEvictionWritesBack)
     }
     EXPECT_GT(hierarchy.stats().get("cache.writebacks"), 0.0);
     EXPECT_GT(memory.stats().get("mem.writes"), 0.0);
+}
+
+TEST(DirectoryTest, ReadersJoinTheSharerMask)
+{
+    Fixture f;
+    const LineKey key{f.rowAddr(5, 0), Orientation::Row};
+    EXPECT_EQ(f.hierarchy.sharers(key), 0u);
+    f.access(0, key.addr, Orientation::Row, false); // miss fill
+    f.access(2, key.addr, Orientation::Row, false); // L3 hit
+    f.access(3, key.addr, Orientation::Row, false);
+    EXPECT_EQ(f.hierarchy.sharers(key), 0b1101u);
+}
+
+TEST(DirectoryTest, WriteLeavesOnlyTheWritersBit)
+{
+    Fixture f;
+    const LineKey a{f.rowAddr(5, 0), Orientation::Row};
+    const LineKey b{f.rowAddr(6, 0), Orientation::Row};
+    for (unsigned core : {0u, 1u, 2u}) {
+        f.access(core, a.addr, Orientation::Row, false);
+        f.access(core, b.addr, Orientation::Row, false);
+    }
+    // Upgrade of a Shared L1 copy.
+    f.access(1, a.addr, Orientation::Row, true, 8);
+    EXPECT_EQ(f.hierarchy.sharers(a), 0b010u);
+    // Write that hits only in L3: the writer joins, the rest leave.
+    f.access(3, b.addr, Orientation::Row, true, 8);
+    EXPECT_EQ(f.hierarchy.sharers(b), 0b1000u);
+    // A write miss fill starts from an empty mask.
+    const LineKey c{f.rowAddr(7, 0), Orientation::Row};
+    f.access(2, c.addr, Orientation::Row, true, 8);
+    EXPECT_EQ(f.hierarchy.sharers(c), 0b100u);
+}
+
+TEST(DirectoryTest, L3VictimInvalidatesItsSharers)
+{
+    // A 2-way, 16-set L3 with 8-way private caches: lines evicted from
+    // L3 are still held privately and must be back-invalidated.
+    HierarchyConfig small;
+    small.l3 = CacheConfig{"L3", 2048, 64, 2};
+    sim::EventQueue eq;
+    mem::MemorySystem memory(mem::DeviceKind::RcNvm, eq);
+    Hierarchy hierarchy(small, eq, memory);
+    auto read = [&](unsigned core, Addr addr) {
+        CacheAccess a;
+        a.addr = addr;
+        EXPECT_TRUE(hierarchy.access(core, a, [](Tick) {}));
+        eq.run();
+    };
+    mem::DecodedAddr d;
+    const Addr first = memory.map().encode(d, Orientation::Row);
+    read(0, first);
+    read(1, first);
+    for (unsigned r = 1; r <= 2; ++r) {
+        d.row = r;
+        read(2, memory.map().encode(d, Orientation::Row));
+    }
+    const LineKey key{first, Orientation::Row};
+    EXPECT_EQ(hierarchy.sharers(key), 0u); // evicted from L3
+    // Core 0's private copy went with it: the re-read misses L1 and L2.
+    const auto l1_hits = hierarchy.stats().get("cache.l1Hits");
+    const auto l2_hits = hierarchy.stats().get("cache.l2Hits");
+    read(0, first);
+    EXPECT_DOUBLE_EQ(hierarchy.stats().get("cache.l1Hits"), l1_hits);
+    EXPECT_DOUBLE_EQ(hierarchy.stats().get("cache.l2Hits"), l2_hits);
+    EXPECT_EQ(hierarchy.sharers(key), 0b1u);
+}
+
+TEST(DirectoryDeathTest, MoreCoresThanMaskBitsIsFatal)
+{
+    HierarchyConfig wide;
+    wide.cores = Cache::maxSharers + 1;
+    sim::EventQueue eq;
+    mem::MemorySystem memory(mem::DeviceKind::RcNvm, eq);
+    EXPECT_EXIT(Hierarchy(wide, eq, memory),
+                ::testing::ExitedWithCode(1), "sharer mask");
 }
 
 TEST(HierarchyTest, StatsResetClearsEverything)
