@@ -1,5 +1,6 @@
 #include "trace/trace_binary.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -183,9 +184,15 @@ writeBinaryTrace(const std::string &path,
 {
     BinaryTraceWriter writer(
         path, static_cast<unsigned>(plans.size()));
-    for (std::size_t core = 0; core < plans.size(); ++core) {
-        for (const MemOp &op : plans[core])
-            writer.append(static_cast<unsigned>(core), op);
+    std::size_t longest = 0;
+    for (const cpu::AccessPlan &plan : plans)
+        longest = std::max(longest, plan.size());
+    for (std::size_t i = 0; i < longest; ++i) {
+        for (std::size_t core = 0; core < plans.size(); ++core) {
+            if (i < plans[core].size())
+                writer.append(static_cast<unsigned>(core),
+                              plans[core][i]);
+        }
     }
     writer.finalize();
 }

@@ -153,7 +153,9 @@ class BinaryTraceWriter
 };
 
 /** Serialise per-core plans to a binary trace file (the in-memory
- *  counterpart of trace_io's writeTrace). */
+ *  counterpart of trace_io's writeTrace). Records interleave one per
+ *  core in turn, skipping cores whose plan has run out, so a
+ *  TraceDemux streams the file with small queues. */
 void writeBinaryTrace(const std::string &path,
                       const std::vector<cpu::AccessPlan> &plans);
 

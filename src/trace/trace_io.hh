@@ -3,9 +3,12 @@
  * Textual access-trace serialisation.
  *
  * The paper's released artifact (RCNVMTrace) distributes the
- * workload as memory-access traces; this module provides the same
- * capability: any compiled per-core access plan can be dumped to a
- * portable text format and replayed later on any device model.
+ * workload as memory-access traces. This module is the
+ * human-editable side of that capability: any per-core access plan
+ * can be written to and parsed from a portable text format.
+ * `rcnvm_trace convert` turns it into the binary format
+ * (trace_binary.hh), which `rcnvm_trace run` replays on any device
+ * model.
  *
  * Format: one operation per line, `#` starts a comment, and a
  * `@core N` directive switches the core the following operations

@@ -21,12 +21,15 @@
 
 #include "bench_common.hh"
 #include "core/experiment.hh"
+#include "core/presets.hh"
 #include "cpu/machine.hh"
+#include "mem/memory_system.hh"
 #include "trace/trace_binary.hh"
 #include "trace/trace_demux.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_reader.hh"
 #include "util/stats_io.hh"
+#include "workload/queries.hh"
 
 namespace rcnvm::trace {
 namespace {
@@ -329,8 +332,9 @@ TEST(TraceDemuxTest, DeliversPerCoreStreamsInOrder)
     TraceDemux demux(reader);
     ASSERT_EQ(demux.coreCount(), 3u);
 
-    // Pull core 2 first: its records sit behind all of core 0's in
-    // file order, so the demux must park core 0's records.
+    // Pull core 2 first: its records interleave with core 0's in
+    // file order, so the demux must park the core-0 records it
+    // reads past.
     for (const MemOp &want : plans[2]) {
         const MemOp *got = demux.source(2).peek();
         ASSERT_NE(got, nullptr);
@@ -377,13 +381,14 @@ TEST(TraceDemuxDeathTest, SkewBeyondQueueCapacityIsFatal)
 {
     // All of core 0's records precede core 1's; pulling core 1
     // first forces the demux to park more core-0 records than the
-    // configured bound.
+    // configured bound. writeBinaryTrace interleaves cores, so the
+    // skewed file is appended core by core.
     const std::string path = tempTrace("skew");
-    std::vector<AccessPlan> plans(2);
+    BinaryTraceWriter writer(path, 2);
     for (unsigned i = 0; i < 64; ++i)
-        plans[0].push_back(MemOp::load(Addr{i} * 64));
-    plans[1] = {MemOp::load(0x0)};
-    writeBinaryTrace(path, plans);
+        writer.append(0, MemOp::load(Addr{i} * 64));
+    writer.append(1, MemOp::load(0x0));
+    writer.finalize();
 
     MmapTraceReader reader(path);
     TraceDemux::Config config;
@@ -489,6 +494,39 @@ TEST(TraceReplay, SmallWindowDoesNotChangeReplayStatistics)
 
     EXPECT_GT(small.remaps(), 1u);
     EXPECT_EQ(bigJson, smallJson);
+}
+
+TEST(TraceReplay, WrittenTraceStreamsThroughASmallDemuxQueue)
+{
+    // A compiled query (about 226 records per core) written by
+    // writeBinaryTrace streams through a 32-record demux queue on the
+    // Table-1 machine: the cores interleave in the file, so the demux
+    // parks only as many records as the cores drift apart in time.
+    const workload::TableSet tables =
+        workload::TableSet::standard(2048, 1024, 5);
+    const workload::QueryWorkload wl(tables);
+    mem::AddressMap map(mem::geometryFor(mem::DeviceKind::RcNvm));
+    const auto pd = wl.place(mem::DeviceKind::RcNvm, map);
+    const auto q = wl.compile(workload::QueryId::Q1, pd, 4);
+    const std::string path = tempTrace("query");
+    writeBinaryTrace(path, q.phases[0]);
+
+    cpu::MachineConfig table1 =
+        core::table1Machine(mem::DeviceKind::RcNvm);
+    table1.seed = 42; // immune to an ambient RCNVM_SEED
+    cpu::Machine fixed(table1);
+    const std::string fixedJson = statsJson(fixed.run(q.phases[0]));
+
+    MmapTraceReader reader(path);
+    TraceDemux::Config config;
+    config.queueCapacity = 32;
+    TraceDemux demux(reader, config);
+    cpu::Machine streamed(table1);
+    const std::string streamJson =
+        statsJson(streamed.runSources(demux.sources()));
+
+    EXPECT_EQ(fixedJson, streamJson);
+    EXPECT_LE(demux.maxQueued(), config.queueCapacity);
 }
 
 // --- strict environment parsing at the fixed call sites ----------

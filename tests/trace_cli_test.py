@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""End-to-end checks of the rcnvm_trace command line (ctest -L trace_cli).
+
+Drives the tool as a user does, in a temporary directory and with every
+RCNVM_* variable removed from the environment, so that an ambient
+setting cannot change a result. Each numbered block below is one
+group of checks.
+
+Usage: trace_cli_test.py <rcnvm_trace-binary> <sample.trace>
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+# Pinned replay ticks of the sample, (label, ticks) per device.
+SAMPLE_TICKS = [("RC-NVM", 495500), ("DRAM", 286750)]
+
+DRCACHESIM_LISTING = """\
+     1: T1001 <marker: version 5>
+     2: T1001 ifetch 8 byte(s) @ 0x0000000000401000
+     3: T1001 read 8 byte(s) @ 0x00000000000a1000
+     4: T2002 write 4 byte(s) @ 0x00000000000b2040
+     5: T1001 read 64 byte(s) @ 0x00000000000a1040
+"""
+
+failures = []
+
+
+def check(cond, what, detail=""):
+    if cond:
+        print("PASS %s" % what)
+    else:
+        failures.append(what)
+        print("FAIL %s\n%s" % (what, detail))
+
+
+def uncommented(path):
+    return [line for line in path.read_text().splitlines()
+            if not line.startswith("#")]
+
+
+def main():
+    if len(sys.argv) != 3:
+        print(__doc__)
+        return 2
+    tool = os.path.abspath(sys.argv[1])
+    sample = pathlib.Path(sys.argv[2]).resolve()
+    base_env = {k: v for k, v in os.environ.items()
+                if not k.startswith("RCNVM_")}
+
+    with tempfile.TemporaryDirectory() as tmpdir:
+        tmp = pathlib.Path(tmpdir)
+
+        def rc(*args, **env):
+            proc = subprocess.run(
+                [tool] + [str(a) for a in args], cwd=tmp,
+                env=dict(base_env, **env), stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT, text=True)
+            return proc.returncode, proc.stdout
+
+        def ok(what, *args, **env):
+            code, out = rc(*args, **env)
+            check(code == 0, what, "exit %d\n%s" % (code, out))
+            return out
+
+        # 1. Text -> binary -> text, and the header.
+        ok("convert text to binary", "convert", sample, "sample.rtb")
+        ok("convert binary to text", "convert", "sample.rtb",
+           "roundtrip.trace")
+        check(uncommented(sample) ==
+              uncommented(tmp / "roundtrip.trace"),
+              "text round trip is the identity")
+        out = ok("info", "info", "sample.rtb")
+        check("cores:    4" in out and "records:  33" in out,
+              "info reports 4 cores and 33 records", out)
+
+        # 2. Streaming and fixed-plan replay agree byte for byte, at
+        #    the pinned ticks.
+        artifacts = {}
+        for mode, flags in (("stream", []),
+                            ("fixed", ["--fixed-plan"])):
+            (tmp / mode).mkdir()
+            ok("run %s on rcnvm dram" % mode, "run", *flags,
+               "sample.rtb", "rcnvm", "dram",
+               RCNVM_STATS_DIR=str(tmp / mode))
+            artifacts[mode] = (tmp / mode /
+                               "rcnvm_trace.json").read_bytes()
+        check(artifacts["stream"] == artifacts["fixed"],
+              "streaming and fixed-plan rcnvm_trace.json are identical")
+        runs = json.loads(artifacts["stream"])["runs"]
+        got = [(r["label"], r["ticks"]) for r in runs]
+        check(got == SAMPLE_TICKS, "sample replay ticks",
+              "got %s, want %s" % (got, SAMPLE_TICKS))
+
+        # 3. A drcachesim view listing converts onto 2 cores and runs.
+        (tmp / "drsample.txt").write_text(DRCACHESIM_LISTING)
+        out = ok("convert --drcachesim", "convert", "--drcachesim",
+                 "drsample.txt", "dr.rtb", "2")
+        check("converted 3 record(s) from 2 thread(s) onto 2 core(s)"
+              in out, "drcachesim listing keeps 3 of 5 lines", out)
+        ok("run drcachesim trace", "run", "dr.rtb")
+
+        # 4. Any dump replays on any device: RC-NVM's has column ops,
+        #    GS-DRAM's gathered loads.
+        for device in ("rcnvm", "gsdram"):
+            dump = "q1.%s.rtb" % device
+            ok("dump Q1 %s" % device, "dump", "Q1", device, dump,
+               RCNVM_TUPLES="4096")
+            out = ok("run Q1 %s dump on all devices" % device, "run",
+                     dump)
+            check(all("\n%s " % label in out
+                      for label in ("DRAM", "RRAM", "RC-NVM", "GS-DRAM")),
+                  "Q1 %s dump prints one row per device" % device, out)
+
+        # 5. Exit codes.
+        code, out = rc("run", "sample.rtb", "nosuchdevice")
+        check(code == 2, "unknown device exits 2", out)
+        code, out = rc("run", "missing.rtb", "rcnvm")
+        check(code == 1, "missing trace file exits 1", out)
+
+    print("\nFAILED: " + ", ".join(failures) if failures
+          else "\nall trace CLI checks passed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -34,22 +34,6 @@ asan-ubsan)
     ASAN_OPTIONS=detect_leaks=1:halt_on_error=1 \
     UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
         ctest --test-dir "$bdir" --output-on-failure -j "$(nproc)"
-
-    # Drive the trace converter over the checked-in sample under the
-    # same sanitizers: parsing, the streaming writer, and the mmap
-    # reader all run against real file I/O here, not just in-process
-    # test fixtures.
-    tdir=$(mktemp -d)
-    trap 'rm -rf "$tdir"' EXIT
-    ASAN_OPTIONS=detect_leaks=1:halt_on_error=1 \
-    UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
-    sh -c "
-        '$bdir/tools/rcnvm_trace_convert' text2bin \
-            '$root/tests/data/sample_mixed.trace' '$tdir/sample.rtb'
-        '$bdir/tools/rcnvm_trace_convert' info '$tdir/sample.rtb'
-        '$bdir/tools/rcnvm_trace_convert' bin2text \
-            '$tdir/sample.rtb' '$tdir/sample.trace'
-    "
     ;;
 integer)
     bdir=${2:-"$root/build-ubsan-int"}
