@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/grid.hh"
 #include "core/presets.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -123,23 +124,33 @@ struct QueryRow {
 /**
  * Run the whole Q1-Q13 suite on all four devices and return the
  * grid of results (the shared input of Figures 18, 19, 20, 21).
+ * The 52 cells run on @p workers host threads (core::runGrid); the
+ * results do not depend on the count.
  */
 inline std::vector<QueryRow>
-runSqlSuite(std::uint64_t tuples)
+runSqlSuite(std::uint64_t tuples, unsigned workers = core::hostWorkers())
 {
     util::setLogLevel(util::LogLevel::Quiet);
     const workload::TableSet tables =
         workload::TableSet::standard(tuples);
     const workload::QueryWorkload workload(tables);
+    const std::vector<workload::QueryId> &ids = sqlQueries();
+    const std::vector<mem::DeviceKind> &devices = allDevices();
 
+    std::vector<core::ExperimentResult> cells = core::runGrid(
+        ids.size() * devices.size(),
+        [&](std::size_t i) {
+            return core::runQuery(devices[i % devices.size()], workload,
+                                  ids[i / devices.size()]);
+        },
+        workers);
     std::vector<QueryRow> rows;
-    for (const auto id : sqlQueries()) {
+    for (std::size_t q = 0; q < ids.size(); ++q) {
         QueryRow row;
-        row.id = id;
-        for (const auto kind : allDevices()) {
+        row.id = ids[q];
+        for (std::size_t d = 0; d < devices.size(); ++d)
             row.byDevice.push_back(
-                core::runQuery(kind, workload, id));
-        }
+                std::move(cells[q * devices.size() + d]));
         rows.push_back(std::move(row));
     }
     return rows;

@@ -17,23 +17,6 @@
 
 using namespace rcnvm;
 
-namespace {
-
-core::ExperimentResult
-runOne(mem::DeviceKind kind, const workload::TableSet &tables,
-       workload::MicroBench mb, imdb::ChunkLayout layout)
-{
-    const cpu::MachineConfig config = core::table1Machine(kind);
-    mem::AddressMap map(mem::geometryFor(kind));
-    imdb::Database db(kind, map);
-    const auto tid = db.addTable(tables.micro.get(), layout);
-    // Single-stream scan on core 0.
-    const auto plans = workload::compileMicro(db, tid, mb, 1);
-    return core::runPlans(config, plans);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -53,24 +36,37 @@ main(int argc, char **argv)
         mem::DeviceKind::RcNvm, mem::DeviceKind::Rram,
         mem::DeviceKind::Dram};
 
+    const std::vector<imdb::ChunkLayout> layouts = {
+        imdb::ChunkLayout::RowOriented,
+        imdb::ChunkLayout::ColumnOriented};
+    const std::vector<workload::MicroBench> benches = {
+        workload::MicroBench::RowRead, workload::MicroBench::RowWrite,
+        workload::MicroBench::ColRead, workload::MicroBench::ColWrite};
+    // Cell (layout, bench, device), device fastest.
+    const std::vector<core::ExperimentResult> cells = core::runGrid(
+        layouts.size() * benches.size() * devices.size(),
+        [&](std::size_t i) {
+            const std::size_t row = i / devices.size();
+            // Single-stream scan on core 0.
+            return core::runMicro(devices[i % devices.size()], tables,
+                                  benches[row % benches.size()],
+                                  layouts[row / benches.size()], 1);
+        });
+
     core::ArtifactWriter artifacts("fig17_micro");
 
     util::TablePrinter t(
         "Figure 17: micro-benchmarks, execution time (Mcycles)");
     t.addRow({"benchmark", "RC-NVM", "RRAM", "DRAM",
               "RC-NVM vs DRAM"});
-    for (const auto layout : {imdb::ChunkLayout::RowOriented,
-                              imdb::ChunkLayout::ColumnOriented}) {
+    std::size_t cell = 0;
+    for (const auto layout : layouts) {
         const std::string suffix =
             layout == imdb::ChunkLayout::RowOriented ? "-L1" : "-L2";
-        for (const auto mb :
-             {workload::MicroBench::RowRead,
-              workload::MicroBench::RowWrite,
-              workload::MicroBench::ColRead,
-              workload::MicroBench::ColWrite}) {
+        for (const auto mb : benches) {
             std::vector<double> mcyc;
             for (const auto kind : devices) {
-                const auto r = runOne(kind, tables, mb, layout);
+                const core::ExperimentResult &r = cells[cell++];
                 artifacts.record(std::string(toString(mb)) + suffix +
                                      "." + mem::toString(kind),
                                  r);

@@ -25,17 +25,20 @@ withEpochOverride(cpu::MachineConfig config)
     return config;
 }
 
-} // namespace
-
+/**
+ * Run @p phases phases back to back on one fresh machine;
+ * @p run_phase(machine, p) runs phase p.
+ */
+template <class RunPhase>
 ExperimentResult
-runCompiled(const cpu::MachineConfig &config,
-            const workload::CompiledQuery &query)
+runPhases(const cpu::MachineConfig &config, std::size_t phases,
+          RunPhase run_phase)
 {
     cpu::Machine machine(withEpochOverride(config));
     ExperimentResult result;
     cpu::RunResult last;
-    for (const auto &phase : query.phases) {
-        last = machine.run(phase);
+    for (std::size_t p = 0; p < phases; ++p) {
+        last = run_phase(machine, p);
         result.ticks += last.ticks;
         // Per-phase series chain into one continuous timeline.
         if (result.series.names.empty())
@@ -49,6 +52,34 @@ runCompiled(const cpu::MachineConfig &config,
     }
     result.stats = last.stats; // counters accumulate across phases
     return result;
+}
+
+} // namespace
+
+ExperimentResult
+runCompiled(const cpu::MachineConfig &config,
+            const workload::CompiledQuery &query)
+{
+    return runPhases(config, query.phases.size(),
+                     [&](cpu::Machine &m, std::size_t p) {
+                         return m.run(query.phases[p]);
+                     });
+}
+
+ExperimentResult
+runStreamed(const cpu::MachineConfig &config,
+            workload::QueryStreams query)
+{
+    return runPhases(
+        config, query.phases.size(), [&](cpu::Machine &m, std::size_t p) {
+            // A phase's sources exist only while it runs.
+            std::vector<cpu::StreamOpSource> sources;
+            sources.reserve(query.phases[p].size());
+            std::vector<cpu::OpSource *> cores;
+            for (cpu::OpStream &s : query.phases[p])
+                cores.push_back(&sources.emplace_back(std::move(s)));
+            return m.runSources(cores);
+        });
 }
 
 ExperimentResult
@@ -74,24 +105,25 @@ runQuery(mem::DeviceKind kind,
     // of the device geometry.
     mem::AddressMap map(mem::geometryFor(kind));
     const workload::PlacedDatabase pd = workload.place(kind, map);
-    const workload::CompiledQuery query =
-        workload.compile(id, pd, config.hierarchy.cores,
-                         group_lines);
-    return runCompiled(config, query);
+    return runStreamed(config,
+                       workload.stream(id, pd, config.hierarchy.cores,
+                                       group_lines));
 }
 
 ExperimentResult
 runMicro(mem::DeviceKind kind, const workload::TableSet &tables,
-         workload::MicroBench mb, imdb::ChunkLayout layout)
+         workload::MicroBench mb, imdb::ChunkLayout layout,
+         unsigned cores)
 {
     const cpu::MachineConfig config = table1Machine(kind);
     mem::AddressMap map(mem::geometryFor(kind));
     imdb::Database db(kind, map);
     const imdb::Database::TableId tid =
         db.addTable(tables.micro.get(), layout);
-    const auto plans = workload::compileMicro(
-        db, tid, mb, config.hierarchy.cores);
-    return runPlans(config, plans);
+    workload::QueryStreams streams;
+    streams.phases.push_back(workload::streamMicro(
+        db, tid, mb, cores > 0 ? cores : config.hierarchy.cores));
+    return runStreamed(config, std::move(streams));
 }
 
 ArtifactWriter::ArtifactWriter(std::string name)

@@ -77,13 +77,22 @@ struct ExperimentResult {
 ExperimentResult runCompiled(const cpu::MachineConfig &config,
                              const workload::CompiledQuery &query);
 
+/**
+ * runCompiled() for a streamed query: each core pulls its
+ * operations from its generator (Machine::runSources), so no phase
+ * is ever materialised. The result is byte-identical to running the
+ * drained query.
+ */
+ExperimentResult runStreamed(const cpu::MachineConfig &config,
+                             workload::QueryStreams query);
+
 /** Run a set of single-phase per-core plans. */
 ExperimentResult runPlans(const cpu::MachineConfig &config,
                           const std::vector<cpu::AccessPlan> &plans);
 
 /**
- * Convenience: place the workload on @p kind, compile query @p id,
- * and run it on the Table-1 machine.
+ * Convenience: place the workload on @p kind, compile query @p id
+ * to streams, and run it on the Table-1 machine.
  */
 ExperimentResult runQuery(mem::DeviceKind kind,
                           const workload::QueryWorkload &workload,
@@ -91,11 +100,13 @@ ExperimentResult runQuery(mem::DeviceKind kind,
                           unsigned group_lines =
                               workload::QueryWorkload::kDefaultGroup);
 
-/** Convenience: run one micro-benchmark on @p kind. */
+/** Convenience: run one micro-benchmark on @p kind, streamed over
+ *  @p cores cores (all of the Table-1 machine's by default). */
 ExperimentResult runMicro(mem::DeviceKind kind,
                           const workload::TableSet &tables,
                           workload::MicroBench mb,
-                          imdb::ChunkLayout layout);
+                          imdb::ChunkLayout layout,
+                          unsigned cores = 0);
 
 /**
  * Collects labeled runs and writes them as machine-readable

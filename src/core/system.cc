@@ -19,9 +19,9 @@ RcNvmSystem::runQuery(workload::QueryId id,
                       unsigned group_lines) const
 {
     const cpu::MachineConfig config = table1Machine(options_.device);
-    const workload::CompiledQuery query = workload_->compile(
-        id, pd_, config.hierarchy.cores, group_lines);
-    return runCompiled(config, query);
+    return runStreamed(config,
+                       workload_->stream(id, pd_, config.hierarchy.cores,
+                                         group_lines));
 }
 
 ExperimentResult

@@ -163,7 +163,9 @@ Machine::runSources(const std::vector<OpSource *> &sources)
     const Tick start = eq_.now();
     Tick latest = start;
     for (std::size_t i = 0; i < sources.size(); ++i) {
-        if (sources[i] == nullptr)
+        // An exhausted source idles its core, as run() skips an
+        // empty plan: no advance event is scheduled for it.
+        if (sources[i] == nullptr || sources[i]->peek() == nullptr)
             continue;
         cores_[i]->start(*sources[i], [&latest](Tick t) {
             latest = std::max(latest, t);

@@ -104,12 +104,14 @@ class Machine
 
     /**
      * Replay one pull-based operation stream per core
-     * (sources.size() <= cores; a nullptr entry leaves that core
-     * idle). The streaming counterpart of run(): a core consumes
+     * (sources.size() <= cores; a nullptr entry or an already
+     * exhausted source leaves that core idle, exactly like an empty
+     * plan in run()). The streaming counterpart of run(): a core consumes
      * its source one operation at a time, so the backing data may
      * be an mmap-windowed multi-GB trace instead of a materialised
      * plan. Replaying the same operation sequence produces the same
-     * events — and therefore byte-identical statistics — as run().
+     * events — and therefore byte-identical statistics and the same
+     * eventQueue().executed() count — as run().
      */
     RunResult runSources(const std::vector<OpSource *> &sources);
 

@@ -8,7 +8,8 @@
  * window, not sit in memory — so the core now pulls operations from
  * this interface one at a time, and the fixed plan becomes just one
  * implementation of it (PlanOpSource). Trace replay plugs in a
- * windowed reader behind the same two calls.
+ * windowed reader behind the same two calls, and a compiled query
+ * plugs in its per-core coroutine generators (StreamOpSource).
  */
 
 #ifndef RCNVM_CPU_OP_SOURCE_HH_
@@ -17,6 +18,7 @@
 #include <cstddef>
 
 #include "cpu/mem_op.hh"
+#include "util/generator.hh"
 
 namespace rcnvm::cpu {
 
@@ -72,6 +74,39 @@ class PlanOpSource final : public OpSource
     const AccessPlan *plan_ = nullptr;
     std::size_t pc_ = 0;
 };
+
+/** A lazily generated operation stream (a compiled query's per-core
+ *  plan before it is drained into an AccessPlan). */
+using OpStream = util::Generator<MemOp>;
+
+/**
+ * The generator source: adapts an owned OpStream to the stream seam.
+ * The head operation is produced at construction, so an exhausted
+ * stream is visible (peek() == nullptr) before any core starts on it.
+ */
+class StreamOpSource final : public OpSource
+{
+  public:
+    explicit StreamOpSource(OpStream stream)
+        : stream_(std::move(stream)), head_(stream_.next())
+    {
+    }
+
+    const MemOp *peek() override { return head_; }
+
+    void advance() override { head_ = stream_.next(); }
+
+  private:
+    OpStream stream_;
+    const MemOp *head_;
+};
+
+/** Append every operation of @p stream to @p plan, in order. */
+inline void
+drain(OpStream stream, AccessPlan &plan)
+{
+    stream.drainInto(plan);
+}
 
 } // namespace rcnvm::cpu
 

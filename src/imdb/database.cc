@@ -9,6 +9,45 @@ namespace rcnvm::imdb {
 
 using util::divCeil;
 
+namespace {
+
+/** Appends the walked lines to a vector. */
+struct LineAppender {
+    std::vector<LineRef> &out;
+
+    void push(const LineRef &line) { out.push_back(line); }
+
+    /** push() unless @p line repeats the last line. */
+    void
+    pushNew(const LineRef &line)
+    {
+        if (out.empty() || !(out.back() == line))
+            out.push_back(line);
+    }
+};
+
+/** Counts the walked lines without storing them. */
+struct LineCounter {
+    std::uint64_t count = 0;
+    LineRef last;
+
+    void
+    push(const LineRef &line)
+    {
+        ++count;
+        last = line;
+    }
+
+    void
+    pushNew(const LineRef &line)
+    {
+        if (count == 0 || !(last == line))
+            push(line);
+    }
+};
+
+} // namespace
+
 Database::Database(mem::DeviceKind kind, const mem::AddressMap &map,
                    PlacementPolicy policy, bool allow_rotation)
     : kind_(kind),
@@ -192,24 +231,25 @@ Database::wordAddr(TableId id, std::uint64_t t, unsigned w,
     return physAddr(cp.slot.bin, r, c, space);
 }
 
+template <class Sink>
 void
 Database::emitRowRun(unsigned bin, unsigned r, unsigned c0,
-                     unsigned c1, std::vector<LineRef> &out) const
+                     unsigned c1, Sink &out) const
 {
     for (unsigned c = c0 & ~7u; c <= c1; c += 8) {
-        out.push_back(LineRef{physAddr(bin, r, c, Orientation::Row),
-                              Orientation::Row});
+        out.push(LineRef{physAddr(bin, r, c, Orientation::Row),
+                         Orientation::Row});
     }
 }
 
+template <class Sink>
 void
 Database::emitColRun(unsigned bin, unsigned r0, unsigned r1,
-                     unsigned c, std::vector<LineRef> &out) const
+                     unsigned c, Sink &out) const
 {
     for (unsigned r = r0 & ~7u; r <= r1; r += 8) {
-        out.push_back(
-            LineRef{physAddr(bin, r, c, Orientation::Column),
-                    Orientation::Column});
+        out.push(LineRef{physAddr(bin, r, c, Orientation::Column),
+                         Orientation::Column});
     }
 }
 
@@ -218,15 +258,31 @@ Database::fieldScanLines(TableId id, unsigned w, std::uint64_t t0,
                          std::uint64_t t1,
                          std::vector<LineRef> &out) const
 {
+    LineAppender sink{out};
+    walkFieldScan(id, w, t0, t1, sink);
+}
+
+std::uint64_t
+Database::fieldScanLineCount(TableId id, unsigned w, std::uint64_t t0,
+                             std::uint64_t t1) const
+{
+    LineCounter sink;
+    walkFieldScan(id, w, t0, t1, sink);
+    return sink.count;
+}
+
+template <class Sink>
+void
+Database::walkFieldScan(TableId id, unsigned w, std::uint64_t t0,
+                        std::uint64_t t1, Sink &out) const
+{
     if (t0 >= t1)
         return;
     const PlacedTable &pt = tables_.at(id);
     const unsigned tw = pt.table->schema().tupleWords();
 
     const auto push_line = [&out](Addr addr, Orientation o) {
-        const LineRef ref{util::alignDown(addr, 64), o};
-        if (out.empty() || !(out.back() == ref))
-            out.push_back(ref);
+        out.pushNew(LineRef{util::alignDown(addr, 64), o});
     };
 
     const std::size_t c_first =
@@ -328,6 +384,7 @@ Database::tupleLines(TableId id, std::uint64_t t, unsigned w0,
 {
     if (w0 >= w1)
         return;
+    LineAppender sink{out};
     const PlacedTable &pt = tables_.at(id);
     const unsigned tw = pt.table->schema().tupleWords();
     const std::size_t ci = static_cast<std::size_t>(t / chunkTuples);
@@ -339,9 +396,9 @@ Database::tupleLines(TableId id, std::uint64_t t, unsigned w0,
 
     if (pt.layout == ChunkLayout::ColumnOriented) {
         if (!cp.slot.rotated) {
-            emitRowRun(bin, y + u, x + w0, x + w1 - 1, out);
+            emitRowRun(bin, y + u, x + w0, x + w1 - 1, sink);
         } else {
-            emitColRun(bin, y + w0, y + w1 - 1, x + u, out);
+            emitColRun(bin, y + w0, y + w1 - 1, x + u, sink);
         }
         return;
     }
@@ -356,9 +413,9 @@ Database::tupleLines(TableId id, std::uint64_t t, unsigned w0,
         const unsigned hi =
             std::min(idx1, rr * cp.rectW + cp.rectW - 1) % cp.rectW;
         if (!cp.slot.rotated) {
-            emitRowRun(bin, y + rr, x + lo, x + hi, out);
+            emitRowRun(bin, y + rr, x + lo, x + hi, sink);
         } else {
-            emitColRun(bin, y + lo, y + hi, x + rr, out);
+            emitColRun(bin, y + lo, y + hi, x + rr, sink);
         }
     }
 }
@@ -387,18 +444,14 @@ Database::fieldLine(TableId id, std::uint64_t t, unsigned w,
     return true;
 }
 
-void
-Database::physicalScanLines(TableId id,
-                            std::vector<LineRef> &out) const
+std::vector<Database::Segment>
+Database::physicalSegments(TableId id) const
 {
     const PlacedTable &pt = tables_.at(id);
 
     // Collect the x-interval each chunk occupies on each (bin, row)
     // it touches, then walk rows in order, draining every interval
     // of a row before moving to the next.
-    struct Segment {
-        unsigned bin, row, x0, x1; // [x0, x1] inclusive, in words
-    };
     std::vector<Segment> segments;
     for (const ChunkPlace &cp : pt.chunks) {
         const unsigned w = cp.slot.rotated ? cp.rectH : cp.rectW;
@@ -419,6 +472,7 @@ Database::physicalScanLines(TableId id,
               });
     // Coalesce intervals that touch or share an aligned line, so a
     // boundary line between side-by-side chunks is read only once.
+    std::vector<Segment> merged;
     std::size_t i = 0;
     while (i < segments.size()) {
         Segment cur = segments[i++];
@@ -429,7 +483,48 @@ Database::physicalScanLines(TableId id,
             cur.x1 = std::max(cur.x1, segments[i].x1);
             ++i;
         }
-        emitRowRun(cur.bin, cur.row, cur.x0, cur.x1, out);
+        merged.push_back(cur);
+    }
+    return merged;
+}
+
+void
+Database::physicalScanLines(TableId id,
+                            std::vector<LineRef> &out) const
+{
+    physicalScan(id, 0, ~std::uint64_t{0}).drainInto(out);
+}
+
+std::uint64_t
+Database::physicalScanLineCount(TableId id) const
+{
+    std::uint64_t n = 0;
+    for (const Segment &s : physicalSegments(id))
+        n += s.lines();
+    return n;
+}
+
+util::Generator<LineRef>
+Database::physicalScan(TableId id, std::uint64_t lo,
+                       std::uint64_t hi) const
+{
+    std::uint64_t first = 0; // index of the segment's first line
+    for (const Segment &s : physicalSegments(id)) {
+        const std::uint64_t n = s.lines();
+        if (first >= hi)
+            break;
+        if (first + n > lo) {
+            const std::uint64_t from = std::max(lo, first) - first;
+            const std::uint64_t to = std::min(hi, first + n) - first;
+            const unsigned c0 = s.x0 & ~7u;
+            for (std::uint64_t k = from; k < to; ++k) {
+                const unsigned c = c0 + static_cast<unsigned>(k) * 8;
+                co_yield LineRef{physAddr(s.bin, s.row, c,
+                                          Orientation::Row),
+                                 Orientation::Row};
+            }
+        }
+        first += n;
     }
 }
 

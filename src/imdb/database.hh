@@ -35,6 +35,7 @@
 #include "imdb/table.hh"
 #include "mem/geometry.hh"
 #include "mem/timing.hh"
+#include "util/generator.hh"
 #include "util/types.hh"
 
 namespace rcnvm::imdb {
@@ -132,6 +133,12 @@ class Database
                         std::uint64_t t1,
                         std::vector<LineRef> &out) const;
 
+    /** The number of lines fieldScanLines() appends, without
+     *  building them (the query compiler's cost model). */
+    std::uint64_t fieldScanLineCount(TableId id, unsigned w,
+                                     std::uint64_t t0,
+                                     std::uint64_t t1) const;
+
     /**
      * Append the line accesses that fetch words [w0, w1) of tuple
      * @p t (tuple materialisation).
@@ -158,6 +165,17 @@ class Database
      */
     void physicalScanLines(TableId id,
                            std::vector<LineRef> &out) const;
+
+    /** The number of lines physicalScanLines() appends. */
+    std::uint64_t physicalScanLineCount(TableId id) const;
+
+    /**
+     * Lines [lo, hi) of physicalScanLines(), generated one at a time
+     * (a core's share of a full scan). The database must outlive the
+     * generator.
+     */
+    util::Generator<LineRef> physicalScan(TableId id, std::uint64_t lo,
+                                          std::uint64_t hi) const;
 
     /**
      * True when GS-DRAM can gather field word @p w of this table:
@@ -199,20 +217,45 @@ class Database
     Addr physAddr(unsigned bin, unsigned r, unsigned c,
                   Orientation space) const;
 
+    /** One row's x-interval [x0, x1] (in words) of a physical
+     *  scan. */
+    struct Segment {
+        unsigned bin, row, x0, x1;
+
+        /** Lines the interval covers. */
+        std::uint64_t
+        lines() const
+        {
+            return (x1 - (x0 & ~7u)) / 8 + 1;
+        }
+    };
+
+    /** The physical scan's intervals in (bin, row, x) order, with
+     *  intervals that share an aligned line merged. */
+    std::vector<Segment> physicalSegments(TableId id) const;
+
     /**
      * Emit the row-oriented lines covering words [c0, c1] of row
-     * @p r. Addresses are computed per line, so the run stays
-     * correct across block-interleave boundaries on linear devices.
+     * @p r into @p out (push()ed one by one; see database.cc).
+     * Addresses are computed per line, so the run stays correct
+     * across block-interleave boundaries on linear devices.
      */
+    template <class Sink>
     void emitRowRun(unsigned bin, unsigned r, unsigned c0,
-                    unsigned c1, std::vector<LineRef> &out) const;
+                    unsigned c1, Sink &out) const;
 
     /**
      * Emit the column-oriented lines covering words [r0, r1] of
      * column @p c (dual-addressable devices only).
      */
+    template <class Sink>
     void emitColRun(unsigned bin, unsigned r0, unsigned r1,
-                    unsigned c, std::vector<LineRef> &out) const;
+                    unsigned c, Sink &out) const;
+
+    /** fieldScanLines() into any sink. */
+    template <class Sink>
+    void walkFieldScan(TableId id, unsigned w, std::uint64_t t0,
+                       std::uint64_t t1, Sink &out) const;
 
     mem::DeviceKind kind_;
     /** By value: the database must stay usable for plan building

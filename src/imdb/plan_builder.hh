@@ -1,8 +1,9 @@
 /**
  * @file
  * Compiler primitives that translate relational operators into
- * per-core access plans, including the paper's access-path choices
- * (row vs. column vs. gathered) and the group-caching transform.
+ * per-core operation streams, including the paper's access-path
+ * choices (row vs. column vs. gathered) and the group-caching
+ * transform.
  */
 
 #ifndef RCNVM_IMDB_PLAN_BUILDER_HH_
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "cpu/mem_op.hh"
+#include "cpu/op_source.hh"
 #include "imdb/database.hh"
 
 namespace rcnvm::imdb {
@@ -25,9 +27,74 @@ struct ComputeCosts {
 };
 
 /**
- * Builds one core's AccessPlan from line/word primitives. The
- * workload layer partitions work across cores and calls one builder
- * per core.
+ * The compiler primitives as coroutine generators: each returns the
+ * operation stream of one relational primitive on one core, produced
+ * only as its consumer pulls (a core through StreamOpSource, or a
+ * PlanBuilder draining it into a plan). The generator copies every
+ * argument into its frame except the database, which must outlive
+ * the stream (DESIGN.md section 4l).
+ */
+namespace ops {
+
+/** @p cycles of CPU work, split into 32-bit compute ops. */
+cpu::OpStream compute(std::uint64_t cycles);
+
+/** Each line, followed by @p compute_per_line cycles of work. */
+cpu::OpStream emitLines(std::vector<LineRef> lines, bool write,
+                        unsigned compute_per_line);
+
+/**
+ * Lines [lo, hi) of the table's whole-table physical scan
+ * (Database::physicalScan), each followed by @p compute_per_line
+ * cycles of work: one core's share of a sequential full scan.
+ */
+cpu::OpStream physicalScan(const Database &db, Database::TableId id,
+                           std::uint64_t lo, std::uint64_t hi,
+                           bool write, unsigned compute_per_line);
+
+/** See PlanBuilder::scanFieldWord. */
+cpu::OpStream scanFieldWord(const Database &db, Database::TableId id,
+                            unsigned w, std::uint64_t t0,
+                            std::uint64_t t1,
+                            unsigned compute_per_value);
+
+/** See PlanBuilder::fetchTuples. */
+cpu::OpStream fetchTuples(const Database &db, Database::TableId id,
+                          std::vector<std::uint64_t> tuples, unsigned w0,
+                          unsigned w1, unsigned compute_per_tuple);
+
+/** See PlanBuilder::fetchTuplesBest. */
+cpu::OpStream fetchTuplesBest(const Database &db, Database::TableId id,
+                              std::vector<std::uint64_t> tuples,
+                              unsigned w0, unsigned w1,
+                              unsigned compute_per_tuple);
+
+/** See PlanBuilder::storeFieldWord. */
+cpu::OpStream storeFieldWord(const Database &db, Database::TableId id,
+                             std::vector<std::uint64_t> tuples,
+                             unsigned w);
+
+/** See PlanBuilder::hashAccess. */
+cpu::OpStream hashAccess(const Database &db, Database::TableId hash_id,
+                         std::vector<std::uint64_t> slots, bool write,
+                         unsigned compute_each);
+
+/** See PlanBuilder::orderedMultiColumnScan. */
+cpu::OpStream orderedMultiColumnScan(const Database &db,
+                                     Database::TableId id,
+                                     std::vector<unsigned> words,
+                                     std::uint64_t t0, std::uint64_t t1,
+                                     unsigned group_lines,
+                                     unsigned compute_per_tuple);
+
+} // namespace ops
+
+/**
+ * Builds one core's AccessPlan from line/word primitives: each
+ * primitive drains the matching ops:: generator into the plan, so
+ * materialised and streamed plans come from one code path. Callers
+ * that need the list (serve's per-request plans, examples, tests)
+ * use the builder; the query compiler streams.
  */
 class PlanBuilder
 {
@@ -50,7 +117,7 @@ class PlanBuilder
      * Emit a list of line accesses, attaching @p compute_per_line
      * cycles of work after each.
      */
-    void emitLines(const std::vector<LineRef> &lines, bool write,
+    void emitLines(std::vector<LineRef> lines, bool write,
                    unsigned compute_per_line);
 
     /**
@@ -69,9 +136,8 @@ class PlanBuilder
      * shared by adjacent listed tuples are emitted once.
      */
     void fetchTuples(Database::TableId id,
-                     const std::vector<std::uint64_t> &tuples,
-                     unsigned w0, unsigned w1,
-                     unsigned compute_per_tuple);
+                     std::vector<std::uint64_t> tuples, unsigned w0,
+                     unsigned w1, unsigned compute_per_tuple);
 
     /**
      * Fetch words [w0, w1) of the listed tuples choosing the best
@@ -81,9 +147,8 @@ class PlanBuilder
      * column-buffer locality wins (the Figure-12 trade-off).
      */
     void fetchTuplesBest(Database::TableId id,
-                         const std::vector<std::uint64_t> &tuples,
-                         unsigned w0, unsigned w1,
-                         unsigned compute_per_tuple);
+                         std::vector<std::uint64_t> tuples, unsigned w0,
+                         unsigned w1, unsigned compute_per_tuple);
 
     /**
      * Store 8-byte field word @p w of each listed tuple. On
@@ -92,8 +157,7 @@ class PlanBuilder
      * the same space as the surrounding scan.
      */
     void storeFieldWord(Database::TableId id,
-                        const std::vector<std::uint64_t> &tuples,
-                        unsigned w);
+                        std::vector<std::uint64_t> tuples, unsigned w);
 
     /**
      * Hash-table access: read or write the key word of each listed
@@ -101,8 +165,8 @@ class PlanBuilder
      * regions are row-store tables, so this is always row-oriented.
      */
     void hashAccess(Database::TableId hash_id,
-                    const std::vector<std::uint64_t> &slots,
-                    bool write, unsigned compute_each);
+                    std::vector<std::uint64_t> slots, bool write,
+                    unsigned compute_each);
 
     /**
      * The Sec.-5 ordered multi-column scan: read the given field
@@ -115,7 +179,7 @@ class PlanBuilder
      * the LLC, consumes them from cache, and unpins.
      */
     void orderedMultiColumnScan(Database::TableId id,
-                                const std::vector<unsigned> &words,
+                                std::vector<unsigned> words,
                                 std::uint64_t t0, std::uint64_t t1,
                                 unsigned group_lines,
                                 unsigned compute_per_tuple);
@@ -124,19 +188,13 @@ class PlanBuilder
     const ComputeCosts &costs() const { return costs_; }
 
   private:
+    /** Append every operation of @p ops to the plan. */
+    void add(cpu::OpStream ops) { cpu::drain(std::move(ops), plan_); }
+
     const Database *db_;
     ComputeCosts costs_;
     cpu::AccessPlan plan_;
 };
-
-/**
- * Order-insensitive whole-table physical scan: every 64-byte line
- * covering the table, in (bin, row, column) order - the sequential
- * "row-direction" scan of the Fig-17 micro-benchmarks. The caller
- * partitions the returned lines across cores.
- */
-std::vector<LineRef> physicalScanLines(const Database &db,
-                                       Database::TableId id);
 
 } // namespace rcnvm::imdb
 

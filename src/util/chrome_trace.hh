@@ -49,7 +49,10 @@ class ChromeTracer
     static void enable(const std::string &path);
 
     /** Start tracing when RCNVM_CHROME_TRACE names a path; safe to
-     *  call repeatedly (only the first call reads the environment). */
+     *  call repeatedly (only the first call reads the environment).
+     *  The tracer is not thread-safe: core::forEachCell calls this
+     *  before it starts any worker, and runs a traced grid on the
+     *  calling thread alone. */
     static void enableFromEnv();
 
     /** Flush buffered events to the output file and stop tracing. */

@@ -9,7 +9,6 @@ namespace rcnvm::workload {
 
 using imdb::Database;
 using imdb::LineRef;
-using imdb::PlanBuilder;
 
 const char *
 toString(MicroBench mb)
@@ -27,50 +26,64 @@ toString(MicroBench mb)
     return "?";
 }
 
-std::vector<cpu::AccessPlan>
-compileMicro(const Database &db, Database::TableId tid, MicroBench mb,
-             unsigned cores)
+namespace {
+
+/** Fields first, first + stride, ... of every tuple, field by
+ *  field. */
+cpu::OpStream
+columnScanCore(const Database &db, Database::TableId tid, unsigned first,
+               unsigned stride, bool write)
+{
+    const unsigned tw = db.table(tid).schema().tupleWords();
+    const std::uint64_t n = db.table(tid).tuples();
+    for (unsigned w = first; w < tw; w += stride) {
+        std::vector<LineRef> lines;
+        db.fieldScanLines(tid, w, 0, n, lines);
+        co_yield imdb::ops::emitLines(std::move(lines), write, 1);
+    }
+}
+
+} // namespace
+
+std::vector<cpu::OpStream>
+streamMicro(const Database &db, Database::TableId tid, MicroBench mb,
+            unsigned cores)
 {
     const bool write =
         mb == MicroBench::RowWrite || mb == MicroBench::ColWrite;
     const bool row_scan =
         mb == MicroBench::RowRead || mb == MicroBench::RowWrite;
 
-    std::vector<cpu::AccessPlan> plans;
-
+    std::vector<cpu::OpStream> streams;
     if (row_scan) {
         // Sequential physical scan, lines split contiguously.
-        std::vector<LineRef> lines;
-        db.physicalScanLines(tid, lines);
-        const std::uint64_t per =
-            util::divCeil(lines.size(), cores);
+        const std::uint64_t lines = db.physicalScanLineCount(tid);
+        const std::uint64_t per = util::divCeil(lines, cores);
         for (unsigned c = 0; c < cores; ++c) {
-            const std::uint64_t lo = std::min<std::uint64_t>(
-                lines.size(), std::uint64_t{c} * per);
-            const std::uint64_t hi = std::min<std::uint64_t>(
-                lines.size(), lo + per);
-            PlanBuilder builder(db);
-            std::vector<LineRef> part(lines.begin() + lo,
-                                      lines.begin() + hi);
-            builder.emitLines(part, write, 1);
-            plans.push_back(builder.take());
+            const std::uint64_t lo =
+                std::min<std::uint64_t>(lines, std::uint64_t{c} * per);
+            const std::uint64_t hi =
+                std::min<std::uint64_t>(lines, lo + per);
+            streams.push_back(
+                imdb::ops::physicalScan(db, tid, lo, hi, write, 1));
         }
-        return plans;
+        return streams;
     }
 
     // Column-direction scan: fields are distributed across cores so
     // each core streams whole fields in field-major order.
-    const unsigned tw = db.table(tid).schema().tupleWords();
-    const std::uint64_t n = db.table(tid).tuples();
-    for (unsigned c = 0; c < cores; ++c) {
-        PlanBuilder builder(db);
-        for (unsigned w = c; w < tw; w += cores) {
-            std::vector<LineRef> lines;
-            db.fieldScanLines(tid, w, 0, n, lines);
-            builder.emitLines(lines, write, 1);
-        }
-        plans.push_back(builder.take());
-    }
+    for (unsigned c = 0; c < cores; ++c)
+        streams.push_back(columnScanCore(db, tid, c, cores, write));
+    return streams;
+}
+
+std::vector<cpu::AccessPlan>
+compileMicro(const Database &db, Database::TableId tid, MicroBench mb,
+             unsigned cores)
+{
+    std::vector<cpu::AccessPlan> plans;
+    for (cpu::OpStream &s : streamMicro(db, tid, mb, cores))
+        cpu::drain(std::move(s), plans.emplace_back());
     return plans;
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cpu/mem_op.hh"
+#include "cpu/op_source.hh"
 #include "imdb/database.hh"
 
 namespace rcnvm::workload {
@@ -28,11 +29,17 @@ enum class MicroBench {
 const char *toString(MicroBench mb);
 
 /**
- * Compile a micro-benchmark against a placed table, partitioned
- * over @p cores. Row scans follow the physical layout sequentially;
- * column scans visit one field at a time using the device's best
- * field-scan access path.
+ * Compile a micro-benchmark against a placed table to one operation
+ * stream per core, partitioned over @p cores. Row scans follow the
+ * physical layout sequentially; column scans visit one field at a
+ * time using the device's best field-scan access path. The database
+ * must outlive the streams.
  */
+std::vector<cpu::OpStream>
+streamMicro(const imdb::Database &db, imdb::Database::TableId tid,
+            MicroBench mb, unsigned cores);
+
+/** streamMicro(), drained into per-core plans. */
 std::vector<cpu::AccessPlan>
 compileMicro(const imdb::Database &db, imdb::Database::TableId tid,
              MicroBench mb, unsigned cores);

@@ -1,6 +1,7 @@
 #include "workload/queries.hh"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 
 #include "imdb/plan_builder.hh"
@@ -9,10 +10,13 @@
 
 namespace rcnvm::workload {
 
+using cpu::MemOp;
+using cpu::OpStream;
 using imdb::ChunkLayout;
 using imdb::Database;
 using imdb::LineRef;
-using imdb::PlanBuilder;
+
+namespace ops = imdb::ops;
 
 namespace {
 
@@ -87,6 +91,159 @@ countMatches(const std::vector<bool> &matches)
     return n;
 }
 
+/** Host-side predicate results shared by every core's stream. */
+using Matches = std::shared_ptr<const std::vector<bool>>;
+
+struct Range {
+    std::uint64_t lo, hi;
+};
+
+/** Tuple-range partition for core @p c of @p cores. */
+Range
+corePartition(std::uint64_t tuples, unsigned cores, unsigned c)
+{
+    // 8-aligned boundaries keep line ownership per core.
+    const std::uint64_t per =
+        util::alignUp(util::divCeil(tuples, cores), 8);
+    const std::uint64_t lo = std::min<std::uint64_t>(
+        tuples, std::uint64_t{c} * per);
+    const std::uint64_t hi = std::min<std::uint64_t>(
+        tuples, lo + per);
+    return Range{lo, hi};
+}
+
+/** One stream per core, @p body(c) making core c's. */
+template <class Body>
+std::vector<OpStream>
+perCore(unsigned cores, Body body)
+{
+    std::vector<OpStream> streams;
+    streams.reserve(cores);
+    for (unsigned c = 0; c < cores; ++c)
+        streams.push_back(body(c));
+    return streams;
+}
+
+// Per-core bodies of the compiled queries. They are coroutines, so
+// every argument is copied into the frame except the database
+// (DESIGN.md section 4l).
+
+/** Predicate scan, then the matched tuples' output words. */
+OpStream
+selectFetchCore(const Database &db, Database::TableId tid,
+                unsigned pred_word, Range r, Matches matches,
+                unsigned out_w0, unsigned out_w1)
+{
+    const imdb::ComputeCosts costs;
+    co_yield ops::scanFieldWord(db, tid, pred_word, r.lo, r.hi,
+                                costs.compare);
+    // The query optimizer picks row or column access to minimise
+    // memory accesses (Sec. 5): sparse matches use the Figure-12
+    // row-access plan, dense ones go columnar.
+    co_yield ops::fetchTuplesBest(db, tid,
+                                  matchedIn(*matches, r.lo, r.hi),
+                                  out_w0, out_w1, costs.materialize);
+}
+
+/** Every field column of the core's tuples. */
+OpStream
+selectAllFieldsCore(const Database &db, Database::TableId tid,
+                    unsigned pred_word, Range r)
+{
+    const imdb::ComputeCosts costs;
+    const unsigned tw = db.table(tid).schema().tupleWords();
+    for (unsigned w = 0; w < tw; ++w) {
+        co_yield ops::scanFieldWord(db, tid, w, r.lo, r.hi,
+                                    w == pred_word ? costs.compare : 0);
+    }
+}
+
+/** Predicate scan, then the aggregated column or matched values. */
+OpStream
+aggregateCore(const Database &db, Database::TableId tid,
+              unsigned pred_word, unsigned agg_word, Range r,
+              bool scan_agg_column, Matches matches)
+{
+    const imdb::ComputeCosts costs;
+    co_yield ops::scanFieldWord(db, tid, pred_word, r.lo, r.hi,
+                                costs.compare);
+    if (scan_agg_column) {
+        co_yield ops::scanFieldWord(db, tid, agg_word, r.lo, r.hi,
+                                    costs.aggregate);
+    } else {
+        co_yield ops::fetchTuplesBest(db, tid,
+                                      matchedIn(*matches, r.lo, r.hi),
+                                      agg_word, agg_word + 1,
+                                      costs.aggregate);
+    }
+}
+
+/** Both predicate scans, then f3/f4 of the tuples matching both. */
+OpStream
+twoPredicateCore(const Database &db, Database::TableId tid,
+                 unsigned pred1, unsigned pred2, Range r, Matches both)
+{
+    const imdb::ComputeCosts costs;
+    co_yield ops::scanFieldWord(db, tid, pred1, r.lo, r.hi,
+                                costs.compare);
+    co_yield ops::scanFieldWord(db, tid, pred2, r.lo, r.hi,
+                                costs.compare);
+    co_yield ops::fetchTuplesBest(db, tid, matchedIn(*both, r.lo, r.hi),
+                                  2, 4, costs.materialize);
+}
+
+/**
+ * A hash-join side: scan the key (and filter payload) column of
+ * @p tid, then write (build) or read (probe) each key's hash slot.
+ */
+OpStream
+joinSideCore(const Database &db, Database::TableId tid,
+             Database::TableId hash, bool with_f1_filter, bool build,
+             Range r)
+{
+    const imdb::ComputeCosts costs;
+    const unsigned f9 = 8, f1 = 0;
+    co_yield ops::scanFieldWord(db, tid, f9, r.lo, r.hi, 0);
+    if (with_f1_filter)
+        co_yield ops::scanFieldWord(db, tid, f1, r.lo, r.hi, 0);
+    const imdb::Table &table = db.table(tid);
+    const std::uint64_t slots = db.table(hash).tuples();
+    std::vector<std::uint64_t> keys;
+    keys.reserve(static_cast<std::size_t>(r.hi - r.lo));
+    for (std::uint64_t t = r.lo; t < r.hi; ++t)
+        keys.push_back(hashKey(table.value(f9, t)) % slots);
+    co_yield ops::hashAccess(db, hash, std::move(keys), build,
+                             costs.hash);
+}
+
+/** The join's output: a.f3 and b.f4 of matched tuples. */
+OpStream
+joinFetchCore(const Database &db, Database::TableId a,
+              Database::TableId b, Range ra, Range rb, Matches match_a,
+              Matches match_b, std::uint64_t pair_compute)
+{
+    co_yield ops::fetchTuplesBest(db, a,
+                                  matchedIn(*match_a, ra.lo, ra.hi), 2,
+                                  3, 0);
+    co_yield ops::fetchTuplesBest(db, b,
+                                  matchedIn(*match_b, rb.lo, rb.hi), 3,
+                                  4, 0);
+    co_yield ops::compute(pair_compute);
+}
+
+/** Predicate scan, then the updated words of matching tuples. */
+OpStream
+updateCore(const Database &db, Database::TableId tid, unsigned f10,
+           Range r, Matches matches, std::vector<unsigned> words)
+{
+    const imdb::ComputeCosts costs;
+    co_yield ops::scanFieldWord(db, tid, f10, r.lo, r.hi, costs.compare);
+    const std::vector<std::uint64_t> hit =
+        matchedIn(*matches, r.lo, r.hi);
+    for (const unsigned w : words)
+        co_yield ops::storeFieldWord(db, tid, hit, w);
+}
+
 } // namespace
 
 const std::vector<QuerySpec> &
@@ -145,21 +302,7 @@ QueryWorkload::place(mem::DeviceKind kind, const mem::AddressMap &map,
     return pd;
 }
 
-QueryWorkload::Range
-QueryWorkload::corePartition(std::uint64_t tuples, unsigned cores,
-                             unsigned c)
-{
-    // 8-aligned boundaries keep line ownership per core.
-    const std::uint64_t per =
-        util::alignUp(util::divCeil(tuples, cores), 8);
-    const std::uint64_t lo = std::min<std::uint64_t>(
-        tuples, std::uint64_t{c} * per);
-    const std::uint64_t hi = std::min<std::uint64_t>(
-        tuples, lo + per);
-    return Range{lo, hi};
-}
-
-CompiledQuery
+QueryStreams
 QueryWorkload::compileSelect(const PlacedDatabase &pd,
                              Database::TableId tid,
                              unsigned pred_word, double sel,
@@ -169,78 +312,53 @@ QueryWorkload::compileSelect(const PlacedDatabase &pd,
     const Database &db = *pd.db;
     const imdb::Table &table = db.table(tid);
     const std::uint64_t n = table.tuples();
-    const auto matches = table.matchGreater(
-        pred_word, table.thresholdForGreater(sel));
-    const std::uint64_t match_count = countMatches(matches);
+    const auto matches = std::make_shared<const std::vector<bool>>(
+        table.matchGreater(pred_word, table.thresholdForGreater(sel)));
+    const std::uint64_t match_count = countMatches(*matches);
 
     // Access-path choice: (a) predicate column scan plus per-match
     // fetches, (b) a full scan of every field in the layout's
     // buffer-friendly order (column scans on a column-oriented
     // placement), or (c) one sequential physical scan.
     const unsigned tw = table.schema().tupleWords();
-    std::vector<LineRef> tmp;
-    db.fieldScanLines(tid, pred_word, 0, n, tmp);
-    const std::uint64_t pred_lines = tmp.size();
+    const std::uint64_t pred_lines =
+        db.fieldScanLineCount(tid, pred_word, 0, n);
     const std::uint64_t fetch_lines =
         match_count *
         util::divCeil(std::uint64_t{out_w1 - out_w0} * 8 + 8, 64);
     const std::uint64_t all_field_lines = pred_lines * tw;
-    tmp.clear();
-    db.physicalScanLines(tid, tmp);
-    const std::uint64_t full_lines = tmp.size();
+    const std::uint64_t full_lines = db.physicalScanLineCount(tid);
 
-    imdb::ComputeCosts costs;
-    CompiledQuery q;
-    q.phases.emplace_back();
+    QueryStreams q;
     if (pred_lines + fetch_lines <=
         std::min(all_field_lines, full_lines)) {
-        for (unsigned c = 0; c < cores; ++c) {
-            const Range r = corePartition(n, cores, c);
-            PlanBuilder builder(db);
-            builder.scanFieldWord(tid, pred_word, r.lo, r.hi,
-                                  costs.compare);
-            // The query optimizer picks row or column access to
-            // minimise memory accesses (Sec. 5): sparse matches use
-            // the Figure-12 row-access plan, dense ones go columnar.
-            builder.fetchTuplesBest(tid,
-                                    matchedIn(matches, r.lo, r.hi),
-                                    out_w0, out_w1,
-                                    costs.materialize);
-            q.phases[0].push_back(builder.take());
-        }
+        q.phases.push_back(perCore(cores, [&](unsigned c) {
+            return selectFetchCore(db, tid, pred_word,
+                                   corePartition(n, cores, c), matches,
+                                   out_w0, out_w1);
+        }));
     } else if (all_field_lines <= full_lines) {
         // Scan every field column (set-oriented full-table read).
-        for (unsigned c = 0; c < cores; ++c) {
-            const Range r = corePartition(n, cores, c);
-            PlanBuilder builder(db);
-            for (unsigned w = 0; w < tw; ++w) {
-                builder.scanFieldWord(tid, w, r.lo, r.hi,
-                                      w == pred_word
-                                          ? costs.compare
-                                          : 0);
-            }
-            q.phases[0].push_back(builder.take());
-        }
+        q.phases.push_back(perCore(cores, [&](unsigned c) {
+            return selectAllFieldsCore(db, tid, pred_word,
+                                       corePartition(n, cores, c));
+        }));
     } else {
         // Full scan: partition the physical line sequence.
-        const std::uint64_t per =
-            util::divCeil(full_lines, cores);
-        for (unsigned c = 0; c < cores; ++c) {
+        const std::uint64_t per = util::divCeil(full_lines, cores);
+        q.phases.push_back(perCore(cores, [&](unsigned c) {
             const std::uint64_t lo = std::min<std::uint64_t>(
                 full_lines, std::uint64_t{c} * per);
             const std::uint64_t hi =
                 std::min<std::uint64_t>(full_lines, lo + per);
-            PlanBuilder builder(db);
-            std::vector<LineRef> part(tmp.begin() + lo,
-                                      tmp.begin() + hi);
-            builder.emitLines(part, false, costs.compare * 2);
-            q.phases[0].push_back(builder.take());
-        }
+            return ops::physicalScan(db, tid, lo, hi, false,
+                                     imdb::ComputeCosts{}.compare * 2);
+        }));
     }
     return q;
 }
 
-CompiledQuery
+QueryStreams
 QueryWorkload::compileAggregate(const PlacedDatabase &pd,
                                 Database::TableId tid,
                                 unsigned pred_word, double sel,
@@ -250,38 +368,22 @@ QueryWorkload::compileAggregate(const PlacedDatabase &pd,
     const Database &db = *pd.db;
     const imdb::Table &table = db.table(tid);
     const std::uint64_t n = table.tuples();
-    const auto matches = table.matchGreater(
-        pred_word, table.thresholdForGreater(sel));
-    const std::uint64_t match_count = countMatches(matches);
+    const auto matches = std::make_shared<const std::vector<bool>>(
+        table.matchGreater(pred_word, table.thresholdForGreater(sel)));
+    const std::uint64_t match_count = countMatches(*matches);
+    const bool scan_agg_column =
+        db.fieldScanLineCount(tid, agg_word, 0, n) <= match_count;
 
-    std::vector<LineRef> tmp;
-    db.fieldScanLines(tid, agg_word, 0, n, tmp);
-    const std::uint64_t agg_scan_lines = tmp.size();
-    const bool scan_agg_column = agg_scan_lines <= match_count;
-
-    imdb::ComputeCosts costs;
-    CompiledQuery q;
-    q.phases.emplace_back();
-    for (unsigned c = 0; c < cores; ++c) {
-        const Range r = corePartition(n, cores, c);
-        PlanBuilder builder(db);
-        builder.scanFieldWord(tid, pred_word, r.lo, r.hi,
-                              costs.compare);
-        if (scan_agg_column) {
-            builder.scanFieldWord(tid, agg_word, r.lo, r.hi,
-                                  costs.aggregate);
-        } else {
-            builder.fetchTuplesBest(tid,
-                                    matchedIn(matches, r.lo, r.hi),
-                                    agg_word, agg_word + 1,
-                                    costs.aggregate);
-        }
-        q.phases[0].push_back(builder.take());
-    }
+    QueryStreams q;
+    q.phases.push_back(perCore(cores, [&](unsigned c) {
+        return aggregateCore(db, tid, pred_word, agg_word,
+                             corePartition(n, cores, c),
+                             scan_agg_column, matches);
+    }));
     return q;
 }
 
-CompiledQuery
+QueryStreams
 QueryWorkload::compileTwoPredicate(const PlacedDatabase &pd,
                                    unsigned pred1, unsigned pred2,
                                    double sel1, double sel2,
@@ -297,26 +399,19 @@ QueryWorkload::compileTwoPredicate(const PlacedDatabase &pd,
         pred2,
         static_cast<std::int64_t>(
             static_cast<double>(imdb::Table::valueRange) * sel2));
-    std::vector<bool> both(n);
+    auto both = std::make_shared<std::vector<bool>>(n);
     for (std::uint64_t t = 0; t < n; ++t)
-        both[t] = m1[t] && m2[t];
+        (*both)[t] = m1[t] && m2[t];
 
-    imdb::ComputeCosts costs;
-    CompiledQuery q;
-    q.phases.emplace_back();
-    for (unsigned c = 0; c < cores; ++c) {
-        const Range r = corePartition(n, cores, c);
-        PlanBuilder builder(db);
-        builder.scanFieldWord(tid, pred1, r.lo, r.hi, costs.compare);
-        builder.scanFieldWord(tid, pred2, r.lo, r.hi, costs.compare);
-        builder.fetchTuplesBest(tid, matchedIn(both, r.lo, r.hi),
-                                2, 4, costs.materialize);
-        q.phases[0].push_back(builder.take());
-    }
+    QueryStreams q;
+    q.phases.push_back(perCore(cores, [&](unsigned c) {
+        return twoPredicateCore(db, tid, pred1, pred2,
+                                corePartition(n, cores, c), both);
+    }));
     return q;
 }
 
-CompiledQuery
+QueryStreams
 QueryWorkload::compileJoin(const PlacedDatabase &pd,
                            bool with_f1_filter, unsigned cores) const
 {
@@ -325,7 +420,6 @@ QueryWorkload::compileJoin(const PlacedDatabase &pd,
     const imdb::Table &tb = db.table(pd.b);
     const std::uint64_t na = ta.tuples();
     const std::uint64_t nb = tb.tuples();
-    const std::uint64_t slots = db.table(pd.hash).tuples();
     const unsigned f9 = 8, f1 = 0;
 
     // Host-side equi-join on f9 (the simulated machine replays only
@@ -335,7 +429,8 @@ QueryWorkload::compileJoin(const PlacedDatabase &pd,
     for (std::uint64_t t = 0; t < na; ++t)
         index.emplace(ta.value(f9, t), t);
 
-    std::vector<bool> match_a(na, false), match_b(nb, false);
+    auto match_a = std::make_shared<std::vector<bool>>(na, false);
+    auto match_b = std::make_shared<std::vector<bool>>(nb, false);
     std::uint64_t pairs = 0;
     for (std::uint64_t t = 0; t < nb; ++t) {
         auto [it, end] = index.equal_range(tb.value(f9, t));
@@ -344,67 +439,37 @@ QueryWorkload::compileJoin(const PlacedDatabase &pd,
                 !(ta.value(f1, it->second) > tb.value(f1, t))) {
                 continue;
             }
-            match_a[it->second] = true;
-            match_b[t] = true;
+            (*match_a)[it->second] = true;
+            (*match_b)[t] = true;
             ++pairs;
         }
     }
 
     imdb::ComputeCosts costs;
-    CompiledQuery q;
-    q.phases.resize(3);
-
+    QueryStreams q;
     // Phase 1: build - scan a.f9 (and a.f1 for the filter payload),
     // insert into the hash region.
-    for (unsigned c = 0; c < cores; ++c) {
-        const Range r = corePartition(na, cores, c);
-        PlanBuilder builder(db);
-        builder.scanFieldWord(pd.a, f9, r.lo, r.hi, 0);
-        if (with_f1_filter)
-            builder.scanFieldWord(pd.a, f1, r.lo, r.hi, 0);
-        std::vector<std::uint64_t> build_slots;
-        build_slots.reserve(static_cast<std::size_t>(r.hi - r.lo));
-        for (std::uint64_t t = r.lo; t < r.hi; ++t)
-            build_slots.push_back(hashKey(ta.value(f9, t)) % slots);
-        builder.hashAccess(pd.hash, build_slots, true, costs.hash);
-        q.phases[0].push_back(builder.take());
-    }
-
+    q.phases.push_back(perCore(cores, [&](unsigned c) {
+        return joinSideCore(db, pd.a, pd.hash, with_f1_filter, true,
+                            corePartition(na, cores, c));
+    }));
     // Phase 2: probe - scan b.f9 (and b.f1), look up the hash region.
-    for (unsigned c = 0; c < cores; ++c) {
-        const Range r = corePartition(nb, cores, c);
-        PlanBuilder builder(db);
-        builder.scanFieldWord(pd.b, f9, r.lo, r.hi, 0);
-        if (with_f1_filter)
-            builder.scanFieldWord(pd.b, f1, r.lo, r.hi, 0);
-        std::vector<std::uint64_t> probe_slots;
-        probe_slots.reserve(static_cast<std::size_t>(r.hi - r.lo));
-        for (std::uint64_t t = r.lo; t < r.hi; ++t)
-            probe_slots.push_back(hashKey(tb.value(f9, t)) % slots);
-        builder.hashAccess(pd.hash, probe_slots, false, costs.hash);
-        q.phases[1].push_back(builder.take());
-    }
-
+    q.phases.push_back(perCore(cores, [&](unsigned c) {
+        return joinSideCore(db, pd.b, pd.hash, with_f1_filter, false,
+                            corePartition(nb, cores, c));
+    }));
     // Phase 3: fetch outputs - a.f3 and b.f4 of matched tuples.
     const std::uint64_t pair_compute =
         pairs * costs.materialize / std::max(1u, cores);
-    for (unsigned c = 0; c < cores; ++c) {
-        const Range ra = corePartition(na, cores, c);
-        const Range rb = corePartition(nb, cores, c);
-        PlanBuilder builder(db);
-        builder.fetchTuplesBest(pd.a,
-                                matchedIn(match_a, ra.lo, ra.hi),
-                                2, 3, 0);
-        builder.fetchTuplesBest(pd.b,
-                                matchedIn(match_b, rb.lo, rb.hi),
-                                3, 4, 0);
-        builder.compute(pair_compute);
-        q.phases[2].push_back(builder.take());
-    }
+    q.phases.push_back(perCore(cores, [&](unsigned c) {
+        return joinFetchCore(db, pd.a, pd.b, corePartition(na, cores, c),
+                             corePartition(nb, cores, c), match_a,
+                             match_b, pair_compute);
+    }));
     return q;
 }
 
-CompiledQuery
+QueryStreams
 QueryWorkload::compileUpdate(const PlacedDatabase &pd, double band,
                              const std::vector<unsigned> &words,
                              unsigned cores) const
@@ -422,28 +487,21 @@ QueryWorkload::compileUpdate(const PlacedDatabase &pd, double band,
     const std::int64_t z1 =
         z0 + static_cast<std::int64_t>(
                  band * static_cast<double>(imdb::Table::valueRange));
-    std::vector<bool> matches(n);
+    auto matches = std::make_shared<std::vector<bool>>(n);
     for (std::uint64_t t = 0; t < n; ++t) {
         const std::int64_t v = table.value(f10, t);
-        matches[t] = v >= z0 && v < z1;
+        (*matches)[t] = v >= z0 && v < z1;
     }
 
-    imdb::ComputeCosts costs;
-    CompiledQuery q;
-    q.phases.emplace_back();
-    for (unsigned c = 0; c < cores; ++c) {
-        const Range r = corePartition(n, cores, c);
-        PlanBuilder builder(db);
-        builder.scanFieldWord(tid, f10, r.lo, r.hi, costs.compare);
-        const auto hit = matchedIn(matches, r.lo, r.hi);
-        for (const unsigned w : words)
-            builder.storeFieldWord(tid, hit, w);
-        q.phases[0].push_back(builder.take());
-    }
+    QueryStreams q;
+    q.phases.push_back(perCore(cores, [&](unsigned c) {
+        return updateCore(db, tid, f10, corePartition(n, cores, c),
+                          matches, words);
+    }));
     return q;
 }
 
-CompiledQuery
+QueryStreams
 QueryWorkload::compileOrdered(const PlacedDatabase &pd,
                               Database::TableId tid,
                               const std::vector<unsigned> &words,
@@ -453,22 +511,33 @@ QueryWorkload::compileOrdered(const PlacedDatabase &pd,
     const Database &db = *pd.db;
     const std::uint64_t n = db.table(tid).tuples();
     imdb::ComputeCosts costs;
-    CompiledQuery q;
-    q.phases.emplace_back();
-    for (unsigned c = 0; c < cores; ++c) {
+    QueryStreams q;
+    q.phases.push_back(perCore(cores, [&](unsigned c) {
         const Range r = corePartition(n, cores, c);
-        PlanBuilder builder(db);
-        builder.orderedMultiColumnScan(tid, words, r.lo, r.hi,
-                                       group_lines,
-                                       costs.materialize);
-        q.phases[0].push_back(builder.take());
-    }
+        return ops::orderedMultiColumnScan(db, tid, words, r.lo, r.hi,
+                                           group_lines,
+                                           costs.materialize);
+    }));
     return q;
 }
 
 CompiledQuery
 QueryWorkload::compile(QueryId id, const PlacedDatabase &pd,
                        unsigned cores, unsigned group_lines) const
+{
+    QueryStreams streams = stream(id, pd, cores, group_lines);
+    CompiledQuery q;
+    for (std::vector<OpStream> &phase : streams.phases) {
+        std::vector<cpu::AccessPlan> &plans = q.phases.emplace_back();
+        for (OpStream &s : phase)
+            cpu::drain(std::move(s), plans.emplace_back());
+    }
+    return q;
+}
+
+QueryStreams
+QueryWorkload::stream(QueryId id, const PlacedDatabase &pd,
+                      unsigned cores, unsigned group_lines) const
 {
     const unsigned group = group_lines == kDefaultGroup
                                ? params_.groupLines

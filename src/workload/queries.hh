@@ -1,7 +1,7 @@
 /**
  * @file
  * The Table-2 benchmark queries Q1-Q15 and their compilation to
- * per-core, per-phase access plans on a placed database.
+ * per-core, per-phase operation streams on a placed database.
  */
 
 #ifndef RCNVM_WORKLOAD_QUERIES_HH_
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cpu/mem_op.hh"
+#include "cpu/op_source.hh"
 #include "imdb/database.hh"
 #include "workload/tables.hh"
 
@@ -49,9 +50,21 @@ const std::vector<QuerySpec> &allQueries();
 const QuerySpec &querySpec(QueryId id);
 
 /**
- * A compiled query: phases executed sequentially, each phase holding
- * one plan per core. Multi-phase queries are the hash joins (build
- * must complete before probe).
+ * A query compiled to operation streams: phases executed
+ * sequentially, each phase holding one lazily generated stream per
+ * core (cpu::StreamOpSource replays one). Multi-phase queries are
+ * the hash joins (build must complete before probe). The streams
+ * read the PlacedDatabase they were compiled against, which must
+ * outlive them.
+ */
+struct QueryStreams {
+    std::vector<std::vector<cpu::OpStream>> phases;
+};
+
+/**
+ * A compiled query drained into plans, for callers that need the
+ * list (traced replay, trace dumps, tests): the same phases and
+ * operations as QueryStreams.
  */
 struct CompiledQuery {
     std::vector<std::vector<cpu::AccessPlan>> phases;
@@ -115,11 +128,18 @@ class QueryWorkload
                              imdb::ChunkLayout::ColumnOriented) const;
 
     /**
-     * Compile one query.
+     * Compile one query to per-core operation streams. The
+     * host-side work (predicates, join matching) runs here; each
+     * core's operations are generated as its stream is pulled.
      *
      * @param group_lines  overrides Params::groupLines for Q14/Q15;
      *                     the magic value UINT_MAX keeps the default
      */
+    QueryStreams stream(QueryId id, const PlacedDatabase &pd,
+                        unsigned cores = 4,
+                        unsigned group_lines = kDefaultGroup) const;
+
+    /** stream(), drained into per-core plans. */
     CompiledQuery compile(QueryId id, const PlacedDatabase &pd,
                           unsigned cores = 4,
                           unsigned group_lines = kDefaultGroup) const;
@@ -131,45 +151,36 @@ class QueryWorkload
     const Params &params() const { return params_; }
 
   private:
-    struct Range {
-        std::uint64_t lo, hi;
-    };
+    QueryStreams compileSelect(const PlacedDatabase &pd,
+                               imdb::Database::TableId tid,
+                               unsigned pred_word, double sel,
+                               unsigned out_w0, unsigned out_w1,
+                               unsigned cores) const;
 
-    /** Tuple-range partition for core @p c of @p cores. */
-    static Range corePartition(std::uint64_t tuples, unsigned cores,
-                               unsigned c);
+    QueryStreams compileAggregate(const PlacedDatabase &pd,
+                                  imdb::Database::TableId tid,
+                                  unsigned pred_word, double sel,
+                                  unsigned agg_word,
+                                  unsigned cores) const;
 
-    CompiledQuery compileSelect(const PlacedDatabase &pd,
+    QueryStreams compileTwoPredicate(const PlacedDatabase &pd,
+                                     unsigned pred1, unsigned pred2,
+                                     double sel1, double sel2,
+                                     unsigned cores) const;
+
+    QueryStreams compileJoin(const PlacedDatabase &pd,
+                             bool with_f1_filter,
+                             unsigned cores) const;
+
+    QueryStreams compileUpdate(const PlacedDatabase &pd, double band,
+                               const std::vector<unsigned> &words,
+                               unsigned cores) const;
+
+    QueryStreams compileOrdered(const PlacedDatabase &pd,
                                 imdb::Database::TableId tid,
-                                unsigned pred_word, double sel,
-                                unsigned out_w0, unsigned out_w1,
-                                unsigned cores) const;
-
-    CompiledQuery compileAggregate(const PlacedDatabase &pd,
-                                   imdb::Database::TableId tid,
-                                   unsigned pred_word, double sel,
-                                   unsigned agg_word,
-                                   unsigned cores) const;
-
-    CompiledQuery compileTwoPredicate(const PlacedDatabase &pd,
-                                      unsigned pred1, unsigned pred2,
-                                      double sel1, double sel2,
-                                      unsigned cores) const;
-
-    CompiledQuery compileJoin(const PlacedDatabase &pd,
-                              bool with_f1_filter,
-                              unsigned cores) const;
-
-    CompiledQuery compileUpdate(const PlacedDatabase &pd,
-                                double band,
                                 const std::vector<unsigned> &words,
+                                unsigned group_lines,
                                 unsigned cores) const;
-
-    CompiledQuery compileOrdered(const PlacedDatabase &pd,
-                                 imdb::Database::TableId tid,
-                                 const std::vector<unsigned> &words,
-                                 unsigned group_lines,
-                                 unsigned cores) const;
 
     const TableSet *tables_;
     Params params_;

@@ -356,6 +356,44 @@ TEST(MachineTest, FewerPlansThanCoresLeavesTheRestIdle)
     EXPECT_DOUBLE_EQ(r.stats.get("cpu.memOps"), 0.0);
 }
 
+/** A generator replaying @p plan, as a streamed query core does. */
+OpStream
+replay(AccessPlan plan)
+{
+    for (const MemOp &op : plan)
+        co_yield op;
+}
+
+TEST(MachineTest, ExhaustedStreamsIdleLikeEmptyPlans)
+{
+    // Core 1's stream is exhausted before the run starts, as a
+    // streamed phase whose partition is empty on that core; run()
+    // skips the equivalent empty plan. Same statistics and the same
+    // number of executed events.
+    const std::vector<AccessPlan> plans = {
+        {MemOp::load(0x4000), MemOp::compute(10), MemOp::load(0x8000)},
+        {},
+        {MemOp::cload(0x10000), MemOp::fence(), MemOp::store(0x4040)}};
+    Machine planned(smallMachine());
+    const RunResult a = planned.run(plans);
+
+    Machine streamed(smallMachine());
+    std::vector<StreamOpSource> sources;
+    sources.reserve(plans.size());
+    std::vector<OpSource *> cores;
+    for (const AccessPlan &plan : plans)
+        cores.push_back(&sources.emplace_back(replay(plan)));
+    ASSERT_EQ(cores[1]->peek(), nullptr);
+    const RunResult b = streamed.runSources(cores);
+
+    std::ostringstream ja, jb;
+    util::writeStatsJson(ja, a.stats, "run", a.ticks);
+    util::writeStatsJson(jb, b.stats, "run", b.ticks);
+    EXPECT_EQ(ja.str(), jb.str());
+    EXPECT_EQ(planned.eventQueue().executed(),
+              streamed.eventQueue().executed());
+}
+
 TEST(MachineTest, BackToBackRunsNeedNoReset)
 {
     Machine machine(smallMachine());

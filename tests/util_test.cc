@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "util/bitfield.hh"
+#include "util/generator.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/stats.hh"
@@ -683,6 +684,93 @@ TEST(TablePrinterTest, NumPrecision)
 {
     EXPECT_EQ(TablePrinter::num(3.14159, 2), "3.14");
     EXPECT_EQ(TablePrinter::num(2.0, 0), "2");
+}
+
+Generator<int>
+countTo(int lo, int hi)
+{
+    for (int i = lo; i < hi; ++i)
+        co_yield i;
+}
+
+/** 0, then [1, 3) spliced from a nested generator, then an empty
+ *  one, then 10 and [20, 22) two levels deep. */
+Generator<int>
+spliced()
+{
+    co_yield 0;
+    co_yield countTo(1, 3);
+    co_yield countTo(5, 5);
+    co_yield 10;
+    co_yield []() -> Generator<int> { co_yield countTo(20, 22); }();
+}
+
+std::vector<int>
+drainAll(Generator<int> g)
+{
+    std::vector<int> out;
+    while (const int *v = g.next())
+        out.push_back(*v);
+    return out;
+}
+
+TEST(GeneratorTest, SplicesNestedGeneratorsInOrder)
+{
+    EXPECT_EQ(drainAll(spliced()),
+              (std::vector<int>{0, 1, 2, 10, 20, 21}));
+    EXPECT_TRUE(drainAll(countTo(3, 3)).empty());
+    EXPECT_TRUE(drainAll(Generator<int>{}).empty());
+    // Batch boundaries: exactly one batch, and one element past two.
+    constexpr int batch = Generator<int>::kBatch;
+    EXPECT_EQ(drainAll(countTo(0, batch)).size(), std::size_t{batch});
+    EXPECT_EQ(drainAll(countTo(0, 2 * batch + 1)).back(), 2 * batch);
+}
+
+TEST(GeneratorTest, DrainIntoContinuesAfterNext)
+{
+    Generator<int> g = spliced();
+    ASSERT_EQ(*g.next(), 0);
+    ASSERT_EQ(*g.next(), 1);
+    std::vector<int> rest = {-1};
+    g.drainInto(rest);
+    EXPECT_EQ(rest, (std::vector<int>{-1, 2, 10, 20, 21}));
+    EXPECT_EQ(g.next(), nullptr);
+
+    // Suspended mid-stream: the drain resumes it to the end.
+    Generator<int> long_run = countTo(0, 100);
+    ASSERT_EQ(*long_run.next(), 0);
+    std::vector<int> tail;
+    long_run.drainInto(tail);
+    ASSERT_EQ(tail.size(), 99u);
+    EXPECT_EQ(tail.front(), 1);
+    EXPECT_EQ(tail.back(), 99);
+}
+
+TEST(GeneratorTest, IsLazyAndStaysExhausted)
+{
+    int started = 0;
+    auto g = [](int &flag) -> Generator<int> {
+        ++flag;
+        co_yield 7;
+    }(started);
+    EXPECT_EQ(started, 0); // nothing runs before the first next()
+    ASSERT_NE(g.next(), nullptr);
+    EXPECT_EQ(started, 1);
+    EXPECT_EQ(g.next(), nullptr);
+    EXPECT_EQ(g.next(), nullptr);
+}
+
+TEST(GeneratorTest, DestroyingMidStreamFreesNestedFrames)
+{
+    // Suspended two levels deep; the sanitizer builds check that
+    // both frames are freed.
+    auto g = []() -> Generator<int> {
+        co_yield countTo(0, 100);
+    }();
+    ASSERT_NE(g.next(), nullptr);
+    Generator<int> moved = std::move(g);
+    EXPECT_EQ(g.next(), nullptr);
+    EXPECT_EQ(*moved.next(), 1);
 }
 
 TEST(Logging, LevelRoundTrip)

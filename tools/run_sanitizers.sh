@@ -5,7 +5,12 @@
 # -DCTEST exit codes).
 #
 # Usage: run_sanitizers.sh [mode] [build-dir]
-#   mode: asan-ubsan (default) | integer
+#   mode: asan-ubsan (default) | tsan | integer
+#
+# tsan runs the race detector over the code that uses host threads:
+# core::runGrid's tests and the SQL-suite golden, whose 52 machines
+# run on the grid at the host's worker count. ThreadSanitizer cannot
+# be combined with ASan, hence the separate mode and build directory.
 #
 # integer hunts silent narrowing on the Tick/Cycles/Addr arithmetic
 # paths that the strong types (DESIGN.md 4e) cannot cover — .value()
@@ -34,6 +39,17 @@ asan-ubsan)
     ASAN_OPTIONS=detect_leaks=1:halt_on_error=1 \
     UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
         ctest --test-dir "$bdir" --output-on-failure -j "$(nproc)"
+    ;;
+tsan)
+    bdir=${2:-"$root/build-tsan"}
+    cmake -B "$bdir" -S "$root" \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DRCNVM_SANITIZE="thread"
+    cmake --build "$bdir" -j "$(nproc)" --target integration_tests
+
+    TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
+        "$bdir/tests/integration_tests" \
+        --gtest_filter='RunGrid.*:SqlSuiteGolden.*'
     ;;
 integer)
     bdir=${2:-"$root/build-ubsan-int"}
@@ -78,7 +94,7 @@ integer)
     fi
     ;;
 *)
-    echo "unknown mode '$mode' (want asan-ubsan or integer)" >&2
+    echo "unknown mode '$mode' (want asan-ubsan, tsan or integer)" >&2
     exit 2
     ;;
 esac
