@@ -25,6 +25,19 @@ struct Result {
     double mcycles;
 };
 
+/** One core's share: every field of tables @p a and @p b over tuples
+ *  [lo, hi). */
+cpu::OpStream
+scanAllFields(const imdb::Database &db, imdb::Database::TableId a,
+              imdb::Database::TableId b, std::uint64_t lo,
+              std::uint64_t hi)
+{
+    for (unsigned w = 0; w < 16; ++w)
+        co_yield imdb::ops::scanFieldWord(db, a, w, lo, hi, 1);
+    for (unsigned w = 0; w < 20; ++w)
+        co_yield imdb::ops::scanFieldWord(db, b, w, lo, hi, 1);
+}
+
 Result
 runScan(imdb::PlacementPolicy policy, bool rotation,
         const workload::TableSet &tables)
@@ -44,21 +57,15 @@ runScan(imdb::PlacementPolicy policy, bool rotation,
     // placement makes cores collide on the few subarrays holding
     // the table while spread placement keeps their banks disjoint.
     const unsigned cores = 4;
-    std::vector<cpu::AccessPlan> plans;
+    std::vector<cpu::OpStream> streams;
     const std::uint64_t n = tables.a->tuples();
     for (unsigned core = 0; core < cores; ++core) {
-        imdb::PlanBuilder builder(db);
-        const std::uint64_t lo = core * n / cores;
-        const std::uint64_t hi = (core + 1) * n / cores;
-        for (unsigned w = 0; w < 16; ++w)
-            builder.scanFieldWord(a, w, lo, hi, 1);
-        for (unsigned w = 0; w < 20; ++w)
-            builder.scanFieldWord(b, w, lo, hi, 1);
-        plans.push_back(builder.take());
+        streams.push_back(scanAllFields(db, a, b, core * n / cores,
+                                        (core + 1) * n / cores));
     }
 
-    const auto r = core::runPlans(
-        core::table1Machine(mem::DeviceKind::RcNvm), plans);
+    const auto r = core::runStreamed(
+        core::table1Machine(mem::DeviceKind::RcNvm), std::move(streams));
     return Result{db.binsUsed(), db.packingUtilization(),
                   r.megacycles()};
 }

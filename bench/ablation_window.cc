@@ -34,9 +34,10 @@ main()
             config.window = window;
             mem::AddressMap map(mem::geometryFor(kind));
             const auto pd = wl.place(kind, map);
-            const auto q = wl.compile(workload::QueryId::Q6, pd,
-                                      config.hierarchy.cores);
-            mcyc[i++] = core::runCompiled(config, q).megacycles();
+            mcyc[i++] = core::runStreamed(
+                            config, wl.stream(workload::QueryId::Q6, pd,
+                                              config.hierarchy.cores))
+                            .megacycles();
         }
         t.addRow({std::to_string(window), bench::num(mcyc[0]),
                   bench::num(mcyc[1]),

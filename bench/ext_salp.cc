@@ -43,7 +43,7 @@ runZippedScan(bool salp, const workload::TableSet &tables)
 
     const std::uint64_t n = tables.a->tuples();
     const unsigned cores = config.hierarchy.cores;
-    std::vector<cpu::AccessPlan> plans;
+    std::vector<cpu::OpStream> streams;
     for (unsigned core = 0; core < cores; ++core) {
         const std::uint64_t lo = core * n / cores;
         const std::uint64_t hi = (core + 1) * n / cores;
@@ -57,12 +57,11 @@ runZippedScan(bool salp, const workload::TableSet &tables)
             if (i < lc.size())
                 zipped.push_back(lc[i]);
         }
-        imdb::PlanBuilder builder(db);
-        builder.emitLines(zipped, false, 1);
-        plans.push_back(builder.take());
+        streams.push_back(
+            imdb::ops::emitLines(std::move(zipped), false, 1));
     }
 
-    const auto r = core::runPlans(config, plans);
+    const auto r = core::runStreamed(config, std::move(streams));
     return Result{r.megacycles(),
                   r.stats.at("mem.bufferConflicts") +
                       r.stats.at("mem.orientationSwitches")};

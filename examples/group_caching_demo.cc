@@ -46,18 +46,17 @@ main()
     const unsigned cores = 4;
 
     const auto run = [&](unsigned group_lines) {
-        std::vector<cpu::AccessPlan> plans;
+        std::vector<cpu::OpStream> streams;
         for (unsigned c = 0; c < cores; ++c) {
-            imdb::PlanBuilder builder(db);
             const std::uint64_t lo =
                 util::alignDown(c * n / cores, 8);
             const std::uint64_t hi =
                 util::alignDown((c + 1) * n / cores, 8);
-            builder.orderedMultiColumnScan(tid, email_words, lo, hi,
-                                           group_lines, 2);
-            plans.push_back(builder.take());
+            streams.push_back(imdb::ops::orderedMultiColumnScan(
+                db, tid, email_words, lo, hi, group_lines, 2));
         }
-        return core::runPlans(core::table1Machine(kind), plans);
+        return core::runStreamed(core::table1Machine(kind),
+                                 std::move(streams));
     };
 
     util::TablePrinter t(

@@ -29,6 +29,19 @@ struct QueryMix {
     double scanShare; // remainder are tuple fetches
 };
 
+/** One core's statements over tuples [lo, hi): @p scan_fields
+ *  one-field scans, then whole-tuple fetches of @p points. */
+cpu::OpStream
+mixCore(const imdb::Database &db, imdb::Database::TableId tid,
+        std::uint64_t lo, std::uint64_t hi, unsigned scan_fields,
+        unsigned tw, std::vector<std::uint64_t> points)
+{
+    for (unsigned s = 0; s < scan_fields; ++s)
+        co_yield imdb::ops::scanFieldWord(db, tid, s % tw, lo, hi, 1);
+    co_yield imdb::ops::fetchTuples(db, tid, std::move(points), 0, tw,
+                                    2);
+}
+
 double
 runMix(const imdb::Table &table, imdb::ChunkLayout layout,
        double scan_share)
@@ -44,24 +57,21 @@ runMix(const imdb::Table &table, imdb::ChunkLayout layout,
     const auto scan_fields = static_cast<unsigned>(
         scan_share * 8.0); // of 8 "statements", how many scan
 
-    std::vector<cpu::AccessPlan> plans;
+    std::vector<cpu::OpStream> streams;
     for (unsigned c = 0; c < cores; ++c) {
-        imdb::PlanBuilder builder(db);
         const std::uint64_t lo = c * n / cores;
         const std::uint64_t hi = (c + 1) * n / cores;
-        // Scan statements: one field each.
-        for (unsigned s = 0; s < scan_fields; ++s)
-            builder.scanFieldWord(tid, s % tw, lo, hi, 1);
         // Point statements: fetch whole tuples scattered over the
         // partition.
         std::vector<std::uint64_t> points;
         for (std::uint64_t t = lo; t < hi;
              t += 64 / (8 - scan_fields + 1))
             points.push_back(t);
-        builder.fetchTuples(tid, points, 0, tw, 2);
-        plans.push_back(builder.take());
+        streams.push_back(mixCore(db, tid, lo, hi, scan_fields, tw,
+                                  std::move(points)));
     }
-    return core::runPlans(core::table1Machine(kind), plans)
+    return core::runStreamed(core::table1Machine(kind),
+                             std::move(streams))
         .megacycles();
 }
 

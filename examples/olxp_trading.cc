@@ -5,9 +5,9 @@
  * transactional updates (OLTP) while analysts run aggregate scans
  * over the same live data (OLAP), with no second copy.
  *
- * The example builds an `orders` table, compiles a mixed workload
- * with the PlanBuilder API directly (rather than the canned Table-2
- * queries), and compares RC-NVM against DRAM and RRAM:
+ * The example builds an `orders` table, composes a mixed workload
+ * from the imdb::ops primitives directly (rather than the canned
+ * Table-2 queries), and compares RC-NVM against DRAM and RRAM:
  *
  *   - trade ingestion:   row-oriented writes of whole orders
  *   - price updates:     scattered single-field writes
@@ -47,6 +47,27 @@ struct Scenario {
     const char *name;
     double mcycles[3]; // RC-NVM, RRAM, DRAM
 };
+
+/** Exposure report, one core's orders [lo, hi): qty, then price. */
+cpu::OpStream
+exposureCore(const imdb::Database &db, imdb::Database::TableId tid,
+             std::uint64_t lo, std::uint64_t hi)
+{
+    co_yield imdb::ops::scanFieldWord(db, tid, 3, lo, hi, 1); // qty
+    co_yield imdb::ops::scanFieldWord(db, tid, 4, lo, hi, 2); // price
+}
+
+/** Risk sweep, one core's orders [lo, hi): the price scan, then
+ *  instrument and trader of the matched orders @p mine. */
+cpu::OpStream
+riskSweepCore(const imdb::Database &db, imdb::Database::TableId tid,
+              std::uint64_t lo, std::uint64_t hi,
+              std::vector<std::uint64_t> mine)
+{
+    co_yield imdb::ops::scanFieldWord(db, tid, 4, lo, hi, 1);
+    co_yield imdb::ops::fetchTuples(db, tid, mine, 1, 2, 2);
+    co_yield imdb::ops::fetchTuples(db, tid, mine, 6, 7, 2);
+}
 
 } // namespace
 
@@ -92,79 +113,69 @@ main()
                 matched.push_back(t);
         }
 
+        const auto run = [&](std::vector<cpu::OpStream> streams) {
+            return core::runStreamed(core::table1Machine(kind),
+                                     std::move(streams))
+                .megacycles();
+        };
+
         // Scenario 0: append a burst of new orders (whole tuples).
         {
-            std::vector<cpu::AccessPlan> plans;
+            std::vector<cpu::OpStream> streams;
             for (unsigned c = 0; c < cores; ++c) {
-                imdb::PlanBuilder builder(db);
                 std::vector<imdb::LineRef> lines;
                 for (std::uint64_t t = c * 2048;
                      t < (c + 1) * 2048; ++t) {
                     db.tupleLines(tid, t, 0, 8, lines);
                 }
-                builder.emitLines(lines, /*write=*/true, 1);
-                plans.push_back(builder.take());
+                streams.push_back(imdb::ops::emitLines(
+                    std::move(lines), /*write=*/true, 1));
             }
-            scenarios[0].mcycles[d] =
-                core::runPlans(core::table1Machine(kind), plans)
-                    .megacycles();
+            scenarios[0].mcycles[d] = run(std::move(streams));
         }
 
         // Scenario 1: scattered price updates.
         {
-            std::vector<cpu::AccessPlan> plans;
+            std::vector<cpu::OpStream> streams;
             for (unsigned c = 0; c < cores; ++c) {
-                imdb::PlanBuilder builder(db);
                 std::vector<std::uint64_t> mine;
                 for (const auto t : updated) {
                     if (t % cores == c)
                         mine.push_back(t);
                 }
-                builder.storeFieldWord(tid, mine, 4); // price
-                plans.push_back(builder.take());
+                streams.push_back(imdb::ops::storeFieldWord(
+                    db, tid, std::move(mine), 4)); // price
             }
-            scenarios[1].mcycles[d] =
-                core::runPlans(core::table1Machine(kind), plans)
-                    .megacycles();
+            scenarios[1].mcycles[d] = run(std::move(streams));
         }
 
         // Scenario 2: exposure = SUM(qty * price) over all orders.
         {
-            std::vector<cpu::AccessPlan> plans;
+            std::vector<cpu::OpStream> streams;
             for (unsigned c = 0; c < cores; ++c) {
-                imdb::PlanBuilder builder(db);
-                const std::uint64_t lo = c * orders / cores;
-                const std::uint64_t hi = (c + 1) * orders / cores;
-                builder.scanFieldWord(tid, 3, lo, hi, 1); // qty
-                builder.scanFieldWord(tid, 4, lo, hi, 2); // price
-                plans.push_back(builder.take());
+                streams.push_back(exposureCore(db, tid,
+                                               c * orders / cores,
+                                               (c + 1) * orders / cores));
             }
-            scenarios[2].mcycles[d] =
-                core::runPlans(core::table1Machine(kind), plans)
-                    .megacycles();
+            scenarios[2].mcycles[d] = run(std::move(streams));
         }
 
         // Scenario 3: risk sweep - find expensive orders, fetch
         // instrument + trader of the matches.
         {
-            std::vector<cpu::AccessPlan> plans;
+            std::vector<cpu::OpStream> streams;
             for (unsigned c = 0; c < cores; ++c) {
-                imdb::PlanBuilder builder(db);
                 const std::uint64_t lo = c * orders / cores;
                 const std::uint64_t hi = (c + 1) * orders / cores;
-                builder.scanFieldWord(tid, 4, lo, hi, 1);
                 std::vector<std::uint64_t> mine;
                 for (const auto t : matched) {
                     if (t >= lo && t < hi)
                         mine.push_back(t);
                 }
-                builder.fetchTuples(tid, mine, 1, 2, 2);
-                builder.fetchTuples(tid, mine, 6, 7, 2);
-                plans.push_back(builder.take());
+                streams.push_back(
+                    riskSweepCore(db, tid, lo, hi, std::move(mine)));
             }
-            scenarios[3].mcycles[d] =
-                core::runPlans(core::table1Machine(kind), plans)
-                    .megacycles();
+            scenarios[3].mcycles[d] = run(std::move(streams));
         }
     }
 

@@ -25,20 +25,23 @@ withEpochOverride(cpu::MachineConfig config)
     return config;
 }
 
-/**
- * Run @p phases phases back to back on one fresh machine;
- * @p run_phase(machine, p) runs phase p.
- */
-template <class RunPhase>
+} // namespace
+
 ExperimentResult
-runPhases(const cpu::MachineConfig &config, std::size_t phases,
-          RunPhase run_phase)
+runStreamed(const cpu::MachineConfig &config,
+            workload::QueryStreams query)
 {
     cpu::Machine machine(withEpochOverride(config));
     ExperimentResult result;
     cpu::RunResult last;
-    for (std::size_t p = 0; p < phases; ++p) {
-        last = run_phase(machine, p);
+    for (std::vector<cpu::OpStream> &phase : query.phases) {
+        // A phase's sources exist only while it runs.
+        std::vector<cpu::StreamOpSource> sources;
+        sources.reserve(phase.size());
+        std::vector<cpu::OpSource *> cores;
+        for (cpu::OpStream &s : phase)
+            cores.push_back(&sources.emplace_back(std::move(s)));
+        last = machine.runSources(cores);
         result.ticks += last.ticks;
         // Per-phase series chain into one continuous timeline.
         if (result.series.names.empty())
@@ -54,45 +57,13 @@ runPhases(const cpu::MachineConfig &config, std::size_t phases,
     return result;
 }
 
-} // namespace
-
-ExperimentResult
-runCompiled(const cpu::MachineConfig &config,
-            const workload::CompiledQuery &query)
-{
-    return runPhases(config, query.phases.size(),
-                     [&](cpu::Machine &m, std::size_t p) {
-                         return m.run(query.phases[p]);
-                     });
-}
-
 ExperimentResult
 runStreamed(const cpu::MachineConfig &config,
-            workload::QueryStreams query)
+            std::vector<cpu::OpStream> cores)
 {
-    return runPhases(
-        config, query.phases.size(), [&](cpu::Machine &m, std::size_t p) {
-            // A phase's sources exist only while it runs.
-            std::vector<cpu::StreamOpSource> sources;
-            sources.reserve(query.phases[p].size());
-            std::vector<cpu::OpSource *> cores;
-            for (cpu::OpStream &s : query.phases[p])
-                cores.push_back(&sources.emplace_back(std::move(s)));
-            return m.runSources(cores);
-        });
-}
-
-ExperimentResult
-runPlans(const cpu::MachineConfig &config,
-         const std::vector<cpu::AccessPlan> &plans)
-{
-    cpu::Machine machine(withEpochOverride(config));
-    cpu::RunResult run = machine.run(plans);
-    ExperimentResult result;
-    result.ticks = run.ticks;
-    result.stats = run.stats;
-    result.series = std::move(run.series);
-    return result;
+    workload::QueryStreams query;
+    query.phases.push_back(std::move(cores));
+    return runStreamed(config, std::move(query));
 }
 
 ExperimentResult
@@ -120,10 +91,10 @@ runMicro(mem::DeviceKind kind, const workload::TableSet &tables,
     imdb::Database db(kind, map);
     const imdb::Database::TableId tid =
         db.addTable(tables.micro.get(), layout);
-    workload::QueryStreams streams;
-    streams.phases.push_back(workload::streamMicro(
-        db, tid, mb, cores > 0 ? cores : config.hierarchy.cores));
-    return runStreamed(config, std::move(streams));
+    return runStreamed(config,
+                       workload::streamMicro(
+                           db, tid, mb,
+                           cores > 0 ? cores : config.hierarchy.cores));
 }
 
 ArtifactWriter::ArtifactWriter(std::string name)

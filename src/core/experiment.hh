@@ -1,8 +1,8 @@
 /**
  * @file
  * Experiment runner utilities shared by benches, tests, and
- * examples: run a compiled query on a machine and collect the
- * statistics the paper reports.
+ * examples: stream a compiled query (or any per-core generators)
+ * through a machine and collect the statistics the paper reports.
  */
 
 #ifndef RCNVM_CORE_EXPERIMENT_HH_
@@ -72,23 +72,17 @@ struct ExperimentResult {
 /**
  * Run all phases of a compiled query on a fresh machine for
  * @p config. Phases execute back to back on the same machine, so
- * cache and bank state carries over (build -> probe -> fetch).
- */
-ExperimentResult runCompiled(const cpu::MachineConfig &config,
-                             const workload::CompiledQuery &query);
-
-/**
- * runCompiled() for a streamed query: each core pulls its
- * operations from its generator (Machine::runSources), so no phase
- * is ever materialised. The result is byte-identical to running the
- * drained query.
+ * cache and bank state carries over (build -> probe -> fetch). Each
+ * core pulls its operations from its generator
+ * (Machine::runSources), so no phase is ever materialised; the
+ * result is byte-identical to running the drained query.
  */
 ExperimentResult runStreamed(const cpu::MachineConfig &config,
                              workload::QueryStreams query);
 
-/** Run a set of single-phase per-core plans. */
-ExperimentResult runPlans(const cpu::MachineConfig &config,
-                          const std::vector<cpu::AccessPlan> &plans);
+/** runStreamed() of a single phase: one generator per core. */
+ExperimentResult runStreamed(const cpu::MachineConfig &config,
+                             std::vector<cpu::OpStream> cores);
 
 /**
  * Convenience: place the workload on @p kind, compile query @p id

@@ -31,10 +31,4 @@ RcNvmSystem::runMicro(workload::MicroBench mb) const
                           options_.rcLayout);
 }
 
-ExperimentResult
-RcNvmSystem::runPlans(const std::vector<cpu::AccessPlan> &plans) const
-{
-    return core::runPlans(table1Machine(options_.device), plans);
-}
-
 } // namespace rcnvm::core

@@ -2,7 +2,9 @@
  * @file
  * RcNvmSystem: the one-stop public facade. Builds the benchmark
  * database, places it on a chosen memory device, and runs Table-2
- * queries or custom access plans on the Table-1 machine.
+ * queries or Fig-17 micro-benchmarks on the Table-1 machine. Custom
+ * workloads compose imdb::ops generators and call
+ * core::runStreamed.
  */
 
 #ifndef RCNVM_CORE_SYSTEM_HH_
@@ -61,10 +63,6 @@ class RcNvmSystem
 
     /** Run one Fig-17 micro-benchmark. */
     ExperimentResult runMicro(workload::MicroBench mb) const;
-
-    /** Run custom per-core plans against this system's device. */
-    ExperimentResult
-    runPlans(const std::vector<cpu::AccessPlan> &plans) const;
 
     /** Subarrays (or 8 MB regions) used by the placement. */
     unsigned binsUsed() const { return pd_.db->binsUsed(); }

@@ -17,14 +17,6 @@ Core::Core(unsigned id, sim::EventQueue &eq,
 }
 
 void
-Core::start(const AccessPlan &plan,
-            util::UniqueFunction<void(Tick)> on_finish)
-{
-    planSource_ = PlanOpSource(plan);
-    start(planSource_, std::move(on_finish));
-}
-
-void
 Core::start(OpSource &source,
             util::UniqueFunction<void(Tick)> on_finish)
 {

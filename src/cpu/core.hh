@@ -20,9 +20,9 @@
 namespace rcnvm::cpu {
 
 /**
- * Replays an operation stream against the cache hierarchy — a
- * pre-materialised AccessPlan or any pull-based OpSource (windowed
- * binary-trace replay).
+ * Replays a pull-based operation stream (OpSource) against the cache
+ * hierarchy: a fixed plan, a coroutine generator, or a windowed
+ * binary trace.
  *
  * The core issues one operation per CPU cycle while fewer than
  * `window` memory accesses are outstanding; Compute ops make it busy
@@ -48,35 +48,30 @@ class Core
     Core(unsigned id, sim::EventQueue &eq,
          cache::Hierarchy &hierarchy, unsigned window = 8);
 
-    /** Begin replaying @p plan; @p on_finish fires when done.
-     *  The plan is borrowed, not copied: the caller must keep it
-     *  alive until the run completes. The core must be finished();
-     *  calling start from inside the previous plan's on_finish
-     *  callback is allowed (service dispatch onto a freed core). */
-    void start(const AccessPlan &plan,
-               util::UniqueFunction<void(Tick)> on_finish);
-
-    /** Begin consuming @p source — the streaming form of start():
-     *  the core pulls operations one at a time, so the stream may be
-     *  unbounded (trace replay). Same borrowing and re-entry rules
-     *  as the plan overload, which is implemented on top of this. */
+    /** Begin consuming @p source; @p on_finish fires when done.
+     *  The core pulls operations one at a time, so the stream may be
+     *  unbounded (trace replay). The source is borrowed: the caller
+     *  must keep it alive until the run completes. The core must be
+     *  finished(); calling start from inside the previous stream's
+     *  on_finish callback is allowed (service dispatch onto a freed
+     *  core). */
     void start(OpSource &source,
                util::UniqueFunction<void(Tick)> on_finish);
 
-    /** Mark every access of subsequently started plans as
+    /** Mark every access of subsequently started streams as
      *  latency-class (OLTP) traffic; the flag rides the miss packets
      *  into the channel controller, where the read-priority policy
      *  can act on it. Sticky until changed — dispatchers set it per
-     *  plan right before start(). */
+     *  request right before start(). */
     void setPriority(bool p) { priority_ = p; }
 
     /** Current latency-class flag. */
     bool priority() const { return priority_; }
 
-    /** True when the whole plan has completed. */
+    /** True when the whole stream has completed. */
     bool finished() const { return finished_; }
 
-    /** Tick at which the plan finished (valid when finished()). */
+    /** Tick at which the stream finished (valid when finished()). */
     Tick finishTick() const { return finishTick_; }
 
     /** Number of memory operations issued. */
@@ -108,9 +103,6 @@ class Core
                                      //!< one shared 2 GHz clock
 
     OpSource *source_ = nullptr; //!< borrowed from start()
-    /** Adapter for the fixed-plan start() overload; source_ points
-     *  at it when a plan (rather than a caller stream) is active. */
-    PlanOpSource planSource_;
     unsigned outstanding_ = 0;
     Tick readyTick_{0};
     bool advanceScheduled_ = false;

@@ -100,14 +100,17 @@ Machine::drain(Tick start, const Tick *end)
             rcnvm_panic("simulation deadlock: core ", c,
                         " never finished");
     }
-    // Every packet completed: nothing may be left in a controller
-    // queue, an MSHR, the hierarchy's deferred or write-back lists,
-    // or a hybrid migration once the event queue is empty.
+    // Every packet completed: nothing may be left in the event
+    // slab, a controller queue, an MSHR, the hierarchy's deferred or
+    // write-back lists, or a hybrid migration once the event queue
+    // is empty.
     const std::size_t migrations =
         hybrid_ ? hybrid_->migrationsInFlight() : 0;
-    if (tier_->queuedTotal() != 0 || hierarchy_->mshrInUse() != 0 ||
+    if (eq_.occupiedSlots() != 0 || tier_->queuedTotal() != 0 ||
+        hierarchy_->mshrInUse() != 0 ||
         hierarchy_->parkedPackets() != 0 || migrations != 0)
-        rcnvm_panic("run ended undrained: ", tier_->queuedTotal(),
+        rcnvm_panic("run ended undrained: ", eq_.occupiedSlots(),
+                    " occupied event slots, ", tier_->queuedTotal(),
                     " queued requests, ", hierarchy_->mshrInUse(),
                     " MSHRs in use, ", hierarchy_->parkedPackets(),
                     " parked packets, ", migrations,
@@ -135,16 +138,11 @@ Machine::run(const std::vector<AccessPlan> &plans)
         rcnvm_fatal("more plans (", plans.size(), ") than cores (",
                     cores_.size(), ")");
 
-    const Tick start = eq_.now();
-    Tick latest = start;
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-        if (plans[i].empty())
-            continue;
-        cores_[i]->start(plans[i], [&latest](Tick t) {
-            latest = std::max(latest, t);
-        });
-    }
-    return drain(start, &latest);
+    std::vector<PlanOpSource> sources(plans.begin(), plans.end());
+    std::vector<OpSource *> cores;
+    for (PlanOpSource &s : sources)
+        cores.push_back(&s);
+    return runSources(cores);
 }
 
 RunResult
@@ -163,8 +161,8 @@ Machine::runSources(const std::vector<OpSource *> &sources)
     const Tick start = eq_.now();
     Tick latest = start;
     for (std::size_t i = 0; i < sources.size(); ++i) {
-        // An exhausted source idles its core, as run() skips an
-        // empty plan: no advance event is scheduled for it.
+        // An exhausted source (an empty plan) idles its core: no
+        // advance event is scheduled for it.
         if (sources[i] == nullptr || sources[i]->peek() == nullptr)
             continue;
         cores_[i]->start(*sources[i], [&latest](Tick t) {
@@ -175,24 +173,15 @@ Machine::runSources(const std::vector<OpSource *> &sources)
 }
 
 void
-Machine::startOnCore(unsigned c, const AccessPlan &plan,
+Machine::startOnCore(unsigned c, OpSource &source, bool priority,
                      util::UniqueFunction<void(Tick)> on_finish)
 {
     if (c >= cores_.size())
         rcnvm_fatal("startOnCore: core ", c, " of ", cores_.size());
     if (!cores_[c]->finished())
         rcnvm_fatal("startOnCore: core ", c, " is busy");
-    cores_[c]->start(plan, std::move(on_finish));
-}
-
-void
-Machine::startOnCore(unsigned c, const AccessPlan &plan, bool priority,
-                     util::UniqueFunction<void(Tick)> on_finish)
-{
-    if (c >= cores_.size())
-        rcnvm_fatal("startOnCore: core ", c, " of ", cores_.size());
     cores_[c]->setPriority(priority);
-    startOnCore(c, plan, std::move(on_finish));
+    cores_[c]->start(source, std::move(on_finish));
 }
 
 RunResult

@@ -90,12 +90,13 @@ class Machine
     /** Capabilities of the memory device. */
     const mem::DeviceCaps &caps() const { return memory_->caps(); }
 
-    /** The device address map (used by plan builders). */
+    /** The device address map (used by query compilation). */
     const mem::AddressMap &map() const { return memory_->map(); }
 
     /**
      * Replay one plan per core (plans.size() <= cores; remaining
-     * cores stay idle) and return timing plus merged statistics.
+     * cores stay idle) and return timing plus merged statistics:
+     * runSources() over one PlanOpSource per plan.
      */
     RunResult run(const std::vector<AccessPlan> &plans);
 
@@ -105,20 +106,21 @@ class Machine
     /**
      * Replay one pull-based operation stream per core
      * (sources.size() <= cores; a nullptr entry or an already
-     * exhausted source leaves that core idle, exactly like an empty
-     * plan in run()). The streaming counterpart of run(): a core consumes
-     * its source one operation at a time, so the backing data may
-     * be an mmap-windowed multi-GB trace instead of a materialised
-     * plan. Replaying the same operation sequence produces the same
-     * events — and therefore byte-identical statistics and the same
-     * eventQueue().executed() count — as run().
+     * exhausted source leaves that core idle). A core consumes its
+     * source one operation at a time, so the backing data may be a
+     * coroutine generator or an mmap-windowed multi-GB trace instead
+     * of a materialised plan. Replaying the same operation sequence
+     * produces the same events — and therefore byte-identical
+     * statistics and the same eventQueue().executed() count —
+     * whatever the source.
      */
     RunResult runSources(const std::vector<OpSource *> &sources);
 
     // --- Service-mode primitives (the OLXP scheduler). Instead of
-    // --- replaying one fixed plan list, a client seeds the event
-    // --- queue with arrival events, starts plans on cores as they
-    // --- free up mid-simulation, and drives the loop with serve().
+    // --- replaying one fixed set of streams, a client seeds the
+    // --- event queue with arrival events, starts streams on cores as
+    // --- they free up mid-simulation, and drives the loop with
+    // --- serve().
 
     /** Number of cores in the machine. */
     unsigned coreCount() const
@@ -126,25 +128,19 @@ class Machine
         return static_cast<unsigned>(cores_.size());
     }
 
-    /** True when core @p c is not executing a plan. */
+    /** True when core @p c is not executing a stream. */
     bool coreIdle(unsigned c) const { return cores_[c]->finished(); }
 
     /**
-     * Start @p plan on idle core @p c; @p on_finish fires at
+     * Start @p source on idle core @p c; @p on_finish fires at
      * completion. Legal mid-simulation, including from inside
-     * another (or the same) core's completion callback. The plan is
-     * borrowed and must stay alive until completion.
-     */
-    void startOnCore(unsigned c, const AccessPlan &plan,
-                     util::UniqueFunction<void(Tick)> on_finish);
-
-    /**
-     * As startOnCore, additionally marking every access of this plan
-     * as latency-class traffic (@p priority) — see Core::setPriority.
-     * Dispatchers use this to flag OLTP-class work so the
+     * another (or the same) core's completion callback. The source
+     * is borrowed and must stay alive until completion. @p priority
+     * marks every access as latency-class traffic (see
+     * Core::setPriority): dispatchers flag OLTP-class work so the
      * read-priority channel policy can serve it first.
      */
-    void startOnCore(unsigned c, const AccessPlan &plan, bool priority,
+    void startOnCore(unsigned c, OpSource &source, bool priority,
                      util::UniqueFunction<void(Tick)> on_finish);
 
     /**
@@ -197,14 +193,14 @@ class Machine
 
   private:
     /**
-     * The tail run(), runSources() and serve() share: start the
-     * epoch sampler, drain the event queue, panic unless every core
-     * finished and the memory tier, the MSHRs, the hierarchy's
-     * deferred and write-back lists and the hybrid tier's migrations
-     * are empty, and snapshot the statistics. The reported span runs
-     * from @p start to @p *end as read after the drain (the last
-     * core's finish), or to the last executed event when @p end is
-     * null.
+     * The tail runSources() and serve() share: start the epoch
+     * sampler, drain the event queue, panic unless every core
+     * finished and the event slab, the memory tier, the MSHRs, the
+     * hierarchy's deferred and write-back lists and the hybrid
+     * tier's migrations are empty, and snapshot the statistics. The
+     * reported span runs from @p start to @p *end as read after the
+     * drain (the last core's finish), or to the last executed event
+     * when @p end is null.
      */
     RunResult drain(Tick start, const Tick *end);
 

@@ -8,8 +8,8 @@
  * window, not sit in memory — so the core now pulls operations from
  * this interface one at a time, and the fixed plan becomes just one
  * implementation of it (PlanOpSource). Trace replay plugs in a
- * windowed reader behind the same two calls, and a compiled query
- * plugs in its per-core coroutine generators (StreamOpSource).
+ * windowed reader behind the same two calls, and compiled queries
+ * and serve requests plug in coroutine generators (StreamOpSource).
  */
 
 #ifndef RCNVM_CPU_OP_SOURCE_HH_
@@ -47,15 +47,13 @@ class OpSource
 
 /**
  * The fixed-plan source: adapts a borrowed AccessPlan to the stream
- * seam. This is what Core::start(const AccessPlan &) wraps, so plan
- * replay and stream replay share one issue loop and stay
- * tick-identical by construction.
+ * seam. Machine::run(plans) wraps each plan in one, so plan replay
+ * and stream replay share one issue loop and stay tick-identical by
+ * construction.
  */
 class PlanOpSource final : public OpSource
 {
   public:
-    PlanOpSource() = default;
-
     /** The plan is borrowed, not copied: the caller must keep it
      *  alive until the stream is exhausted. */
     explicit PlanOpSource(const AccessPlan &plan) : plan_(&plan) {}
@@ -63,20 +61,18 @@ class PlanOpSource final : public OpSource
     const MemOp *
     peek() override
     {
-        if (plan_ == nullptr || pc_ >= plan_->size())
-            return nullptr;
-        return &(*plan_)[pc_];
+        return pc_ < plan_->size() ? &(*plan_)[pc_] : nullptr;
     }
 
     void advance() override { ++pc_; }
 
   private:
-    const AccessPlan *plan_ = nullptr;
+    const AccessPlan *plan_;
     std::size_t pc_ = 0;
 };
 
-/** A lazily generated operation stream (a compiled query's per-core
- *  plan before it is drained into an AccessPlan). */
+/** A lazily generated operation stream (one core's share of a
+ *  compiled query or of a serve request). */
 using OpStream = util::Generator<MemOp>;
 
 /**
@@ -101,11 +97,13 @@ class StreamOpSource final : public OpSource
     const MemOp *head_;
 };
 
-/** Append every operation of @p stream to @p plan, in order. */
-inline void
-drain(OpStream stream, AccessPlan &plan)
+/** Every operation of @p stream, in order, as a plan. */
+inline AccessPlan
+drain(OpStream stream)
 {
+    AccessPlan plan;
     stream.drainInto(plan);
+    return plan;
 }
 
 } // namespace rcnvm::cpu

@@ -361,91 +361,4 @@ orderedMultiColumnScan(const Database &db, Database::TableId id,
 
 } // namespace ops
 
-cpu::AccessPlan
-PlanBuilder::take()
-{
-    cpu::AccessPlan out;
-    out.swap(plan_);
-    return out;
-}
-
-void
-PlanBuilder::compute(std::uint64_t cycles)
-{
-    add(ops::compute(cycles));
-}
-
-void
-PlanBuilder::fence()
-{
-    plan_.push_back(MemOp::fence());
-}
-
-void
-PlanBuilder::emitLine(const LineRef &line, bool write)
-{
-    plan_.push_back(lineOp(line, write));
-}
-
-void
-PlanBuilder::emitLines(std::vector<LineRef> lines, bool write,
-                       unsigned compute_per_line)
-{
-    add(ops::emitLines(std::move(lines), write, compute_per_line));
-}
-
-void
-PlanBuilder::scanFieldWord(Database::TableId id, unsigned w,
-                           std::uint64_t t0, std::uint64_t t1,
-                           unsigned compute_per_value)
-{
-    add(ops::scanFieldWord(*db_, id, w, t0, t1, compute_per_value));
-}
-
-void
-PlanBuilder::fetchTuples(Database::TableId id,
-                         std::vector<std::uint64_t> tuples, unsigned w0,
-                         unsigned w1, unsigned compute_per_tuple)
-{
-    add(ops::fetchTuples(*db_, id, std::move(tuples), w0, w1,
-                         compute_per_tuple));
-}
-
-void
-PlanBuilder::fetchTuplesBest(Database::TableId id,
-                             std::vector<std::uint64_t> tuples,
-                             unsigned w0, unsigned w1,
-                             unsigned compute_per_tuple)
-{
-    add(ops::fetchTuplesBest(*db_, id, std::move(tuples), w0, w1,
-                             compute_per_tuple));
-}
-
-void
-PlanBuilder::storeFieldWord(Database::TableId id,
-                            std::vector<std::uint64_t> tuples, unsigned w)
-{
-    add(ops::storeFieldWord(*db_, id, std::move(tuples), w));
-}
-
-void
-PlanBuilder::hashAccess(Database::TableId hash_id,
-                        std::vector<std::uint64_t> slots, bool write,
-                        unsigned compute_each)
-{
-    add(ops::hashAccess(*db_, hash_id, std::move(slots), write,
-                        compute_each));
-}
-
-void
-PlanBuilder::orderedMultiColumnScan(Database::TableId id,
-                                    std::vector<unsigned> words,
-                                    std::uint64_t t0, std::uint64_t t1,
-                                    unsigned group_lines,
-                                    unsigned compute_per_tuple)
-{
-    add(ops::orderedMultiColumnScan(*db_, id, std::move(words), t0, t1,
-                                    group_lines, compute_per_tuple));
-}
-
 } // namespace rcnvm::imdb

@@ -12,34 +12,34 @@
 #include <cstdint>
 #include <vector>
 
-#include "cpu/mem_op.hh"
 #include "cpu/op_source.hh"
 #include "imdb/database.hh"
 
 namespace rcnvm::imdb {
 
-/** CPU cost constants (cycles) used by the query compiler. */
-struct ComputeCosts {
-    unsigned compare = 1;     //!< predicate evaluation per value
-    unsigned aggregate = 1;   //!< SUM/AVG accumulation per value
-    unsigned materialize = 2; //!< output tuple materialisation
-    unsigned hash = 6;        //!< hash insert or probe per tuple
-};
+// CPU cost constants (cycles) used by the query compiler.
+inline constexpr unsigned kCompareCycles = 1;     //!< predicate per value
+inline constexpr unsigned kAggregateCycles = 1;   //!< SUM/AVG per value
+inline constexpr unsigned kMaterializeCycles = 2; //!< output tuple
+inline constexpr unsigned kHashCycles = 6;        //!< hash insert/probe
 
 /**
  * The compiler primitives as coroutine generators: each returns the
  * operation stream of one relational primitive on one core, produced
- * only as its consumer pulls (a core through StreamOpSource, or a
- * PlanBuilder draining it into a plan). The generator copies every
- * argument into its frame except the database, which must outlive
- * the stream (DESIGN.md section 4l).
+ * only as its consumer pulls (a core through StreamOpSource, or
+ * cpu::drain into a plan). The generator copies every argument into
+ * its frame except the database, which must outlive the stream
+ * (DESIGN.md section 4l).
  */
 namespace ops {
 
 /** @p cycles of CPU work, split into 32-bit compute ops. */
 cpu::OpStream compute(std::uint64_t cycles);
 
-/** Each line, followed by @p compute_per_line cycles of work. */
+/**
+ * Each line access (load/cload, or a line store/cstore when
+ * @p write), followed by @p compute_per_line cycles of work.
+ */
 cpu::OpStream emitLines(std::vector<LineRef> lines, bool write,
                         unsigned compute_per_line);
 
@@ -52,34 +52,67 @@ cpu::OpStream physicalScan(const Database &db, Database::TableId id,
                            std::uint64_t lo, std::uint64_t hi,
                            bool write, unsigned compute_per_line);
 
-/** See PlanBuilder::scanFieldWord. */
+/**
+ * Scan field word @p w of tuples [t0, t1) using the placement's
+ * best order-insensitive sequence, with @p compute_per_value
+ * cycles consumed per value. Uses GS-DRAM gathers when the
+ * device and table allow it.
+ */
 cpu::OpStream scanFieldWord(const Database &db, Database::TableId id,
                             unsigned w, std::uint64_t t0,
                             std::uint64_t t1,
                             unsigned compute_per_value);
 
-/** See PlanBuilder::fetchTuples. */
+/**
+ * Fetch words [w0, w1) of each listed tuple (row-oriented tuple
+ * materialisation), @p compute_per_tuple cycles each. Lines
+ * shared by adjacent listed tuples are emitted once.
+ */
 cpu::OpStream fetchTuples(const Database &db, Database::TableId id,
                           std::vector<std::uint64_t> tuples, unsigned w0,
                           unsigned w1, unsigned compute_per_tuple);
 
-/** See PlanBuilder::fetchTuplesBest. */
+/**
+ * Fetch words [w0, w1) of the listed tuples choosing the best
+ * access path: per-tuple row fetches when matches are sparse,
+ * or column-line reads of each output word covering the
+ * matched 8-tuple groups when matches are dense enough that
+ * column-buffer locality wins (the Figure-12 trade-off).
+ */
 cpu::OpStream fetchTuplesBest(const Database &db, Database::TableId id,
                               std::vector<std::uint64_t> tuples,
                               unsigned w0, unsigned w1,
                               unsigned compute_per_tuple);
 
-/** See PlanBuilder::storeFieldWord. */
+/**
+ * Store 8-byte field word @p w of each listed tuple. On
+ * column-capable devices with column-oriented layout the store
+ * uses the column address space (cstore), keeping the write in
+ * the same space as the surrounding scan.
+ */
 cpu::OpStream storeFieldWord(const Database &db, Database::TableId id,
                              std::vector<std::uint64_t> tuples,
                              unsigned w);
 
-/** See PlanBuilder::hashAccess. */
+/**
+ * Hash-table access: read or write the key word of each listed
+ * slot with @p compute_each cycles of hashing per access. Hash
+ * regions are row-store tables, so this is always row-oriented.
+ */
 cpu::OpStream hashAccess(const Database &db, Database::TableId hash_id,
                          std::vector<std::uint64_t> slots, bool write,
                          unsigned compute_each);
 
-/** See PlanBuilder::orderedMultiColumnScan. */
+/**
+ * The Sec.-5 ordered multi-column scan: read the given field
+ * words of every tuple in [t0, t1) in strict tuple order.
+ *
+ * With @p group_lines == 0 the accesses interleave across the
+ * field columns per 8-tuple group (the column-buffer-thrashing
+ * baseline). With @p group_lines == K > 0, the group-caching
+ * transform prefetches K lines per field column, pins them in
+ * the LLC, consumes them from cache, and unpins.
+ */
 cpu::OpStream orderedMultiColumnScan(const Database &db,
                                      Database::TableId id,
                                      std::vector<unsigned> words,
@@ -88,113 +121,6 @@ cpu::OpStream orderedMultiColumnScan(const Database &db,
                                      unsigned compute_per_tuple);
 
 } // namespace ops
-
-/**
- * Builds one core's AccessPlan from line/word primitives: each
- * primitive drains the matching ops:: generator into the plan, so
- * materialised and streamed plans come from one code path. Callers
- * that need the list (serve's per-request plans, examples, tests)
- * use the builder; the query compiler streams.
- */
-class PlanBuilder
-{
-  public:
-    explicit PlanBuilder(const Database &db) : db_(&db) {}
-
-    /** The finished plan (builder resets afterwards). */
-    cpu::AccessPlan take();
-
-    /** Append a raw CPU-work op. */
-    void compute(std::uint64_t cycles);
-
-    /** Append a fence (drain outstanding accesses). */
-    void fence();
-
-    /** Emit one line access (load/cload or line store/cstore). */
-    void emitLine(const LineRef &line, bool write);
-
-    /**
-     * Emit a list of line accesses, attaching @p compute_per_line
-     * cycles of work after each.
-     */
-    void emitLines(std::vector<LineRef> lines, bool write,
-                   unsigned compute_per_line);
-
-    /**
-     * Scan field word @p w of tuples [t0, t1) using the placement's
-     * best order-insensitive sequence, with @p compute_per_value
-     * cycles consumed per value. Uses GS-DRAM gathers when the
-     * device and table allow it.
-     */
-    void scanFieldWord(Database::TableId id, unsigned w,
-                       std::uint64_t t0, std::uint64_t t1,
-                       unsigned compute_per_value);
-
-    /**
-     * Fetch words [w0, w1) of each listed tuple (row-oriented tuple
-     * materialisation), @p compute_per_tuple cycles each. Lines
-     * shared by adjacent listed tuples are emitted once.
-     */
-    void fetchTuples(Database::TableId id,
-                     std::vector<std::uint64_t> tuples, unsigned w0,
-                     unsigned w1, unsigned compute_per_tuple);
-
-    /**
-     * Fetch words [w0, w1) of the listed tuples choosing the best
-     * access path: per-tuple row fetches when matches are sparse,
-     * or column-line reads of each output word covering the
-     * matched 8-tuple groups when matches are dense enough that
-     * column-buffer locality wins (the Figure-12 trade-off).
-     */
-    void fetchTuplesBest(Database::TableId id,
-                         std::vector<std::uint64_t> tuples, unsigned w0,
-                         unsigned w1, unsigned compute_per_tuple);
-
-    /**
-     * Store 8-byte field word @p w of each listed tuple. On
-     * column-capable devices with column-oriented layout the store
-     * uses the column address space (cstore), keeping the write in
-     * the same space as the surrounding scan.
-     */
-    void storeFieldWord(Database::TableId id,
-                        std::vector<std::uint64_t> tuples, unsigned w);
-
-    /**
-     * Hash-table access: read or write the key word of each listed
-     * slot with @p compute_each cycles of hashing per access. Hash
-     * regions are row-store tables, so this is always row-oriented.
-     */
-    void hashAccess(Database::TableId hash_id,
-                    std::vector<std::uint64_t> slots, bool write,
-                    unsigned compute_each);
-
-    /**
-     * The Sec.-5 ordered multi-column scan: read the given field
-     * words of every tuple in [t0, t1) in strict tuple order.
-     *
-     * With @p group_lines == 0 the accesses interleave across the
-     * field columns per 8-tuple group (the column-buffer-thrashing
-     * baseline). With @p group_lines == K > 0, the group-caching
-     * transform prefetches K lines per field column, pins them in
-     * the LLC, consumes them from cache, and unpins.
-     */
-    void orderedMultiColumnScan(Database::TableId id,
-                                std::vector<unsigned> words,
-                                std::uint64_t t0, std::uint64_t t1,
-                                unsigned group_lines,
-                                unsigned compute_per_tuple);
-
-    /** Cost constants in use. */
-    const ComputeCosts &costs() const { return costs_; }
-
-  private:
-    /** Append every operation of @p ops to the plan. */
-    void add(cpu::OpStream ops) { cpu::drain(std::move(ops), plan_); }
-
-    const Database *db_;
-    ComputeCosts costs_;
-    cpu::AccessPlan plan_;
-};
 
 } // namespace rcnvm::imdb
 

@@ -6,6 +6,27 @@
 
 namespace rcnvm::olxp {
 
+namespace {
+
+/** One point request: materialise tuple @p t of @p id, then (an
+ *  update) write its field word @p w. */
+cpu::OpStream
+pointRequest(const imdb::Database &db, imdb::Database::TableId id,
+             std::uint64_t t, unsigned tuple_words, bool update,
+             unsigned w)
+{
+    // A braced {t} here would not compile inside co_yield (g++ 12
+    // reads it as an array initializer), hence the explicit vector.
+    co_yield imdb::ops::fetchTuples(db, id, std::vector<std::uint64_t>(1, t),
+                                    0, tuple_words,
+                                    imdb::kMaterializeCycles);
+    if (update)
+        co_yield imdb::ops::storeFieldWord(
+            db, id, std::vector<std::uint64_t>(1, t), w);
+}
+
+} // namespace
+
 OltpGenerator::OltpGenerator(const workload::PlacedDatabase &pd,
                              Tick mean_inter_arrival,
                              double update_fraction,
@@ -39,7 +60,7 @@ OltpGenerator::nextGap()
     return t < Tick{1} ? Tick{1} : t;
 }
 
-cpu::AccessPlan
+cpu::OpStream
 OltpGenerator::make()
 {
     std::uint64_t t = rng_.nextBounded(tuples_);
@@ -55,12 +76,7 @@ OltpGenerator::make()
     const unsigned w =
         static_cast<unsigned>(rng_.nextBounded(tupleWords_));
 
-    imdb::PlanBuilder b(*pd_->db);
-    b.fetchTuples(pd_->a, {t}, 0, tupleWords_,
-                  b.costs().materialize);
-    if (update)
-        b.storeFieldWord(pd_->a, {t}, w);
-    return b.take();
+    return pointRequest(*pd_->db, pd_->a, t, tupleWords_, update, w);
 }
 
 } // namespace rcnvm::olxp

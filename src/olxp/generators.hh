@@ -19,7 +19,7 @@
 
 #include <cstdint>
 
-#include "cpu/mem_op.hh"
+#include "cpu/op_source.hh"
 #include "util/random.hh"
 #include "util/types.hh"
 #include "workload/queries.hh"
@@ -35,7 +35,7 @@ class OltpGenerator
 {
   public:
     /**
-     * @param pd  placed database the plans compile against
+     * @param pd  placed database the requests compile against
      * @param mean_inter_arrival  mean of the exponential gap (ticks)
      * @param update_fraction  probability a request also writes
      * @param seed  generator seed
@@ -53,8 +53,9 @@ class OltpGenerator
     /** Exponential inter-arrival draw, at least one tick. */
     Tick nextGap();
 
-    /** Compile the next random point request. */
-    cpu::AccessPlan make();
+    /** Draw the next random point request now; its operations are
+     *  generated as the stream is pulled. */
+    cpu::OpStream make();
 
   private:
     const workload::PlacedDatabase *pd_;

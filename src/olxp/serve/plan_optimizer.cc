@@ -36,6 +36,24 @@ touchedFields(const ScanQuery &q)
     return q.touchedFields;
 }
 
+/** Each of @p fields over each tuple range of @p ranges. The
+ *  predicate field leads (compare cost); every other field is
+ *  aggregated/materialised per value. */
+cpu::OpStream
+scanRanges(const imdb::Database &db, imdb::Database::TableId table,
+           std::vector<unsigned> fields,
+           std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges)
+{
+    bool first = true;
+    for (const unsigned f : fields) {
+        const unsigned cost =
+            first ? imdb::kCompareCycles : imdb::kAggregateCycles;
+        for (const auto &[lo, hi] : ranges)
+            co_yield imdb::ops::scanFieldWord(db, table, f, lo, hi, cost);
+        first = false;
+    }
+}
+
 } // namespace
 
 PlanOptimizer::PlanOptimizer(const workload::PlacedDatabase &pd,
@@ -81,7 +99,7 @@ PlanOptimizer::surviveRanges(
     }
 }
 
-cpu::AccessPlan
+cpu::OpStream
 PlanOptimizer::build(const ScanQuery &q)
 {
     if (q.t1 > pd_->db->table(q.table).tuples() || q.t0 >= q.t1)
@@ -105,18 +123,8 @@ PlanOptimizer::build(const ScanQuery &q)
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
     surviveRanges(q, ranges);
 
-    imdb::PlanBuilder b(*pd_->db);
-    bool first = true;
-    for (const unsigned f : fields) {
-        // The predicate field leads (compare cost); every other
-        // surviving field is aggregated/materialised per value.
-        const unsigned cost =
-            first ? b.costs().compare : b.costs().aggregate;
-        for (const auto &[lo, hi] : ranges)
-            b.scanFieldWord(q.table, f, lo, hi, cost);
-        first = false;
-    }
-    return b.take();
+    return scanRanges(*pd_->db, q.table, std::move(fields),
+                      std::move(ranges));
 }
 
 ScanResult

@@ -1,7 +1,7 @@
 /**
  * @file
  * The serving-layer plan optimizer: chunk and column pruning over
- * PlanBuilder scan plans (DESIGN.md 4i).
+ * imdb::ops scan streams (DESIGN.md 4i).
  *
  * A serving-layer scan is described declaratively (ScanQuery) rather
  * than compiled eagerly, which gives the optimizer a window between
@@ -17,8 +17,8 @@
  *    is a dead load (projection pushdown) and is dropped.
  *
  * The optimizer-off path compiles the same query over the full tuple
- * range and every touched field — byte-identical to what a
- * pre-optimizer client would have built.
+ * range and every touched field — byte-identical to one
+ * ops::scanFieldWord per touched field.
  */
 
 #ifndef RCNVM_OLXP_SERVE_PLAN_OPTIMIZER_HH_
@@ -27,7 +27,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cpu/mem_op.hh"
+#include "cpu/op_source.hh"
 #include "util/stats.hh"
 #include "workload/queries.hh"
 
@@ -74,7 +74,7 @@ struct ScanResult {
 };
 
 /**
- * Builds scan plans from ScanQuery descriptions, pruning chunks and
+ * Builds scan streams from ScanQuery descriptions, pruning chunks and
  * columns when enabled. One optimizer serves one placed database;
  * its counters are registered by the serve scheduler under
  * `serve.chunksScanned` / `serve.chunksPruned` / `serve.colsPruned`.
@@ -83,7 +83,7 @@ class PlanOptimizer
 {
   public:
     /**
-     * @param pd       placed database plans compile against
+     * @param pd       placed database scans compile against
      * @param enabled  false = the result-identical unoptimized path
      */
     PlanOptimizer(const workload::PlacedDatabase &pd, bool enabled);
@@ -91,12 +91,13 @@ class PlanOptimizer
     bool enabled() const { return enabled_; }
 
     /**
-     * Compile @p q into a per-core access plan: a predicate-field
-     * scan plus one scan per surviving touched field, restricted to
-     * the chunks the summaries cannot rule out. Updates the pruning
-     * counters.
+     * Compile @p q into one core's operation stream: a
+     * predicate-field scan plus one scan per surviving touched
+     * field, restricted to the chunks the summaries cannot rule
+     * out. Pruning and its counters run now; the operations are
+     * generated as the stream is pulled.
      */
-    cpu::AccessPlan build(const ScanQuery &q);
+    cpu::OpStream build(const ScanQuery &q);
 
     /**
      * Evaluate @p q host-side over the same chunks the plan visits.

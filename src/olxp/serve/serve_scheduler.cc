@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "imdb/plan_builder.hh"
 #include "util/logging.hh"
 
 namespace rcnvm::olxp::serve {
@@ -163,12 +162,12 @@ ServeScheduler::onOltpArrival(unsigned ti)
     TenantState &ts = tenants_[ti];
     oltpGenerated_.inc();
     const Tick now = machine_.eventQueue().now();
-    cpu::AccessPlan plan = ts.oltp->make();
+    cpu::OpStream ops = ts.oltp->make();
     if (queuedTotal() < cfg_.runQueueCapacity && ts.bucket.tryTake(now)) {
         ts.admitted.inc();
         ServeRequest sr;
         sr.tenant = ti;
-        sr.plan = std::move(plan);
+        sr.ops = std::move(ops);
         sr.arrival = now;
         (cfg_.oltpFirst ? oltpQueue_ : runQueue_).push_back(std::move(sr));
         dispatch();
@@ -240,7 +239,7 @@ ServeScheduler::pumpGroup(unsigned gi)
         r.backfill = true;
         r.group = static_cast<int>(gi);
         r.tuples = q.t1 - q.t0;
-        r.plan = optimizer_.build(q);
+        r.ops = optimizer_.build(q);
         r.result = optimizer_.evaluate(q);
         r.arrival = now;
         ++g.inFlight;
@@ -326,10 +325,11 @@ ServeScheduler::dispatch()
     const auto start = [this](int core, std::deque<ServeRequest> &q,
                               bool priority) {
         const unsigned c = static_cast<unsigned>(core);
-        executing_[c].emplace(std::move(q.front()));
+        ServeRequest &req = executing_[c].emplace(std::move(q.front()));
         q.pop_front();
         ++inFlightCount_;
-        machine_.startOnCore(c, executing_[c]->plan, priority,
+        req.source.emplace(std::move(req.ops));
+        machine_.startOnCore(c, *req.source, priority,
                              [this, c](Tick t) { onComplete(c, t); });
     };
 

@@ -202,7 +202,9 @@ class ServeScheduler
     /** One admitted (or parked) unit of work. */
     struct ServeRequest {
         unsigned tenant = 0;
-        cpu::AccessPlan plan;
+        cpu::OpStream ops; //!< generated only as its core pulls
+        /** Set at dispatch; the core borrows it until completion. */
+        std::optional<cpu::StreamOpSource> source;
         Tick arrival{0};
         bool backfill = false;
         int group = -1;          //!< shared-scan group, -1 = OLTP

@@ -86,6 +86,14 @@ class EventQueue
     /** Number of pending events. */
     std::size_t pending() const { return heap_.size(); }
 
+    /** Slab slots holding a parked callback. A slot is freed before
+     *  its callback runs, so this equals pending() whenever the
+     *  queue is consistent; the drained-state audit checks it. */
+    std::size_t occupiedSlots() const
+    {
+        return slab_.size() - free_.size();
+    }
+
     /** Heap arity: a 4-ary heap halves the sift depth of a binary
      *  one and its four-child scans touch at most three cache lines
      *  of 24-byte entries, which measurably speeds up the

@@ -77,14 +77,4 @@ streamMicro(const Database &db, Database::TableId tid, MicroBench mb,
     return streams;
 }
 
-std::vector<cpu::AccessPlan>
-compileMicro(const Database &db, Database::TableId tid, MicroBench mb,
-             unsigned cores)
-{
-    std::vector<cpu::AccessPlan> plans;
-    for (cpu::OpStream &s : streamMicro(db, tid, mb, cores))
-        cpu::drain(std::move(s), plans.emplace_back());
-    return plans;
-}
-
 } // namespace rcnvm::workload

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "cpu/mem_op.hh"
 #include "cpu/op_source.hh"
 #include "imdb/database.hh"
 
@@ -38,11 +37,6 @@ const char *toString(MicroBench mb);
 std::vector<cpu::OpStream>
 streamMicro(const imdb::Database &db, imdb::Database::TableId tid,
             MicroBench mb, unsigned cores);
-
-/** streamMicro(), drained into per-core plans. */
-std::vector<cpu::AccessPlan>
-compileMicro(const imdb::Database &db, imdb::Database::TableId tid,
-             MicroBench mb, unsigned cores);
 
 } // namespace rcnvm::workload
 

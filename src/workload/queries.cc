@@ -14,11 +14,31 @@ using cpu::MemOp;
 using cpu::OpStream;
 using imdb::ChunkLayout;
 using imdb::Database;
+using imdb::kAggregateCycles;
+using imdb::kCompareCycles;
+using imdb::kHashCycles;
+using imdb::kMaterializeCycles;
 using imdb::LineRef;
 
 namespace ops = imdb::ops;
 
 namespace {
+
+// Table-2 predicate selectivities.
+constexpr double kQ1Sel = 0.10;
+constexpr double kQ2Sel = 0.05; //!< "most of f10 is NOT greater than x"
+constexpr double kQ3Sel = 0.90; //!< "most of f10 is greater than x"
+constexpr double kQ4Sel = 0.50;
+constexpr double kQ5Sel = 0.50;
+constexpr double kQ6Sel = 0.50;
+constexpr double kQ7Sel = 0.50;
+constexpr double kQ10Sel = 0.30; //!< per predicate
+constexpr double kQ11Sel = 0.30;
+constexpr double kQ12Band = 0.01; //!< equality band selectivity
+constexpr double kQ13Band = 0.05;
+/** Q14/Q15 group-caching lines per column: what
+ *  QueryWorkload::kDefaultGroup selects. */
+constexpr unsigned kGroupLines = 128;
 
 const std::vector<QuerySpec> specs = {
     {QueryId::Q1, "Q1",
@@ -134,15 +154,14 @@ selectFetchCore(const Database &db, Database::TableId tid,
                 unsigned pred_word, Range r, Matches matches,
                 unsigned out_w0, unsigned out_w1)
 {
-    const imdb::ComputeCosts costs;
     co_yield ops::scanFieldWord(db, tid, pred_word, r.lo, r.hi,
-                                costs.compare);
+                                kCompareCycles);
     // The query optimizer picks row or column access to minimise
     // memory accesses (Sec. 5): sparse matches use the Figure-12
     // row-access plan, dense ones go columnar.
     co_yield ops::fetchTuplesBest(db, tid,
                                   matchedIn(*matches, r.lo, r.hi),
-                                  out_w0, out_w1, costs.materialize);
+                                  out_w0, out_w1, kMaterializeCycles);
 }
 
 /** Every field column of the core's tuples. */
@@ -150,11 +169,10 @@ OpStream
 selectAllFieldsCore(const Database &db, Database::TableId tid,
                     unsigned pred_word, Range r)
 {
-    const imdb::ComputeCosts costs;
     const unsigned tw = db.table(tid).schema().tupleWords();
     for (unsigned w = 0; w < tw; ++w) {
         co_yield ops::scanFieldWord(db, tid, w, r.lo, r.hi,
-                                    w == pred_word ? costs.compare : 0);
+                                    w == pred_word ? kCompareCycles : 0);
     }
 }
 
@@ -164,17 +182,16 @@ aggregateCore(const Database &db, Database::TableId tid,
               unsigned pred_word, unsigned agg_word, Range r,
               bool scan_agg_column, Matches matches)
 {
-    const imdb::ComputeCosts costs;
     co_yield ops::scanFieldWord(db, tid, pred_word, r.lo, r.hi,
-                                costs.compare);
+                                kCompareCycles);
     if (scan_agg_column) {
         co_yield ops::scanFieldWord(db, tid, agg_word, r.lo, r.hi,
-                                    costs.aggregate);
+                                    kAggregateCycles);
     } else {
         co_yield ops::fetchTuplesBest(db, tid,
                                       matchedIn(*matches, r.lo, r.hi),
                                       agg_word, agg_word + 1,
-                                      costs.aggregate);
+                                      kAggregateCycles);
     }
 }
 
@@ -183,13 +200,12 @@ OpStream
 twoPredicateCore(const Database &db, Database::TableId tid,
                  unsigned pred1, unsigned pred2, Range r, Matches both)
 {
-    const imdb::ComputeCosts costs;
     co_yield ops::scanFieldWord(db, tid, pred1, r.lo, r.hi,
-                                costs.compare);
+                                kCompareCycles);
     co_yield ops::scanFieldWord(db, tid, pred2, r.lo, r.hi,
-                                costs.compare);
+                                kCompareCycles);
     co_yield ops::fetchTuplesBest(db, tid, matchedIn(*both, r.lo, r.hi),
-                                  2, 4, costs.materialize);
+                                  2, 4, kMaterializeCycles);
 }
 
 /**
@@ -201,7 +217,6 @@ joinSideCore(const Database &db, Database::TableId tid,
              Database::TableId hash, bool with_f1_filter, bool build,
              Range r)
 {
-    const imdb::ComputeCosts costs;
     const unsigned f9 = 8, f1 = 0;
     co_yield ops::scanFieldWord(db, tid, f9, r.lo, r.hi, 0);
     if (with_f1_filter)
@@ -213,7 +228,7 @@ joinSideCore(const Database &db, Database::TableId tid,
     for (std::uint64_t t = r.lo; t < r.hi; ++t)
         keys.push_back(hashKey(table.value(f9, t)) % slots);
     co_yield ops::hashAccess(db, hash, std::move(keys), build,
-                             costs.hash);
+                             kHashCycles);
 }
 
 /** The join's output: a.f3 and b.f4 of matched tuples. */
@@ -236,8 +251,8 @@ OpStream
 updateCore(const Database &db, Database::TableId tid, unsigned f10,
            Range r, Matches matches, std::vector<unsigned> words)
 {
-    const imdb::ComputeCosts costs;
-    co_yield ops::scanFieldWord(db, tid, f10, r.lo, r.hi, costs.compare);
+    co_yield ops::scanFieldWord(db, tid, f10, r.lo, r.hi,
+                                kCompareCycles);
     const std::vector<std::uint64_t> hit =
         matchedIn(*matches, r.lo, r.hi);
     for (const unsigned w : words)
@@ -271,17 +286,6 @@ CompiledQuery::totalOps() const
             n += plan.size();
     }
     return n;
-}
-
-QueryWorkload::QueryWorkload(const TableSet &tables)
-    : tables_(&tables), params_()
-{
-}
-
-QueryWorkload::QueryWorkload(const TableSet &tables,
-                             const Params &params)
-    : tables_(&tables), params_(params)
-{
 }
 
 PlacedDatabase
@@ -352,7 +356,7 @@ QueryWorkload::compileSelect(const PlacedDatabase &pd,
             const std::uint64_t hi =
                 std::min<std::uint64_t>(full_lines, lo + per);
             return ops::physicalScan(db, tid, lo, hi, false,
-                                     imdb::ComputeCosts{}.compare * 2);
+                                     kCompareCycles * 2);
         }));
     }
     return q;
@@ -445,7 +449,6 @@ QueryWorkload::compileJoin(const PlacedDatabase &pd,
         }
     }
 
-    imdb::ComputeCosts costs;
     QueryStreams q;
     // Phase 1: build - scan a.f9 (and a.f1 for the filter payload),
     // insert into the hash region.
@@ -460,7 +463,7 @@ QueryWorkload::compileJoin(const PlacedDatabase &pd,
     }));
     // Phase 3: fetch outputs - a.f3 and b.f4 of matched tuples.
     const std::uint64_t pair_compute =
-        pairs * costs.materialize / std::max(1u, cores);
+        pairs * kMaterializeCycles / std::max(1u, cores);
     q.phases.push_back(perCore(cores, [&](unsigned c) {
         return joinFetchCore(db, pd.a, pd.b, corePartition(na, cores, c),
                              corePartition(nb, cores, c), match_a,
@@ -510,13 +513,12 @@ QueryWorkload::compileOrdered(const PlacedDatabase &pd,
 {
     const Database &db = *pd.db;
     const std::uint64_t n = db.table(tid).tuples();
-    imdb::ComputeCosts costs;
     QueryStreams q;
     q.phases.push_back(perCore(cores, [&](unsigned c) {
         const Range r = corePartition(n, cores, c);
         return ops::orderedMultiColumnScan(db, tid, words, r.lo, r.hi,
                                            group_lines,
-                                           costs.materialize);
+                                           kMaterializeCycles);
     }));
     return q;
 }
@@ -530,7 +532,7 @@ QueryWorkload::compile(QueryId id, const PlacedDatabase &pd,
     for (std::vector<OpStream> &phase : streams.phases) {
         std::vector<cpu::AccessPlan> &plans = q.phases.emplace_back();
         for (OpStream &s : phase)
-            cpu::drain(std::move(s), plans.emplace_back());
+            plans.push_back(cpu::drain(std::move(s)));
     }
     return q;
 }
@@ -539,47 +541,46 @@ QueryStreams
 QueryWorkload::stream(QueryId id, const PlacedDatabase &pd,
                       unsigned cores, unsigned group_lines) const
 {
-    const unsigned group = group_lines == kDefaultGroup
-                               ? params_.groupLines
-                               : group_lines;
+    const unsigned group =
+        group_lines == kDefaultGroup ? kGroupLines : group_lines;
     const unsigned f10 = 9, f9 = 8, f1 = 0;
     const imdb::Table &tb = *tables_->b;
     switch (id) {
       case QueryId::Q1:
-        return compileSelect(pd, pd.a, f10, params_.q1Sel, 2, 4,
+        return compileSelect(pd, pd.a, f10, kQ1Sel, 2, 4,
                              cores);
       case QueryId::Q2:
-        return compileSelect(pd, pd.b, f10, params_.q2Sel, 0,
+        return compileSelect(pd, pd.b, f10, kQ2Sel, 0,
                              tb.schema().tupleWords(), cores);
       case QueryId::Q3:
-        return compileSelect(pd, pd.b, f10, params_.q3Sel, 0,
+        return compileSelect(pd, pd.b, f10, kQ3Sel, 0,
                              tb.schema().tupleWords(), cores);
       case QueryId::Q4:
-        return compileAggregate(pd, pd.a, f10, params_.q4Sel, f9,
+        return compileAggregate(pd, pd.a, f10, kQ4Sel, f9,
                                 cores);
       case QueryId::Q5:
-        return compileAggregate(pd, pd.b, f10, params_.q5Sel, f9,
+        return compileAggregate(pd, pd.b, f10, kQ5Sel, f9,
                                 cores);
       case QueryId::Q6:
-        return compileAggregate(pd, pd.a, f10, params_.q6Sel, f1,
+        return compileAggregate(pd, pd.a, f10, kQ6Sel, f1,
                                 cores);
       case QueryId::Q7:
-        return compileAggregate(pd, pd.b, f10, params_.q7Sel, f1,
+        return compileAggregate(pd, pd.b, f10, kQ7Sel, f1,
                                 cores);
       case QueryId::Q8:
         return compileJoin(pd, true, cores);
       case QueryId::Q9:
         return compileJoin(pd, false, cores);
       case QueryId::Q10:
-        return compileTwoPredicate(pd, f1, f9, params_.q10Sel,
-                                   params_.q10Sel, cores);
+        return compileTwoPredicate(pd, f1, f9, kQ10Sel,
+                                   kQ10Sel, cores);
       case QueryId::Q11:
-        return compileTwoPredicate(pd, f1, 1, params_.q11Sel,
-                                   params_.q11Sel, cores);
+        return compileTwoPredicate(pd, f1, 1, kQ11Sel,
+                                   kQ11Sel, cores);
       case QueryId::Q12:
-        return compileUpdate(pd, params_.q12Band, {2, 3}, cores);
+        return compileUpdate(pd, kQ12Band, {2, 3}, cores);
       case QueryId::Q13:
-        return compileUpdate(pd, params_.q13Band, {f9}, cores);
+        return compileUpdate(pd, kQ13Band, {f9}, cores);
       case QueryId::Q14:
         return compileOrdered(pd, pd.c, {1, 2, 3, 4}, group, cores);
       case QueryId::Q15:

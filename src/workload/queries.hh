@@ -95,27 +95,8 @@ struct PlacedDatabase {
 class QueryWorkload
 {
   public:
-    /** Default predicate selectivities per query (see Table 2). */
-    struct Params {
-        double q1Sel = 0.10;
-        double q2Sel = 0.05; //!< "most of f10 is NOT greater than x"
-        double q3Sel = 0.90; //!< "most of f10 is greater than x"
-        double q4Sel = 0.50;
-        double q5Sel = 0.50;
-        double q6Sel = 0.50;
-        double q7Sel = 0.50;
-        double q10Sel = 0.30; //!< per predicate
-        double q11Sel = 0.30;
-        double q12Band = 0.01; //!< equality band selectivity
-        double q13Band = 0.05;
-        unsigned groupLines = 128; //!< Q14/Q15 group-caching size
-    };
-
-    /** Use the default Table-2 parameters. */
-    explicit QueryWorkload(const TableSet &tables);
-
-    /** Use custom selectivity parameters. */
-    QueryWorkload(const TableSet &tables, const Params &params);
+    /** Compile against @p tables with the Table-2 selectivities. */
+    explicit QueryWorkload(const TableSet &tables) : tables_(&tables) {}
 
     /**
      * Place the benchmark tables on a device. RC-NVM uses the given
@@ -132,8 +113,8 @@ class QueryWorkload
      * host-side work (predicates, join matching) runs here; each
      * core's operations are generated as its stream is pulled.
      *
-     * @param group_lines  overrides Params::groupLines for Q14/Q15;
-     *                     the magic value UINT_MAX keeps the default
+     * @param group_lines  Q14/Q15 group-caching lines per column;
+     *                     kDefaultGroup keeps the default of 128
      */
     QueryStreams stream(QueryId id, const PlacedDatabase &pd,
                         unsigned cores = 4,
@@ -144,11 +125,8 @@ class QueryWorkload
                           unsigned cores = 4,
                           unsigned group_lines = kDefaultGroup) const;
 
-    /** Sentinel for "use Params::groupLines". */
+    /** Sentinel for "use the default group-caching size (128)". */
     static constexpr unsigned kDefaultGroup = 0xffffffffu;
-
-    /** The parameter block in use. */
-    const Params &params() const { return params_; }
 
   private:
     QueryStreams compileSelect(const PlacedDatabase &pd,
@@ -183,7 +161,6 @@ class QueryWorkload
                                 unsigned cores) const;
 
     const TableSet *tables_;
-    Params params_;
 };
 
 } // namespace rcnvm::workload

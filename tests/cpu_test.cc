@@ -419,9 +419,10 @@ TEST(MachineTest, ServeWithNoTrafficReturnsImmediately)
 TEST(MachineTest, StartOnCoreRunsUnderServe)
 {
     Machine machine(smallMachine());
-    AccessPlan plan{MemOp::compute(100)};
+    const AccessPlan plan{MemOp::compute(100)};
+    PlanOpSource source(plan);
     Tick finished{0};
-    machine.startOnCore(2, plan,
+    machine.startOnCore(2, source, false,
                         [&finished](Tick t) { finished = t; });
     EXPECT_FALSE(machine.coreIdle(2));
     EXPECT_TRUE(machine.coreIdle(0));

@@ -452,7 +452,7 @@ TEST(HotSetKnob, SkewShrinksTheTupleFootprint)
                                 hot_prob);
         std::set<Addr> first;
         for (unsigned i = 0; i < 512; ++i)
-            first.insert(gen.make().front().addr);
+            first.insert(cpu::drain(gen.make()).front().addr);
         return first.size();
     };
     const std::size_t uniform = footprint(0.0, 0.0);

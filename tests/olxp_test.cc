@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the OLTP request generator and the machine's service
- * primitive it feeds (starting plans on named cores). The scheduler
- * itself is tested in serve_test.cc.
+ * primitive it feeds (starting streams on named cores). The
+ * scheduler itself is tested in serve_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -50,7 +50,7 @@ TEST(GeneratorTest, OltpRequestsTargetExistingTuples)
 {
     OltpGenerator gen(placedDb(), Tick{1000}, 0.5, kSeed);
     for (unsigned i = 0; i < 32; ++i)
-        EXPECT_FALSE(gen.make().empty());
+        EXPECT_FALSE(cpu::drain(gen.make()).empty());
 }
 
 TEST(GeneratorTest, SameSeedSameRequestSequence)
@@ -59,7 +59,8 @@ TEST(GeneratorTest, SameSeedSameRequestSequence)
     OltpGenerator b(placedDb(), Tick{1000}, 0.5, kSeed);
     for (unsigned i = 0; i < 16; ++i) {
         EXPECT_EQ(a.nextGap(), b.nextGap());
-        ASSERT_EQ(a.make().size(), b.make().size());
+        ASSERT_EQ(cpu::drain(a.make()).size(),
+                  cpu::drain(b.make()).size());
     }
 }
 
@@ -69,10 +70,10 @@ TEST(SchedulerDeathTest, StartOnBusyCoreIsFatal)
     config.device = mem::DeviceKind::RcNvm;
     cpu::Machine machine(config);
     OltpGenerator gen(placedDb(), Tick{1000}, 0.0, kSeed);
-    const cpu::AccessPlan a = gen.make();
-    const cpu::AccessPlan b = gen.make();
-    machine.startOnCore(0, a, [](Tick) {});
-    EXPECT_EXIT(machine.startOnCore(0, b, [](Tick) {}),
+    cpu::StreamOpSource a(gen.make());
+    cpu::StreamOpSource b(gen.make());
+    machine.startOnCore(0, a, false, [](Tick) {});
+    EXPECT_EXIT(machine.startOnCore(0, b, false, [](Tick) {}),
                 ::testing::ExitedWithCode(1), "busy");
 }
 

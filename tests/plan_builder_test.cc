@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the plan-building primitives: scan/fetch/store op
- * generation, gather usage, hash access, and the group-caching
- * transform structure.
+ * Tests for the plan-building primitives (the imdb::ops generators,
+ * drained into plans): scan/fetch/store op generation, gather usage,
+ * hash access, and the group-caching transform structure.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 namespace rcnvm::imdb {
 namespace {
 
+using cpu::drain;
 using cpu::MemOp;
 using cpu::OpKind;
 
@@ -43,21 +44,9 @@ struct GsFixture {
         db.addTable(&table, ChunkLayout::RowOriented);
 };
 
-TEST(PlanBuilderTest, TakeResetsThePlan)
-{
-    RcFixture f;
-    PlanBuilder b(f.db);
-    b.compute(5);
-    EXPECT_EQ(b.take().size(), 1u);
-    EXPECT_TRUE(b.take().empty());
-}
-
 TEST(PlanBuilderTest, ComputeSplitsHugeCounts)
 {
-    RcFixture f;
-    PlanBuilder b(f.db);
-    b.compute(0x100000001ull);
-    const auto plan = b.take();
+    const auto plan = drain(ops::compute(0x100000001ull));
     EXPECT_EQ(plan.size(), 2u);
     std::uint64_t total = 0;
     for (const MemOp &op : plan)
@@ -68,9 +57,7 @@ TEST(PlanBuilderTest, ComputeSplitsHugeCounts)
 TEST(PlanBuilderTest, ScanEmitsColumnLoadsOnRcNvm)
 {
     RcFixture f;
-    PlanBuilder b(f.db);
-    b.scanFieldWord(f.tid, 9, 0, 1024, 1);
-    const auto plan = b.take();
+    const auto plan = drain(ops::scanFieldWord(f.db, f.tid, 9, 0, 1024, 1));
     // Rotated chunks scan via row loads, unrotated via cloads; in
     // either case 128 memory ops plus one compute each.
     const unsigned memops =
@@ -82,9 +69,7 @@ TEST(PlanBuilderTest, ScanEmitsColumnLoadsOnRcNvm)
 TEST(PlanBuilderTest, ScanComputeScalesWithValuesPerLine)
 {
     RcFixture f;
-    PlanBuilder b(f.db);
-    b.scanFieldWord(f.tid, 9, 0, 1024, 2);
-    const auto plan = b.take();
+    const auto plan = drain(ops::scanFieldWord(f.db, f.tid, 9, 0, 1024, 2));
     for (const MemOp &op : plan) {
         if (op.kind == OpKind::Compute) {
             EXPECT_EQ(op.computeCycles, 16u); // 8 values x 2 cycles
@@ -95,9 +80,7 @@ TEST(PlanBuilderTest, ScanComputeScalesWithValuesPerLine)
 TEST(PlanBuilderTest, GatherScanUsesGLoads)
 {
     GsFixture f;
-    PlanBuilder b(f.db);
-    b.scanFieldWord(f.tid, 9, 0, 1024, 1);
-    const auto plan = b.take();
+    const auto plan = drain(ops::scanFieldWord(f.db, f.tid, 9, 0, 1024, 1));
     EXPECT_EQ(countKind(plan, OpKind::GLoad), 128u); // 1024 / 8
     EXPECT_EQ(countKind(plan, OpKind::Load), 0u);
 }
@@ -105,9 +88,7 @@ TEST(PlanBuilderTest, GatherScanUsesGLoads)
 TEST(PlanBuilderTest, GatherHandlesUnalignedTail)
 {
     GsFixture f;
-    PlanBuilder b(f.db);
-    b.scanFieldWord(f.tid, 9, 0, 1021, 0);
-    const auto plan = b.take();
+    const auto plan = drain(ops::scanFieldWord(f.db, f.tid, 9, 0, 1021, 0));
     EXPECT_EQ(countKind(plan, OpKind::GLoad), 127u);
     EXPECT_EQ(countKind(plan, OpKind::Load), 5u); // 1016..1020
 }
@@ -115,32 +96,26 @@ TEST(PlanBuilderTest, GatherHandlesUnalignedTail)
 TEST(PlanBuilderTest, FetchTuplesDeduplicatesSharedLines)
 {
     RcFixture f;
-    PlanBuilder b(f.db);
     // Adjacent tuples in a column-oriented chunk share row lines
     // only when they map to the same 64-byte span; fetching the
     // same tuple twice must certainly dedupe.
-    b.fetchTuples(f.tid, {5, 5}, 2, 4, 0);
-    const auto once = b.take();
-    b.fetchTuples(f.tid, {5}, 2, 4, 0);
-    const auto single = b.take();
+    const auto once = drain(ops::fetchTuples(f.db, f.tid, {5, 5}, 2, 4, 0));
+    const auto single = drain(ops::fetchTuples(f.db, f.tid, {5}, 2, 4, 0));
     EXPECT_EQ(once.size(), single.size());
 }
 
 TEST(PlanBuilderTest, FetchAttachesComputePerTuple)
 {
     RcFixture f;
-    PlanBuilder b(f.db);
-    b.fetchTuples(f.tid, {1, 100, 1000}, 0, 2, 7);
-    const auto plan = b.take();
+    const auto plan =
+        drain(ops::fetchTuples(f.db, f.tid, {1, 100, 1000}, 0, 2, 7));
     EXPECT_EQ(countKind(plan, OpKind::Compute), 3u);
 }
 
 TEST(PlanBuilderTest, StoreFieldUsesColumnSpaceOnColumnLayout)
 {
     RcFixture f;
-    PlanBuilder b(f.db);
-    b.storeFieldWord(f.tid, {0, 1, 2}, 8);
-    const auto plan = b.take();
+    const auto plan = drain(ops::storeFieldWord(f.db, f.tid, {0, 1, 2}, 8));
     EXPECT_EQ(countKind(plan, OpKind::CStore), 3u);
     EXPECT_EQ(countKind(plan, OpKind::Store), 0u);
     for (const MemOp &op : plan)
@@ -150,9 +125,7 @@ TEST(PlanBuilderTest, StoreFieldUsesColumnSpaceOnColumnLayout)
 TEST(PlanBuilderTest, StoreFieldUsesRowSpaceOnDram)
 {
     GsFixture f;
-    PlanBuilder b(f.db);
-    b.storeFieldWord(f.tid, {0, 1, 2}, 8);
-    const auto plan = b.take();
+    const auto plan = drain(ops::storeFieldWord(f.db, f.tid, {0, 1, 2}, 8));
     EXPECT_EQ(countKind(plan, OpKind::Store), 3u);
 }
 
@@ -161,21 +134,20 @@ TEST(PlanBuilderTest, HashAccessEmitsWordOps)
     RcFixture f;
     Table hash{"h", Schema::uniform(2), 4096, 3};
     const auto hid = f.db.addTable(&hash, ChunkLayout::RowOriented);
-    PlanBuilder b(f.db);
-    b.hashAccess(hid, {7, 99, 1000}, true, 6);
-    const auto plan = b.take();
+    const auto plan =
+        drain(ops::hashAccess(f.db, hid, {7, 99, 1000}, true, 6));
     EXPECT_EQ(countKind(plan, OpKind::Store), 3u);
     EXPECT_EQ(countKind(plan, OpKind::Compute), 3u);
-    b.hashAccess(hid, {7}, false, 0);
-    EXPECT_EQ(countKind(b.take(), OpKind::Load), 1u);
+    EXPECT_EQ(countKind(drain(ops::hashAccess(f.db, hid, {7}, false, 0)),
+                        OpKind::Load),
+              1u);
 }
 
 TEST(PlanBuilderTest, OrderedScanWithoutGroupingInterleaves)
 {
     RcFixture f;
-    PlanBuilder b(f.db);
-    b.orderedMultiColumnScan(f.tid, {2, 5, 9}, 0, 64, 0, 1);
-    const auto plan = b.take();
+    const auto plan = drain(
+        ops::orderedMultiColumnScan(f.db, f.tid, {2, 5, 9}, 0, 64, 0, 1));
     // 8 groups x 3 columns of line reads; no pins, no fences.
     const unsigned memops =
         countKind(plan, OpKind::CLoad) + countKind(plan, OpKind::Load);
@@ -188,9 +160,8 @@ TEST(PlanBuilderTest, OrderedScanWithoutGroupingInterleaves)
 TEST(PlanBuilderTest, GroupCachingAddsPrefetchPinUnpin)
 {
     RcFixture f;
-    PlanBuilder b(f.db);
-    b.orderedMultiColumnScan(f.tid, {2, 5, 9}, 0, 1024, 32, 1);
-    const auto plan = b.take();
+    const auto plan = drain(ops::orderedMultiColumnScan(
+        f.db, f.tid, {2, 5, 9}, 0, 1024, 32, 1));
     // 4 batches of 256 tuples: each has 3x32 prefetch lines, one
     // fence, 3 pins, 96 consumption reads, 3 unpins.
     EXPECT_EQ(countKind(plan, OpKind::Fence), 4u);
@@ -208,9 +179,8 @@ TEST(PlanBuilderTest, OrderedScanFallsBackOnRowLayout)
     Table t{"t", Schema::uniform(16), 512, 3};
     Database db(mem::DeviceKind::RcNvm, map);
     const auto tid = db.addTable(&t, ChunkLayout::RowOriented);
-    PlanBuilder b(db);
-    b.orderedMultiColumnScan(tid, {2, 5, 9}, 0, 512, 64, 1);
-    const auto plan = b.take();
+    const auto plan = drain(
+        ops::orderedMultiColumnScan(db, tid, {2, 5, 9}, 0, 512, 64, 1));
     // Fallback: per-tuple row fetches, no pins.
     EXPECT_EQ(countKind(plan, OpKind::Pin), 0u);
     EXPECT_GT(countKind(plan, OpKind::Load) +
@@ -220,14 +190,11 @@ TEST(PlanBuilderTest, OrderedScanFallsBackOnRowLayout)
 
 TEST(PlanBuilderTest, EmitLinesRespectsOrientationAndWrites)
 {
-    RcFixture f;
-    PlanBuilder b(f.db);
     const std::vector<LineRef> lines = {
         {0x0, Orientation::Row},
         {0x40, Orientation::Column},
     };
-    b.emitLines(lines, true, 0);
-    const auto plan = b.take();
+    const auto plan = drain(ops::emitLines(lines, true, 0));
     ASSERT_EQ(plan.size(), 2u);
     EXPECT_EQ(plan[0].kind, OpKind::Store);
     EXPECT_EQ(plan[1].kind, OpKind::CStore);

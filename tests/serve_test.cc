@@ -3,12 +3,12 @@
  * Tests for the serving subsystem (DESIGN.md 4i): plan-optimizer
  * correctness — pruned and unpruned plans must produce identical
  * query results on Table-2-shaped and randomized predicates, and the
- * optimizer-off path must be byte-identical to a direct PlanBuilder
- * compilation (the pre-optimizer golden) — plus tenant admission,
- * shared-scan accounting, the SLO control loop, and end-to-end
- * determinism of a serving run — and FIFO mode (DESIGN.md 4d), whose
- * goldens pin the traffic of the two-class service scheduler it
- * replaced.
+ * optimizer-off path must be byte-identical to direct
+ * ops::scanFieldWord streams (the pre-optimizer golden) — plus
+ * tenant admission, shared-scan accounting, the SLO control loop,
+ * and end-to-end determinism of a serving run — and FIFO mode
+ * (DESIGN.md 4d), whose goldens pin the traffic of the two-class
+ * service scheduler it replaced.
  */
 
 #include <gtest/gtest.h>
@@ -197,8 +197,8 @@ TEST(OptimizerTest, TableTwoShapesPrunedEqualsUnpruned)
         EXPECT_EQ(b, referenceScan(q));
         // Compile both ways too: build() drives the pruning
         // counters and must accept every suite shape.
-        on.build(q);
-        off.build(q);
+        cpu::drain(on.build(q));
+        cpu::drain(off.build(q));
     }
     // Chunk accounting closes: every chunk the on-path skipped was
     // scanned by the off-path, never silently lost.
@@ -228,8 +228,8 @@ TEST(OptimizerTest, RandomizedPredicatesPrunedEqualsUnpruned)
         const ScanResult a = on.evaluate(q);
         EXPECT_EQ(a, off.evaluate(q));
         EXPECT_EQ(a, referenceScan(q));
-        on.build(q);
-        off.build(q);
+        cpu::drain(on.build(q));
+        cpu::drain(off.build(q));
     }
     // Uniform thresholds rarely prune (a 1024-tuple chunk's min/max
     // spans nearly the whole domain), so add an edge-band batch —
@@ -254,30 +254,32 @@ TEST(OptimizerTest, RandomizedPredicatesPrunedEqualsUnpruned)
         const ScanResult a = on.evaluate(q);
         EXPECT_EQ(a, off.evaluate(q));
         EXPECT_EQ(a, referenceScan(q));
-        on.build(q);
-        off.build(q);
+        cpu::drain(on.build(q));
+        cpu::drain(off.build(q));
     }
     EXPECT_EQ(on.chunksScanned().value() + on.chunksPruned().value(),
               off.chunksScanned().value());
     EXPECT_GT(on.chunksPruned().value(), 0u);
 }
 
-TEST(OptimizerTest, OffPathIsByteIdenticalToDirectPlanBuilder)
+TEST(OptimizerTest, OffPathIsByteIdenticalToDirectOps)
 {
     // The pre-optimizer golden: with the optimizer off, build()
-    // must emit exactly the plan a direct PlanBuilder client (the
-    // PR-1/PR-2 code path) would compile for the same scan.
+    // must emit exactly the operations of one direct
+    // ops::scanFieldWord per touched field over the whole range.
     PlanOptimizer off(placedDb(), false);
     for (const ScanQuery &q : tableTwoShapedQueries()) {
-        imdb::PlanBuilder b(*placedDb().db);
+        cpu::AccessPlan direct;
         bool first = true;
         for (const unsigned f : q.touchedFields) {
-            const unsigned cost = first ? b.costs().compare
-                                        : b.costs().aggregate;
-            b.scanFieldWord(q.table, f, q.t0, q.t1, cost);
+            const unsigned cost =
+                first ? imdb::kCompareCycles : imdb::kAggregateCycles;
+            const cpu::AccessPlan scan = cpu::drain(imdb::ops::scanFieldWord(
+                *placedDb().db, q.table, f, q.t0, q.t1, cost));
+            direct.insert(direct.end(), scan.begin(), scan.end());
             first = false;
         }
-        EXPECT_TRUE(samePlan(off.build(q), b.take()));
+        EXPECT_TRUE(samePlan(cpu::drain(off.build(q)), direct));
     }
     EXPECT_EQ(off.chunksPruned().value(), 0u);
     EXPECT_EQ(off.colsPruned().value(), 0u);
@@ -295,11 +297,11 @@ TEST(OptimizerTest, DeadColumnsArePruned)
     q.t0 = 0;
     q.t1 = imdb::Table::chunkTuples;
     q.touchedFields = {0, 1, 2, 3};
-    const cpu::AccessPlan pruned = on.build(q);
+    const cpu::AccessPlan pruned = cpu::drain(on.build(q));
     EXPECT_EQ(on.colsPruned().value(), 2u); // f2, f3 dead
 
     PlanOptimizer off(placedDb(), false);
-    const cpu::AccessPlan full = off.build(q);
+    const cpu::AccessPlan full = cpu::drain(off.build(q));
     EXPECT_LT(pruned.size(), full.size());
 }
 

@@ -87,6 +87,32 @@ TEST(EventQueue, CountsExecutedEvents)
     EXPECT_EQ(eq.executed(), 5u);
 }
 
+TEST(EventQueue, OccupiedSlotsTrackPendingAndDrainToZero)
+{
+    EventQueue eq;
+    EXPECT_EQ(eq.occupiedSlots(), 0u);
+    std::vector<std::size_t> seen; // occupied minus pending, per event
+    for (int i = 0; i < 4; ++i) {
+        eq.schedule(Tick{static_cast<std::uint64_t>(10 * i)}, [&] {
+            seen.push_back(eq.occupiedSlots() - eq.pending());
+            // Reuse a freed slot and grow the slab in one callback.
+            eq.scheduleAfter(Tick{5}, [&] {
+                seen.push_back(eq.occupiedSlots() - eq.pending());
+            });
+            eq.scheduleAfter(Tick{7}, [] {});
+        });
+    }
+    EXPECT_EQ(eq.occupiedSlots(), 4u);
+    EXPECT_EQ(eq.occupiedSlots(), eq.pending());
+    eq.runUntil(Tick{12});
+    EXPECT_EQ(eq.occupiedSlots(), eq.pending());
+    EXPECT_GT(eq.pending(), 0u);
+    eq.run();
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.occupiedSlots(), 0u);
+    EXPECT_EQ(seen, std::vector<std::size_t>(8, 0));
+}
+
 TEST(EventQueue, EmptyRunIsNoop)
 {
     EventQueue eq;

@@ -550,7 +550,7 @@ TEST_F(EnvConfigDeathTest, MalformedEpochTicksIsFatal)
     cpu::MachineConfig config;
     config.device = mem::DeviceKind::RcNvm;
     EXPECT_EXIT(
-        (void)core::runPlans(config, {{MemOp::load(0x40)}}),
+        (void)core::runStreamed(config, workload::QueryStreams{}),
         ::testing::ExitedWithCode(1), "RCNVM_EPOCH_TICKS");
 }
 
@@ -560,7 +560,7 @@ TEST_F(EnvConfigDeathTest, EpochTicksOverflowIsFatal)
     cpu::MachineConfig config;
     config.device = mem::DeviceKind::RcNvm;
     EXPECT_EXIT(
-        (void)core::runPlans(config, {{MemOp::load(0x40)}}),
+        (void)core::runStreamed(config, workload::QueryStreams{}),
         ::testing::ExitedWithCode(1), "overflows");
 }
 

@@ -185,11 +185,11 @@ TEST(WorkloadTest, MicroPlansCoverTable)
     for (const auto mb :
          {MicroBench::RowRead, MicroBench::ColRead,
           MicroBench::RowWrite, MicroBench::ColWrite}) {
-        const auto plans = compileMicro(db, tid, mb, 4);
-        EXPECT_EQ(plans.size(), 4u);
+        std::vector<cpu::OpStream> streams = streamMicro(db, tid, mb, 4);
+        EXPECT_EQ(streams.size(), 4u);
         std::uint64_t memops = 0;
-        for (const auto &plan : plans) {
-            for (const auto &op : plan)
+        for (cpu::OpStream &s : streams) {
+            for (const auto &op : cpu::drain(std::move(s)))
                 memops += op.isMemory() ? 1 : 0;
         }
         // 2048 tuples x 128 B / 64 B = 4096 lines in total.
@@ -204,11 +204,10 @@ TEST(WorkloadTest, MicroWritesEmitStores)
     imdb::Database db(mem::DeviceKind::Dram, map);
     const auto tid = db.addTable(f.tables.micro.get(),
                                  imdb::ChunkLayout::RowOriented);
-    const auto plans =
-        compileMicro(db, tid, MicroBench::RowWrite, 2);
     bool any_store = false;
-    for (const auto &plan : plans) {
-        for (const auto &op : plan)
+    for (cpu::OpStream &s :
+         streamMicro(db, tid, MicroBench::RowWrite, 2)) {
+        for (const auto &op : cpu::drain(std::move(s)))
             any_store |= op.kind == cpu::OpKind::Store;
     }
     EXPECT_TRUE(any_store);
