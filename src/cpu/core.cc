@@ -185,14 +185,13 @@ Core::advance()
 
     if (outstanding_ == 0 && !finished_) {
         finished_ = true;
-        finishTick_ = eq_.now();
         // Detach the continuation before invoking it: a scheduler
         // may start() this core again from inside the callback
         // (dispatching the next queued request onto the freed core),
         // which overwrites onFinish_ while it executes.
         if (onFinish_) {
             auto fn = std::move(onFinish_);
-            fn(finishTick_);
+            fn(eq_.now());
         }
     }
 }

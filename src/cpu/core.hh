@@ -71,9 +71,6 @@ class Core
     /** True when the whole stream has completed. */
     bool finished() const { return finished_; }
 
-    /** Tick at which the stream finished (valid when finished()). */
-    Tick finishTick() const { return finishTick_; }
-
     /** Number of memory operations issued. */
     std::uint64_t memOps() const { return memOps_.value(); }
 
@@ -111,7 +108,6 @@ class Core
     bool fencePending_ = false;
     bool priority_ = false;
     bool finished_ = true;
-    Tick finishTick_{0};
     Tick stallStart_{0};
     Tick retryStallStart_{0};
     util::UniqueFunction<void(Tick)> onFinish_;

@@ -26,18 +26,9 @@ Machine::Machine(const MachineConfig &config) : config_(config)
         config_.memQueueCapacity, geometry, config_.schedPolicy);
     tier_ = memory_.get();
     if (config_.tier.enabled) {
-        // The near DRAM tier inherits the far device's channel count
-        // and row shape (a frame holds exactly one far row).
-        mem::Geometry nearGeo = geometry;
-        nearGeo.ranksPerChannel = config_.tier.nearRanksPerChannel;
-        nearGeo.banksPerRank = config_.tier.nearBanksPerRank;
-        nearGeo.subarraysPerBank = 1;
-        nearGeo.rowsPerSubarray = config_.tier.nearRowsPerBank;
         near_ = std::make_unique<mem::MemorySystem>(
-            mem::DeviceKind::Dram, eq_,
-            config_.tier.nearTiming ? *config_.tier.nearTiming
-                                    : mem::TimingParams::ddr3_1333(),
-            false, config_.memQueueCapacity, nearGeo,
+            mem::DeviceKind::Dram, eq_, mem::TimingParams::ddr3_1333(),
+            false, config_.memQueueCapacity, mem::nearTierGeometry(geometry),
             config_.schedPolicy);
         hybrid_ = std::make_unique<mem::HybridMemory>(
             *memory_, *near_, config_.tier, eq_);

@@ -170,17 +170,6 @@ class Machine
      *  callers). In a hybrid machine this is the NVM device. */
     mem::MemorySystem &memory() { return *memory_; }
 
-    /** The memory tier the hierarchy talks to: the hybrid tier when
-     *  enabled, otherwise the far memory system itself. */
-    mem::MemoryTier &tier() { return *tier_; }
-
-    /** The hybrid tier, or nullptr when disabled. */
-    mem::HybridMemory *hybrid() { return hybrid_.get(); }
-
-    /** The near (DRAM) memory system, or nullptr when the hybrid
-     *  tier is disabled. */
-    mem::MemorySystem *nearMemory() { return near_.get(); }
-
     /** The machine-wide statistics registry (tests and reports).
      *  run() snapshots it; callers may read it mid-run too. */
     const util::StatRegistry &registry() const { return registry_; }

@@ -488,13 +488,6 @@ Database::physicalSegments(TableId id) const
     return merged;
 }
 
-void
-Database::physicalScanLines(TableId id,
-                            std::vector<LineRef> &out) const
-{
-    physicalScan(id, 0, ~std::uint64_t{0}).drainInto(out);
-}
-
 std::uint64_t
 Database::physicalScanLineCount(TableId id) const
 {

@@ -157,22 +157,16 @@ class Database
     bool fieldLine(TableId id, std::uint64_t t, unsigned w,
                    LineRef &out) const;
 
-    /**
-     * Append the line accesses of an order-insensitive whole-table
-     * sequential scan, in (bin, row, column) order. Adjacent chunks
-     * sharing physical rows are merged so open rows are drained
-     * before moving on (the Fig-17 "row-direction" scan).
-     */
-    void physicalScanLines(TableId id,
-                           std::vector<LineRef> &out) const;
-
-    /** The number of lines physicalScanLines() appends. */
+    /** The number of lines in a whole-table physicalScan(). */
     std::uint64_t physicalScanLineCount(TableId id) const;
 
     /**
-     * Lines [lo, hi) of physicalScanLines(), generated one at a time
-     * (a core's share of a full scan). The database must outlive the
-     * generator.
+     * Lines [lo, hi) of an order-insensitive whole-table sequential
+     * scan, in (bin, row, column) order, generated one at a time (a
+     * core's share of a full scan; [0, ~0) is the whole scan).
+     * Adjacent chunks sharing physical rows are merged so open rows
+     * are drained before moving on (the Fig-17 "row-direction"
+     * scan). The database must outlive the generator.
      */
     util::Generator<LineRef> physicalScan(TableId id, std::uint64_t lo,
                                           std::uint64_t hi) const;

@@ -56,15 +56,19 @@ Bank::lookahead(Orientation orient, unsigned subarray, unsigned index,
     Lookahead la;
     la.cmdReady = nextReady_;
     la.lead = t.cyc(t.tCAS);
-    switch (classify(buf, orient, subarray, index)) {
+    la.outcome = classify(buf, orient, subarray, index);
+    switch (la.outcome) {
       case AccessOutcome::BufferHit:
-        la.hit = true;
         break;
       case AccessOutcome::BufferMiss:
         la.lead += t.cyc(t.tRCD);
         break;
       case AccessOutcome::BufferConflict:
       case AccessOutcome::OrientationSwitch:
+        // The paper's row/column switch closes the open buffer before
+        // the new activate (Sec. 3): precharge waits out tRAS since
+        // that buffer's activate, and a dirty buffer first takes the
+        // cell write pulse.
         la.cmdReady = std::max(la.cmdReady,
                                buf.lastActivate + t.cyc(t.tRAS));
         la.lead += (buf.dirty ? t.cyc(t.tWR) : Tick{}) + t.cyc(t.tRP) +
@@ -79,46 +83,31 @@ Bank::access(Tick now, Orientation orient, unsigned subarray,
              unsigned index, bool isWrite, const TimingParams &t,
              Tick bus_free)
 {
+    // lookahead() times the command chain; serving only applies the
+    // state changes that chain implies.
+    const Lookahead la = lookahead(orient, subarray, index, t);
     Buffer &buf = bufferFor(subarray);
 
     Service s;
     s.start = std::max(now, nextReady_);
-    Tick cursor = s.start;
+    s.outcome = la.outcome;
+    const Tick cas_at = std::max(now, la.cmdReady) + la.lead - t.cyc(t.tCAS);
 
-    const BufState want = orient == Orientation::Row ? BufState::RowOpen
-                                                     : BufState::ColOpen;
-
-    // Conflict/switch is the paper's row/column switch, which closes
-    // and flushes the active buffer before the new activate (Sec. 3).
-    s.outcome = classify(buf, orient, subarray, index);
-
-    if (s.outcome == AccessOutcome::BufferConflict ||
-        s.outcome == AccessOutcome::OrientationSwitch) {
-        // Precharge may not begin before tRAS has elapsed since the
-        // buffer was activated.
-        cursor = std::max(cursor, buf.lastActivate + t.cyc(t.tRAS));
-        // Flushing a dirty buffer applies the cell write pulse.
-        if (buf.dirty) {
-            cursor += t.cyc(t.tWR);
-            s.flushedDirty = true;
-        }
-        cursor += t.cyc(t.tRP);
-        buf.state = BufState::Closed;
-        buf.dirty = false;
-    }
-
-    if (buf.state == BufState::Closed) {
-        cursor += t.cyc(t.tRCD); // activate: fill the target buffer
-        buf.state = want;
+    if (la.outcome != AccessOutcome::BufferHit) {
+        // Close the open buffer (flushing it when dirty; a closed
+        // buffer is never dirty) and activate the target one.
+        s.flushedDirty = buf.dirty;
+        buf.state = orient == Orientation::Row ? BufState::RowOpen
+                                               : BufState::ColOpen;
         buf.subarray = subarray;
         buf.index = index;
-        buf.lastActivate = cursor;
+        buf.dirty = false;
+        buf.lastActivate = cas_at;
     }
 
-    // CAS issues at `cursor`; the data burst waits for the channel
-    // bus. Consecutive accesses to an open buffer pipeline at the
-    // CAS-to-CAS interval, so a streaming scan saturates the bus.
-    const Tick cas_at = cursor;
+    // The data burst waits for the channel bus. Consecutive accesses
+    // to an open buffer pipeline at the CAS-to-CAS interval, so a
+    // streaming scan saturates the bus.
     s.dataStart = std::max(cas_at + t.cyc(t.tCAS), bus_free);
     s.finish = s.dataStart + t.cyc(t.tBURST);
     s.busyUntil = cas_at + t.cyc(t.tCCD);

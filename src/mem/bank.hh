@@ -91,25 +91,29 @@ class Bank
               unsigned index) const;
 
     /**
-     * Scheduler preview of how a request would be served right now,
-     * without mutating any state. `cmdReady` is the earliest tick the
-     * command sequence could start (bank busy plus, for buffer
-     * closes, the tRAS bound); `lead` is the fixed delay from command
-     * start to the data burst (flush + precharge + activate + CAS as
-     * applicable). For any start >= cmdReady, access() at that start
-     * begins its burst exactly at start + lead, so the controller can
-     * place bursts against the shared bus without issuing early.
+     * How a request would be served right now, without mutating any
+     * state: the one encoding of the command chain (the tRAS bound,
+     * the dirty tWR flush, tRP, tRCD, tCAS), which access() and the
+     * controller's scheduler both read. `cmdReady` is the earliest
+     * tick the command sequence could start (bank busy plus, for
+     * buffer closes, the tRAS bound); `lead` is the fixed delay from
+     * command start to the data burst (flush + precharge + activate
+     * + CAS as applicable). For any start >= cmdReady, access() at
+     * that start begins its burst exactly at start + lead (bus
+     * permitting), so the controller can place bursts against the
+     * shared bus without issuing early.
      */
     struct Lookahead {
         Tick cmdReady{0}; //!< earliest command start
         Tick lead{0};     //!< command start to data-burst start
-        bool hit = false;  //!< would be a buffer hit
+        AccessOutcome outcome = AccessOutcome::BufferHit;
     };
     Lookahead lookahead(Orientation orient, unsigned subarray,
                         unsigned index, const TimingParams &t) const;
 
     /**
-     * Serve one access, updating buffer and timing state.
+     * Serve one access at the CAS tick lookahead() gives, updating
+     * buffer and timing state.
      *
      * @param now       current tick (command may start later if the
      *                  bank is still busy)

@@ -1,5 +1,6 @@
 #include "mem/controller.hh"
 
+#include <iterator>
 #include <limits>
 
 #include "util/chrome_trace.hh"
@@ -21,7 +22,7 @@ ChannelController::ChannelController(const AddressMap &map,
     : map_(map),
       timing_(timing),
       eq_(eq),
-      policy_(makeSchedulerPolicy(sched)),
+      readPriority_(sched == SchedPolicyKind::ReadPriority),
       capacity_(queue_capacity),
       channelId_(channel_id),
       statsSince_(eq.now())
@@ -224,6 +225,13 @@ ChannelController::issueFrom(unsigned b, std::size_t pos)
 void
 ChannelController::trySchedule()
 {
+    /** A tier's oldest ready hit or oldest ready FIFO front. */
+    struct Best {
+        std::uint64_t seq = noSeq;
+        unsigned bank = 0;
+        std::size_t pos = 0;
+    };
+
     for (;;) {
         if (totalQueued_ == 0) {
             cancelWakeup();
@@ -232,11 +240,28 @@ ChannelController::trySchedule()
 
         const Tick now = eq_.now();
 
-        // One pass over the banks that have work: offer every ready
-        // candidate to the selection policy while tracking the
-        // globally oldest request (for starvation control) and the
-        // earliest tick anything becomes ready.
-        policy_->begin();
+        // One pass over the banks that have work, keeping in issue
+        // order the tier-0 hit, tier-0 front, tier-1 hit and tier-1
+        // front: per tier the oldest ready open-buffer hit and the
+        // oldest ready FIFO front. Tier 0 holds OLTP-flagged reads
+        // under read priority, tier 1 everything else. Only fronts
+        // compete without a hit: a deeper entry may bypass its
+        // bank's front solely on the strength of an open-buffer hit.
+        // The pass also tracks the globally oldest request (for
+        // starvation control) and the earliest tick anything becomes
+        // ready.
+        Best best[4];
+        const auto offer = [&](unsigned b, std::size_t pos,
+                               const Pending &p, bool hit) {
+            const bool upper =
+                readPriority_ && p.req.priority && !p.req.isWrite;
+            Best &bestHit = best[upper ? 0 : 2];
+            Best &bestFront = best[upper ? 1 : 3];
+            if (hit && p.seq < bestHit.seq)
+                bestHit = {p.seq, b, pos};
+            if (pos == 0 && p.seq < bestFront.seq)
+                bestFront = {p.seq, b, pos};
+        };
         std::uint64_t headSeq = noSeq;
         Pending *head = nullptr;
         Tick headReadyAt = noTick;
@@ -268,27 +293,20 @@ ChannelController::trySchedule()
                 headReadyAt = readyAt;
             }
             if (readyAt <= now) {
-                policy_->offer({b, 0, front.seq, la.hit,
-                                front.req.isWrite,
-                                front.req.priority});
+                offer(b, 0, front, la.outcome == AccessOutcome::BufferHit);
             } else if (readyAt < nextWake) {
                 nextWake = readyAt;
             }
 
             if (bq.hitPos > 0) {
-                const Pending &h =
-                    bq.fifo[static_cast<std::size_t>(bq.hitPos)];
+                const auto pos = static_cast<std::size_t>(bq.hitPos);
                 const Tick hitReady =
                     std::max(bank.nextReady(),
                              busReadyAt(timing_.cyc(timing_.tCAS)));
-                if (hitReady <= now) {
-                    policy_->offer(
-                        {b, static_cast<std::size_t>(bq.hitPos),
-                         h.seq, true, h.req.isWrite,
-                         h.req.priority});
-                } else if (hitReady < nextWake) {
+                if (hitReady <= now)
+                    offer(b, pos, bq.fifo[pos], true);
+                else if (hitReady < nextWake)
                     nextWake = hitReady;
-                }
             }
             ++i;
         }
@@ -305,16 +323,18 @@ ChannelController::trySchedule()
             return;
         }
 
-        SchedCandidate pick;
-        if (!policy_->choose(pick)) {
+        const Best *pick =
+            std::find_if(std::begin(best), std::end(best),
+                         [](const Best &c) { return c.seq != noSeq; });
+        if (pick == std::end(best)) {
             if (nextWake != noTick)
                 scheduleWakeup(nextWake);
             return;
         }
 
-        if (pick.seq != headSeq)
+        if (pick->seq != headSeq)
             ++head->bypassed;
-        issueFrom(pick.bank, pick.pos);
+        issueFrom(pick->bank, pick->pos);
     }
 }
 

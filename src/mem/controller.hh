@@ -1,7 +1,10 @@
 /**
  * @file
  * Per-channel memory controller with an FR-FCFS scheduler
- * (first-ready, first-come-first-served; Rixner et al.).
+ * (first-ready, first-come-first-served; Rixner et al.), optionally
+ * with an upper tier for OLTP-flagged reads. trySchedule() is the
+ * one place a request is chosen; Bank::lookahead() is the one place
+ * its command chain is timed.
  */
 
 #ifndef RCNVM_MEM_CONTROLLER_HH_
@@ -11,20 +14,24 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "mem/bank.hh"
 #include "mem/geometry.hh"
 #include "mem/request.hh"
-#include "mem/sched_policy.hh"
 #include "mem/timing.hh"
 #include "sim/event_queue.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
 namespace rcnvm::mem {
+
+/** How a channel controller ranks the requests ready in a round. */
+enum class SchedPolicyKind {
+    FrFcfs,       //!< first-ready FCFS (default; Rixner et al.)
+    ReadPriority, //!< OLTP-flagged reads first, FR-FCFS in each tier
+};
 
 /** Statistics collected by one channel controller. */
 struct ControllerStats {
@@ -55,15 +62,17 @@ struct ControllerStats {
  * One channel: per-bank request queues, the channel's banks, and the
  * shared data bus. Requests complete asynchronously via callbacks.
  *
- * Selection is delegated to a pluggable SchedulerPolicy (FR-FCFS by
- * default: the oldest request that hits an open buffer on a ready
- * bank is served first; otherwise the oldest ready request). A
- * request is ready only when its bank can start the command AND the
- * shared bus will be free by the time its data burst begins, so bus
- * slots are granted in scheduling order rather than being committed
- * queue-deep in advance (gathered GS-DRAM lines occupy two slots). A
- * starvation cap bounds how many times the globally oldest request
- * may be bypassed by any younger request, independent of policy.
+ * Selection is FR-FCFS: the oldest ready request that hits an open
+ * buffer is served first; otherwise the oldest ready FIFO front.
+ * Under SchedPolicyKind::ReadPriority, OLTP-flagged reads form an
+ * upper tier ranked the same way, and everything else competes only
+ * when no flagged read is ready. A request is ready only when its
+ * bank can start the command AND the shared bus will be free by the
+ * time its data burst begins, so bus slots are granted in scheduling
+ * order rather than being committed queue-deep in advance (gathered
+ * GS-DRAM lines occupy two slots). A starvation cap bounds how many
+ * times the globally oldest request may be bypassed by any younger
+ * request, in either tier.
  */
 class ChannelController
 {
@@ -82,9 +91,6 @@ class ChannelController
                       sim::EventQueue &eq, unsigned queue_capacity = 32,
                       bool salp = false, unsigned channel_id = 0,
                       SchedPolicyKind sched = SchedPolicyKind::FrFcfs);
-
-    /** The request-selection policy in use. */
-    const SchedulerPolicy &policy() const { return *policy_; }
 
     /** True when the request queue has room. */
     bool canAccept() const { return totalQueued_ < capacity_; }
@@ -144,7 +150,10 @@ class ChannelController
     /** Buffer index within the bank for a request orientation. */
     static unsigned bufferIndex(const DecodedAddr &d, Orientation o);
 
-    /** Issue as many requests as are ready right now. */
+    /** Issue as many requests as are ready right now: each round
+     *  scans the banks once and issues the first of the tier-0 hit,
+     *  tier-0 front, tier-1 hit and tier-1 front, unless the
+     *  starvation cap holds the round for the oldest request. */
     void trySchedule();
 
     /** Arrange a future trySchedule call at @p when. */
@@ -179,9 +188,8 @@ class ChannelController
     const AddressMap &map_;
     TimingParams timing_;
     sim::EventQueue &eq_;
-    /** Selection policy; owned per controller, since policies may
-     *  keep state across rounds. */
-    std::unique_ptr<SchedulerPolicy> policy_;
+    /** OLTP-flagged reads rank in the upper tier (ReadPriority). */
+    bool readPriority_;
     unsigned capacity_;
     unsigned channelId_;
     std::vector<Bank> banks_;

@@ -8,6 +8,22 @@ namespace rcnvm::mem {
 
 namespace {
 
+// Near-tier shape: frames per channel = ranks x banks x rows.
+constexpr unsigned kNearRanksPerChannel = 1;
+constexpr unsigned kNearBanksPerRank = 8;
+constexpr unsigned kNearRowsPerBank = 16; //!< frames per near bank
+
+// Policy thresholds.
+constexpr double kEwmaAlpha = 0.25;    //!< row-buffer miss EWMA gain
+constexpr double kMissThreshold = 0.4; //!< RBLA: promote above this
+constexpr double kOrientVeto = 1.0;    //!< col/row touch ratio vetoing
+                                       //!< promotion (orientation)
+
+// Migration mechanics.
+constexpr unsigned kMigrationBurstLines = 4; //!< copy-traffic lines per
+                                             //!< direction (of 128)
+constexpr unsigned kMaxInflightPerChannel = 4;
+
 /**
  * RBLA (Yoon et al.): promote rows whose far accesses keep missing
  * the row buffer — those pay the NVM activate latency repeatedly and
@@ -18,16 +34,14 @@ namespace {
 class RblaPolicy final : public MigrationPolicy
 {
   public:
-    RblaPolicy(double miss_threshold, double hot_threshold)
-        : missThreshold_(miss_threshold), hotThreshold_(hot_threshold)
+    explicit RblaPolicy(double hot_threshold)
+        : hotThreshold_(hot_threshold)
     {
     }
 
-    const char *name() const override { return "rbla"; }
-
     bool promote(const RowLocality &row) const override
     {
-        return row.ewmaMiss >= missThreshold_ &&
+        return row.ewmaMiss >= kMissThreshold &&
                row.rowTouches >= hotThreshold_;
     }
 
@@ -43,7 +57,6 @@ class RblaPolicy final : public MigrationPolicy
     }
 
   private:
-    double missThreshold_;
     double hotThreshold_;
 };
 
@@ -56,8 +69,6 @@ class HotPagePolicy final : public MigrationPolicy
         : hotThreshold_(hot_threshold)
     {
     }
-
-    const char *name() const override { return "hotpage"; }
 
     bool promote(const RowLocality &row) const override
     {
@@ -89,24 +100,22 @@ class HotPagePolicy final : public MigrationPolicy
 class OrientationPolicy final : public MigrationPolicy
 {
   public:
-    OrientationPolicy(double hot_threshold, double orient_veto)
-        : hotThreshold_(hot_threshold), orientVeto_(orient_veto)
+    explicit OrientationPolicy(double hot_threshold)
+        : hotThreshold_(hot_threshold)
     {
     }
-
-    const char *name() const override { return "orientation"; }
 
     bool promote(const RowLocality &row) const override
     {
         return row.rowTouches >= hotThreshold_ &&
                row.colTouches <=
-                   orientVeto_ * static_cast<double>(row.rowTouches);
+                   kOrientVeto * static_cast<double>(row.rowTouches);
     }
 
     bool demoteOnColumn(const RowLocality &row) const override
     {
         return row.colTouches >
-               orientVeto_ * static_cast<double>(row.rowTouches);
+               kOrientVeto * static_cast<double>(row.rowTouches);
     }
 
     double victimScore(const RowLocality &row,
@@ -119,7 +128,6 @@ class OrientationPolicy final : public MigrationPolicy
 
   private:
     double hotThreshold_;
-    double orientVeto_;
 };
 
 } // namespace
@@ -143,15 +151,24 @@ makeMigrationPolicy(const HybridTierConfig &cfg)
 {
     switch (cfg.policy) {
       case MigrationPolicyKind::Rbla:
-        return std::make_unique<RblaPolicy>(cfg.missThreshold,
-                                            cfg.hotThreshold);
+        return std::make_unique<RblaPolicy>(cfg.hotThreshold);
       case MigrationPolicyKind::HotPage:
         return std::make_unique<HotPagePolicy>(cfg.hotThreshold);
       case MigrationPolicyKind::Orientation:
-        return std::make_unique<OrientationPolicy>(cfg.hotThreshold,
-                                                   cfg.orientVeto);
+        return std::make_unique<OrientationPolicy>(cfg.hotThreshold);
     }
     rcnvm_panic("unknown migration policy kind");
+}
+
+Geometry
+nearTierGeometry(const Geometry &far)
+{
+    Geometry g = far;
+    g.ranksPerChannel = kNearRanksPerChannel;
+    g.banksPerRank = kNearBanksPerRank;
+    g.subarraysPerBank = 1;
+    g.rowsPerSubarray = kNearRowsPerBank;
+    return g;
 }
 
 HybridMemory::HybridMemory(MemorySystem &far, MemorySystem &near,
@@ -163,8 +180,7 @@ HybridMemory::HybridMemory(MemorySystem &far, MemorySystem &near,
       eq_(eq),
       policy_(makeMigrationPolicy(config)),
       remap_(far.map().geometry(), near.map().geometry()),
-      tracker_(far.map().geometry(), config.ewmaAlpha,
-               config.decayPeriod),
+      tracker_(far.map().geometry(), kEwmaAlpha, config.decayPeriod),
       frames_(remap_.frames()),
       inflight_(far.channels(), 0)
 {
@@ -329,17 +345,16 @@ void
 HybridMemory::copyTraffic(const DecodedAddr &src_row, bool src_near,
                           const DecodedAddr &dst_row, bool dst_near)
 {
-    // A row copy is modelled as a sparse burst over the row: the
-    // configured number of read+write line pairs, spread across the
+    // A row copy is modelled as a sparse burst over the row: a
+    // fixed number of read+write line pairs, spread across the
     // row's columns so the traffic exercises the bus like a DMA
     // engine would, without the full 128-line cost (the remainder is
     // folded into migrationLatency).
     const Geometry &g = far_.map().geometry();
-    const unsigned lines = std::max(1u, cfg_.migrationBurstLines);
     const unsigned wordsPerLine = 64 / g.wordBytes;
     const unsigned stride =
-        std::max(wordsPerLine, g.colsPerSubarray / lines);
-    for (unsigned l = 0; l < lines; ++l) {
+        std::max(wordsPerLine, g.colsPerSubarray / kMigrationBurstLines);
+    for (unsigned l = 0; l < kMigrationBurstLines; ++l) {
         const unsigned col = (l * stride) % g.colsPerSubarray &
                              ~(wordsPerLine - 1);
         DecodedAddr s = src_row;
@@ -361,7 +376,7 @@ void
 HybridMemory::startPromotion(std::uint64_t row_id)
 {
     const unsigned ch = remap_.rowChannel(row_id);
-    if (inflight_[ch] >= cfg_.maxInflightPerChannel) {
+    if (inflight_[ch] >= kMaxInflightPerChannel) {
         deferred_.inc();
         return;
     }
@@ -428,7 +443,7 @@ HybridMemory::startDemotion(std::uint32_t frame)
 {
     TierFrame &f = frames_[frame];
     const unsigned ch = frame / remap_.framesPerChannel();
-    if (inflight_[ch] >= cfg_.maxInflightPerChannel) {
+    if (inflight_[ch] >= kMaxInflightPerChannel) {
         deferred_.inc();
         return;
     }

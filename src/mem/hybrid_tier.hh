@@ -1,8 +1,11 @@
 /**
  * @file
  * The hybrid DRAM + RC-NVM memory tier: a small DRAM MemorySystem
- * fronts the far NVM device behind the MemoryTier interface, with a
- * row-granularity remap table and a pluggable migration policy.
+ * (shaped by nearTierGeometry(), at DDR3-1333 timing) fronts the far
+ * NVM device behind the MemoryTier interface, with a row-granularity
+ * remap table and one of three migration policies. The policies'
+ * fixed thresholds and the migration mechanics are constants of
+ * hybrid_tier.cc; HybridTierConfig holds only what callers set.
  *
  * Clients keep addressing the far device; routing is transparent.
  * Row-oriented accesses to a mapped row are redirected to its DRAM
@@ -17,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "mem/memory_system.hh"
@@ -58,9 +60,6 @@ class MigrationPolicy
   public:
     virtual ~MigrationPolicy() = default;
 
-    /** Stable policy name for reports. */
-    virtual const char *name() const = 0;
-
     /** Promote this far-resident row into the DRAM tier now? */
     virtual bool promote(const RowLocality &row) const = 0;
 
@@ -77,30 +76,17 @@ class MigrationPolicy
 struct HybridTierConfig {
     bool enabled = false;
     MigrationPolicyKind policy = MigrationPolicyKind::Rbla;
-
-    // Near-tier shape. The DRAM tier inherits the far device's
-    // channel count, row width, and word size (a frame holds exactly
-    // one far row); these knobs set its capacity and parallelism.
-    unsigned nearRanksPerChannel = 1;
-    unsigned nearBanksPerRank = 8;
-    unsigned nearRowsPerBank = 16; //!< frames per near bank
-    /** Near-tier timing; defaults to the Table-1 DDR3-1333 preset. */
-    std::optional<TimingParams> nearTiming;
-
-    // Policy thresholds.
-    double ewmaAlpha = 0.25;    //!< row-buffer miss EWMA gain
-    double missThreshold = 0.4; //!< RBLA: promote above this EWMA
-    double hotThreshold = 6.0;  //!< touches counting a row as hot
-    double orientVeto = 1.0;    //!< col/row touch ratio vetoing
-                                //!< promotion (orientation policy)
-    Tick decayPeriod{1'000'000}; //!< touch-count halving period
-
-    // Migration mechanics.
+    double hotThreshold = 6.0;      //!< touches counting a row as hot
+    Tick decayPeriod{1'000'000};    //!< touch-count halving period
     Tick migrationLatency{200'000}; //!< issue-to-commit delay
-    unsigned migrationBurstLines = 4; //!< copy-traffic lines per
-                                      //!< direction (of 128 per row)
-    unsigned maxInflightPerChannel = 4;
 };
+
+/**
+ * Shape of the near DRAM tier in front of a far device: it inherits
+ * the far channel count, row width and word size (a frame holds
+ * exactly one far row) and holds 8 banks x 16 frames per channel.
+ */
+Geometry nearTierGeometry(const Geometry &far);
 
 /**
  * The composed tier. Owns no devices: the far and near MemorySystems
@@ -112,9 +98,6 @@ class HybridMemory : public MemoryTier
   public:
     HybridMemory(MemorySystem &far, MemorySystem &near,
                  const HybridTierConfig &config, sim::EventQueue &eq);
-
-    /** The migration policy in use. */
-    const MigrationPolicy &policy() const { return *policy_; }
 
     /** The remap table (tests and reports). */
     const RemapTable &remap() const { return remap_; }

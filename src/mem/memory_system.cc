@@ -20,15 +20,8 @@ geometryFor(DeviceKind kind)
 }
 
 MemorySystem::MemorySystem(DeviceKind kind, sim::EventQueue &eq)
-    : MemorySystem(kind, eq, timingFor(kind))
-{
-}
-
-MemorySystem::MemorySystem(DeviceKind kind, sim::EventQueue &eq,
-                           const TimingParams &timing, bool salp,
-                           unsigned queue_capacity)
-    : MemorySystem(kind, eq, timing, salp, queue_capacity,
-                   geometryFor(kind))
+    : MemorySystem(kind, eq, timingFor(kind), false, 32, geometryFor(kind),
+                   SchedPolicyKind::FrFcfs)
 {
 }
 
@@ -58,16 +51,21 @@ MemorySystem::channelOf(Addr addr, Orientation orient) const
 }
 
 void
-MemorySystem::issue(MemPacket &&req)
+MemorySystem::checkCaps(const MemPacket &pkt) const
 {
-    if (req.orient == Orientation::Column && !caps_.columnAccess) {
+    if (pkt.orient == Orientation::Column && !caps_.columnAccess) {
         rcnvm_panic("column-oriented request issued to ",
                     toString(kind_),
                     ", which has no column access support");
     }
-    if (req.gathered && !caps_.gather)
+    if (pkt.gathered && !caps_.gather)
         rcnvm_panic("gathered request issued to ", toString(kind_));
+}
 
+void
+MemorySystem::issue(MemPacket &&req)
+{
+    checkCaps(req);
     const DecodedAddr d = map_.decode(req.addr, req.orient);
     channels_[d.channel]->enqueue(std::move(req));
 }
@@ -82,13 +80,7 @@ MemorySystem::tryIssue(MemPacket &pkt)
         rejectedIssues_.inc();
         return false;
     }
-    if (pkt.orient == Orientation::Column && !caps_.columnAccess) {
-        rcnvm_panic("column-oriented request issued to ",
-                    toString(kind_),
-                    ", which has no column access support");
-    }
-    if (pkt.gathered && !caps_.gather)
-        rcnvm_panic("gathered request issued to ", toString(kind_));
+    checkCaps(pkt);
     channels_[d.channel]->enqueue(std::move(pkt));
     return true;
 }

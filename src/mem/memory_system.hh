@@ -1,6 +1,7 @@
 /**
  * @file
- * The main-memory facade: address map, per-channel controllers, and
+ * The main-memory facade: address map, per-channel FR-FCFS
+ * controllers (optionally with the read-priority tier), and
  * aggregate statistics for one of the four evaluated devices.
  */
 
@@ -73,31 +74,29 @@ class MemoryTier
 /**
  * A complete main-memory subsystem (RC-NVM, RRAM, DRAM, or GS-DRAM):
  * the Figure-6 organisation of channels x ranks x banks x subarrays
- * behind per-channel pluggable-policy (default FR-FCFS) controllers.
+ * behind per-channel FR-FCFS controllers.
  */
 class MemorySystem : public MemoryTier
 {
   public:
+    /** The device's Table-1 preset: its timing and geometry, 32-deep
+     *  FR-FCFS channel queues, one buffer pair per bank. */
+    MemorySystem(DeviceKind kind, sim::EventQueue &eq);
+
     /**
      * @param kind    which of the four devices to model
      * @param eq      simulation event queue
-     * @param timing  timing override (defaults to the Table-1 preset)
+     * @param timing  device timing
      * @param salp    per-subarray buffer pairs (SALP extension)
      * @param queue_capacity  per-channel request-queue depth
-     */
-    MemorySystem(DeviceKind kind, sim::EventQueue &eq);
-    MemorySystem(DeviceKind kind, sim::EventQueue &eq,
-                 const TimingParams &timing, bool salp = false,
-                 unsigned queue_capacity = 32);
-
-    /**
-     * Full-control constructor: explicit geometry (scaling studies
-     * and multi-channel benchmarks) and request-selection policy.
+     * @param geometry  memory organisation (scaling studies and
+     *                  multi-channel benchmarks)
+     * @param sched   request-selection policy
      */
     MemorySystem(DeviceKind kind, sim::EventQueue &eq,
                  const TimingParams &timing, bool salp,
                  unsigned queue_capacity, const Geometry &geometry,
-                 SchedPolicyKind sched = SchedPolicyKind::FrFcfs);
+                 SchedPolicyKind sched);
 
     /** Device kind being modelled. */
     DeviceKind kind() const { return kind_; }
@@ -165,6 +164,10 @@ class MemorySystem : public MemoryTier
     void reset() override;
 
   private:
+    /** Panic on a column-oriented or gathered packet the device
+     *  cannot serve (the compiler must not emit them). */
+    void checkCaps(const MemPacket &pkt) const;
+
     DeviceKind kind_;
     DeviceCaps caps_;
     AddressMap map_;

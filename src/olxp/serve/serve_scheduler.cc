@@ -9,6 +9,12 @@ namespace rcnvm::olxp::serve {
 
 namespace {
 
+/** Predicate band in value units: thresholds are drawn within this
+ *  distance of the value-domain edge, making segments selective
+ *  enough that chunk summaries can prune. */
+constexpr std::uint64_t kPredBand = 256;
+static_assert(kPredBand <= imdb::Table::valueRange);
+
 /** Percentile-formula factory over a registered histogram name. */
 util::StatRegistry::Formula
 percentileOf(std::string name, double p)
@@ -186,10 +192,6 @@ ServeScheduler::nextSegment(ScanGroup &g)
     const imdb::Table &t = pd_.db->table(pd_.a);
     const unsigned pool = std::max(
         1u, std::min(cfg_.scanFields, t.schema().tupleWords()));
-    const std::uint64_t band = std::max<std::uint64_t>(
-        1, std::min<std::uint64_t>(
-               cfg_.predBand,
-               static_cast<std::uint64_t>(imdb::Table::valueRange)));
 
     ScanQuery q;
     q.table = pd_.a;
@@ -199,7 +201,7 @@ ServeScheduler::nextSegment(ScanGroup &g)
     // lookups, whose thresholds sit close enough to the domain edge
     // that chunk min/max summaries have real pruning power.
     const std::int64_t off =
-        static_cast<std::int64_t>(g.rng.nextBounded(band));
+        static_cast<std::int64_t>(g.rng.nextBounded(kPredBand));
     if (g.rng.nextBool(0.5)) {
         q.op = PredOp::Greater;
         q.threshold = imdb::Table::valueRange - 1 - off;
@@ -398,9 +400,7 @@ ServeScheduler::sloTick()
     const unsigned maxSlots = machine_.coreCount() > 1
                                   ? machine_.coreCount() - 1
                                   : 1;
-    const unsigned floor =
-        std::min(std::max(1u, cfg_.backfillFloor), maxSlots);
-    slotCeil_ = std::min(std::max(slotCeil_, floor), maxSlots);
+    slotCeil_ = std::min(std::max(slotCeil_, backfillFloor), maxSlots);
     if (probeCountdown_ > 0)
         --probeCountdown_;
     if (p99 > static_cast<double>(cfg_.sloTarget.value())) {
@@ -411,7 +411,7 @@ ServeScheduler::sloTick()
         // breaches spends part of the 1% tail budget.
         sloBreaches_.inc();
         healthyStreak_ = 0;
-        if (backfillSlots_ > floor)
+        if (backfillSlots_ > backfillFloor)
             --backfillSlots_;
         slotCeil_ = backfillSlots_;
         probeInterval_ = std::min(32u, probeInterval_ * 2);

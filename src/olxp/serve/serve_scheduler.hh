@@ -79,17 +79,11 @@ struct ServeConfig {
     Tick sloTarget{2000000};
     /** Control-loop period in ticks. */
     Tick sloPeriod{500000};
-    /** Backfill dispatch slots the control loop never preempts. */
-    unsigned backfillFloor = 1;
 
     /** Field pool of the shared scans: a segment's template touches
      *  fields [0, scanFields) and the optimizer prunes down to the
      *  two the aggregate consumes. */
     unsigned scanFields = 4;
-    /** Predicate band in value units: thresholds are drawn within
-     *  this distance of the value-domain edge, making segments
-     *  selective enough that chunk summaries can prune. */
-    std::uint64_t predBand = 256;
 
     /** Generators stop at this tick; queued work then drains. */
     Tick horizon{20000000};
@@ -137,15 +131,6 @@ struct ServeResult {
      *  pruned-vs-unpruned identity oracle. */
     ScanResult scanChecksum;
 
-    /** Completed OLTP requests per microsecond of run time. */
-    double
-    oltpThroughput() const
-    {
-        const double us =
-            static_cast<double>(run.ticks.value()) / 1.0e6;
-        return us > 0 ? static_cast<double>(oltpCompleted) / us : 0;
-    }
-
     /** Completed shared-scan segments per microsecond. */
     double
     backfillThroughput() const
@@ -189,6 +174,9 @@ class ServeScheduler
 
     /** Current backfill dispatch slots (tests drive the loop). */
     unsigned backfillSlots() const { return backfillSlots_; }
+
+    /** Backfill dispatch slots the control loop never preempts. */
+    static constexpr unsigned backfillFloor = 1;
 
     /** Requests parked awaiting budget or queue space. */
     std::size_t parkedCount() const { return parked_.size(); }

@@ -26,13 +26,6 @@ enum class TenantClass : std::uint8_t {
 /** Stable class name ("oltp" / "olap" / "background"). */
 const char *toString(TenantClass cls);
 
-/** True for classes dispatched into backfill (preemptible) slots. */
-inline bool
-isBackfill(TenantClass cls)
-{
-    return cls != TenantClass::OltpLatency;
-}
-
 /**
  * Deterministic token bucket: @p rate tokens accrue per tick up to
  * @p burst. Refill is computed from the event-queue clock, so runs

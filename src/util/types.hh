@@ -65,14 +65,6 @@ using RowAddr = OrientedAddr<Orientation::Row>;
 /** A column-oriented (cload/cstore space) address. */
 using ColAddr = OrientedAddr<Orientation::Column>;
 
-/** The statically-known orientation of a typed address. */
-template <Orientation O>
-constexpr Orientation
-orientationOf(OrientedAddr<O>)
-{
-    return O;
-}
-
 // Clock domains ---------------------------------------------------
 
 /** Tag for the 2 GHz CPU clock domain. */

@@ -220,7 +220,7 @@ TEST(DatabaseTest, PhysicalScanCoversWholeTable)
 {
     RcFixture f;
     std::vector<LineRef> lines;
-    f.db.physicalScanLines(f.tid, lines);
+    f.db.physicalScan(f.tid, 0, ~std::uint64_t{0}).drainInto(lines);
     // 4096 tuples x 128 B / 64 B = 8192 lines, all row-oriented,
     // no duplicates.
     EXPECT_EQ(lines.size(), 8192u);
@@ -235,7 +235,7 @@ TEST(DatabaseTest, PhysicalScanMatchesOnDramToo)
 {
     DramFixture f;
     std::vector<LineRef> lines;
-    f.db.physicalScanLines(f.tid, lines);
+    f.db.physicalScan(f.tid, 0, ~std::uint64_t{0}).drainInto(lines);
     EXPECT_EQ(lines.size(), 8192u);
 }
 

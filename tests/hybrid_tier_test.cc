@@ -25,25 +25,12 @@
 namespace rcnvm::mem {
 namespace {
 
-Geometry
-nearGeometry(const Geometry &far)
-{
-    // The same derivation cpu::Machine uses: inherit the far channel
-    // count and row shape, shrink capacity to a handful of frames.
-    Geometry g = far;
-    g.ranksPerChannel = 1;
-    g.banksPerRank = 8;
-    g.subarraysPerBank = 1;
-    g.rowsPerSubarray = 16;
-    return g;
-}
-
 // --- RemapTable --------------------------------------------------
 
 TEST(RemapTable, StartsFullyUnmapped)
 {
     const Geometry far = Geometry::rcNvm();
-    RemapTable rt(far, nearGeometry(far));
+    RemapTable rt(far, nearTierGeometry(far));
     EXPECT_EQ(rt.mappedRows(), 0u);
     EXPECT_EQ(rt.frames(),
               far.channels * rt.framesPerChannel());
@@ -55,7 +42,7 @@ TEST(RemapTable, StartsFullyUnmapped)
 TEST(RemapTable, MapUnmapIsAnInvolution)
 {
     const Geometry far = Geometry::rcNvm();
-    RemapTable rt(far, nearGeometry(far));
+    RemapTable rt(far, nearTierGeometry(far));
 
     // Any even number of migrations (map/unmap pairs, with the row
     // landing in a different frame each round) must return every row
@@ -90,7 +77,7 @@ TEST(RemapTable, MapUnmapIsAnInvolution)
 TEST(RemapTable, ToNearCarriesColumnAndChannel)
 {
     const Geometry far = Geometry::rcNvm();
-    RemapTable rt(far, nearGeometry(far));
+    RemapTable rt(far, nearTierGeometry(far));
 
     DecodedAddr d;
     d.channel = 1;
@@ -111,7 +98,7 @@ TEST(RemapTable, ToNearCarriesColumnAndChannel)
 TEST(RemapTable, FrameLocationRoundRobinsNearBanks)
 {
     const Geometry far = Geometry::rcNvm();
-    const Geometry near = nearGeometry(far);
+    const Geometry near = nearTierGeometry(far);
     RemapTable rt(far, near);
     // Consecutive frames spread across the near banks before any
     // bank reuses its next row.
@@ -183,7 +170,7 @@ struct TierFixture {
           far(DeviceKind::RcNvm, eq, TimingParams::rcNvm(), false, 32,
               Geometry::rcNvm(), {}),
           near(DeviceKind::Dram, eq, TimingParams::ddr3_1333(), false,
-               32, nearGeometry(Geometry::rcNvm()), {}),
+               32, nearTierGeometry(Geometry::rcNvm()), {}),
           tier(far, near, cfg, eq)
     {
         tier.registerStats(registry);

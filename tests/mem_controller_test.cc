@@ -238,31 +238,6 @@ TEST(Controller, DeterministicTraceRegression)
     EXPECT_EQ(ctrl.stats().bufferHits.value(), 3u);
 }
 
-TEST(Controller, FcfsPolicyServesArrivalOrder)
-{
-    // The same hit-bypass scenario FrFcfsPrefersBufferHit pins, on
-    // a first-come-first-served controller: the younger row hit must
-    // NOT bypass the older conflict, proving the pluggable policy
-    // actually changes the schedule.
-    Fixture f;
-    ChannelController ctrl(f.map, f.timing, f.eq, 32, false, 0,
-                           SchedPolicyKind::Fcfs);
-    EXPECT_STREQ(ctrl.policy().name(), "fcfs");
-    std::vector<int> order;
-    ctrl.enqueue(makeReq(f.map, 0, 0, 5, 0, Orientation::Row,
-                         [&](Tick) { order.push_back(0); }));
-    f.eq.run();
-    ctrl.enqueue(makeReq(f.map, 0, 0, 5, 8, Orientation::Row,
-                         [&](Tick) { order.push_back(1); }));
-    ctrl.enqueue(makeReq(f.map, 0, 0, 9, 0, Orientation::Row,
-                         [&](Tick) { order.push_back(2); }));
-    ctrl.enqueue(makeReq(f.map, 0, 0, 5, 16, Orientation::Row,
-                         [&](Tick) { order.push_back(3); }));
-    f.eq.run();
-    ASSERT_EQ(order.size(), 4u);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
 TEST(Controller, ReadPriorityServesOltpReadsFirst)
 {
     // The FrFcfsPrefersBufferHit scenario with one twist: the older
@@ -273,7 +248,6 @@ TEST(Controller, ReadPriorityServesOltpReadsFirst)
     Fixture f;
     ChannelController ctrl(f.map, f.timing, f.eq, 32, false, 0,
                            SchedPolicyKind::ReadPriority);
-    EXPECT_STREQ(ctrl.policy().name(), "readpri");
     std::vector<int> order;
     ctrl.enqueue(makeReq(f.map, 0, 0, 5, 0, Orientation::Row,
                          [&](Tick) { order.push_back(0); }));
@@ -324,25 +298,6 @@ TEST(Controller, ReadPriorityDoesNotPromoteWrites)
     ASSERT_EQ(order.size(), 4u);
     EXPECT_EQ(order[2], 3); // the hit bypassed the flagged write
     EXPECT_EQ(order[3], 2);
-}
-
-TEST(Controller, SchedPolicyParsesNames)
-{
-    SchedPolicyKind kind;
-    EXPECT_TRUE(parseSchedPolicy("frfcfs", kind));
-    EXPECT_EQ(kind, SchedPolicyKind::FrFcfs);
-    EXPECT_TRUE(parseSchedPolicy("fr-fcfs", kind));
-    EXPECT_EQ(kind, SchedPolicyKind::FrFcfs);
-    EXPECT_TRUE(parseSchedPolicy("fcfs", kind));
-    EXPECT_EQ(kind, SchedPolicyKind::Fcfs);
-    EXPECT_TRUE(parseSchedPolicy("readpri", kind));
-    EXPECT_EQ(kind, SchedPolicyKind::ReadPriority);
-    EXPECT_TRUE(parseSchedPolicy("read-priority", kind));
-    EXPECT_EQ(kind, SchedPolicyKind::ReadPriority);
-    EXPECT_FALSE(parseSchedPolicy("lifo", kind));
-    EXPECT_STREQ(toString(SchedPolicyKind::FrFcfs), "frfcfs");
-    EXPECT_STREQ(toString(SchedPolicyKind::Fcfs), "fcfs");
-    EXPECT_STREQ(toString(SchedPolicyKind::ReadPriority), "readpri");
 }
 
 TEST(Controller, TracksOrientationSwitches)

@@ -148,7 +148,7 @@ TEST_P(PlacementProperty, TupleLinesContainEveryWord)
 TEST_P(PlacementProperty, PhysicalScanTouchesEveryWordOnce)
 {
     std::vector<LineRef> lines;
-    db_->physicalScanLines(tid_, lines);
+    db_->physicalScan(tid_, 0, ~std::uint64_t{0}).drainInto(lines);
     std::set<Addr> unique;
     for (const LineRef &l : lines)
         EXPECT_TRUE(unique.insert(l.addr).second);

@@ -408,7 +408,7 @@ TEST(ServeSchedulerTest, SloLoopShedsBackfillUnderBreach)
     EXPECT_GT(r.sloBreaches, 0u);
     // The loop shed backfill down to the floor and, with every
     // window breaching, never grew it back.
-    EXPECT_EQ(sched.backfillSlots(), cfg.backfillFloor);
+    EXPECT_EQ(sched.backfillSlots(), ServeScheduler::backfillFloor);
     // SLO-on golden.
     EXPECT_EQ(r.run.ticks, Tick{11400000});
     EXPECT_EQ(jsonHash(r.run), 12511730066676549493ull);
@@ -499,15 +499,10 @@ runFifo(const cpu::MachineConfig &machine_cfg, const ServeConfig &cfg,
     return sched.run();
 }
 
-TEST(ServeSchedulerTest, SameSeedServeRunsAreByteIdentical)
+/** The OLTP-first, SLO-off mix the determinism goldens run. */
+ServeConfig
+oltpFirstMix()
 {
-    const auto runOnce = [](const ServeConfig &cfg,
-                            const workload::PlacedDatabase &pd) {
-        cpu::Machine machine(serveMachine());
-        ServeScheduler sched(machine, pd, cfg);
-        return sched.run().run;
-    };
-
     ServeConfig mix = cappedConfig(0);
     mix.horizon = Tick{2000000};
     TenantConfig oltp;
@@ -515,11 +510,38 @@ TEST(ServeSchedulerTest, SameSeedServeRunsAreByteIdentical)
     oltp.cls = TenantClass::OltpLatency;
     oltp.oltpInterArrival = Tick{50000};
     mix.tenants = {smallOlap(32), oltp};
-    const cpu::RunResult a = runOnce(mix, placedDb());
-    EXPECT_EQ(jsonHash(a), jsonHash(runOnce(mix, placedDb())));
+    return mix;
+}
+
+/** One oltpFirstMix() run on serveMachine() under @p sched. */
+cpu::RunResult
+runMix(mem::SchedPolicyKind sched = mem::SchedPolicyKind::FrFcfs)
+{
+    cpu::MachineConfig config = serveMachine();
+    config.schedPolicy = sched;
+    cpu::Machine machine(config);
+    ServeScheduler scheduler(machine, placedDb(), oltpFirstMix());
+    return scheduler.run().run;
+}
+
+TEST(ServeSchedulerTest, SameSeedServeRunsAreByteIdentical)
+{
+    const cpu::RunResult a = runMix();
+    EXPECT_EQ(jsonHash(a), jsonHash(runMix()));
     // OLTP-first, SLO-off golden.
     EXPECT_EQ(a.ticks, Tick{4279291});
     EXPECT_EQ(jsonHash(a), 8811526091133822011ull);
+}
+
+TEST(ServeSchedulerTest, ReadPriorityMixGolden)
+{
+    // The same mix on a read-priority controller, where OLTP reads
+    // form the upper selection tier: the run must leave the FR-FCFS
+    // golden above, so the upper tier is really exercised.
+    const cpu::RunResult r = runMix(mem::SchedPolicyKind::ReadPriority);
+    EXPECT_EQ(r.ticks, Tick{3607500});
+    EXPECT_EQ(jsonHash(r), 6458899143904489731ull);
+    EXPECT_NE(jsonHash(r), jsonHash(runMix()));
 }
 
 TEST(ServeSchedulerTest, MeasureFromKeepsWarmUpOutOfTheLatencyHistogram)

@@ -28,9 +28,8 @@
  *   RL005 stat hygiene    — every statistic name consumed by bench/,
  *                           tests/, src/ formula bodies, or the
  *                           DESIGN.md §4c table must resolve against
- *                           a registration in src/ (the former
- *                           tools/lint_stat_names.py, one tool now
- *                           owning all repo lints).
+ *                           a registration in src/ (CI also runs
+ *                           it alone: `--stat-names-only`).
  */
 #ifndef RCNVM_TOOLS_LINT_CHECKS_HH_
 #define RCNVM_TOOLS_LINT_CHECKS_HH_
