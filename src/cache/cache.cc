@@ -1,5 +1,6 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/bitfield.hh"
@@ -17,9 +18,12 @@ Cache::Cache(const CacheConfig &config, bool directory)
     lineShift_ = static_cast<std::uint32_t>(
         std::countr_zero(config_.lineBytes));
     setMask_ = numSets_ - 1;
-    lines_.resize(std::size_t{numSets_} * config_.ways);
+    const std::size_t entries = std::size_t{numSets_} * config_.ways;
+    tags_.resize(entries);
+    lru_.resize(entries);
+    lines_.resize(entries);
     if (directory)
-        sharers_.resize(lines_.size());
+        sharers_.resize(entries);
 }
 
 std::optional<Cache::Victim>
@@ -28,14 +32,13 @@ Cache::invalidate(const LineKey &key)
     CacheLine *line = find(key);
     if (!line)
         return std::nullopt;
-    Victim v{line->key(), line->state, line->crossing};
+    Victim v{key, line->state, line->crossing};
     if (line->orient == Orientation::Row)
         --rowLines_;
     else
         --columnLines_;
-    line->state = MesiState::Invalid;
-    line->crossing = 0;
-    line->pinned = false;
+    // A zero tag word frees the way; insert() rewrites the rest.
+    tags_[static_cast<std::size_t>(line - lines_.data())] = 0;
     return v;
 }
 
@@ -52,15 +55,10 @@ Cache::setPinned(const LineKey &key, bool pinned)
 void
 Cache::reset()
 {
-    // O(1): advancing the generation orphans every line at once; the
-    // LRU clock keeps running so stale timestamps never resurface.
-    // A full sweep is only needed on the (practically unreachable)
-    // generation wrap-around.
-    if (++epoch_ == 0) {
-        for (auto &line : lines_)
-            line = CacheLine{};
-        lruClock_ = 0;
-    }
+    // Zeroing the tag words frees every way; a way's other fields are
+    // rewritten when insert() reuses it. The LRU clock keeps running,
+    // as only live ways' stamps are ever compared.
+    std::fill(tags_.begin(), tags_.end(), TagWord{0});
     rowLines_ = 0;
     columnLines_ = 0;
     pinnedEvictions_ = 0;

@@ -8,6 +8,8 @@
 #ifndef RCNVM_CACHE_CACHE_HH_
 #define RCNVM_CACHE_CACHE_HH_
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -39,6 +41,11 @@ struct CacheConfig {
  * Row- and column-oriented lines share the sets (indexed by their
  * own addresses) and are distinguished by the orientation bit during
  * tag match, exactly as described in Sec. 4.3.1.
+ *
+ * Layout (DESIGN.md section 4m): set scans read a dense array of
+ * 4-byte tag words, 0 marking a free way. LRU stamps, line states
+ * and - for a directory - sharer masks sit in parallel arrays
+ * indexed the same way.
  */
 class Cache
 {
@@ -50,6 +57,11 @@ class Cache
     /** Cores a sharer mask can name. */
     static constexpr unsigned maxSharers = 32;
 
+    /** Line numbers a tag word can hold. Hierarchy folds every
+     *  address onto its memory and refuses a memory of more lines,
+     *  so no key it passes in reaches this bound. */
+    static constexpr std::uint64_t maxLines = std::uint64_t{1} << 30;
+
     /** Description of a line evicted by insert(). */
     struct Victim {
         LineKey key;
@@ -58,9 +70,8 @@ class Cache
         SharerMask sharers = 0; //!< set by a directory cache's insert()
     };
 
-    /** @p directory adds a sharer mask per line (the shared L3). It is
-     *  kept beside the tag array, so CacheLine and set scans stay the
-     *  same size. */
+    /** @p directory adds a sharer mask per line (the shared L3), kept
+     *  in one more parallel array. */
     explicit Cache(const CacheConfig &config, bool directory = false);
 
     /** The configuration this cache was built with. */
@@ -70,53 +81,34 @@ class Cache
     // several of them per simulated access, and the set scans are
     // small enough that call overhead would dominate them.
 
-    /** Hint the host to pull this key's set into its cache. The tag
-     *  arrays are megabytes, so a set scan is usually a host-memory
-     *  miss; issuing the prefetch a few hundred instructions before
-     *  the scan hides most of that latency. */
+    /** Hint the host to pull this key's tag words into its cache.
+     *  The L3's tag words (half a megabyte for Table 1) share the
+     *  host's caches with the rest of the simulator, so a set scan
+     *  often misses them; issuing the prefetch a few hundred
+     *  instructions before the scan hides most of that latency. */
     void
     prefetchSet(const LineKey &key) const
     {
-        const auto *p = reinterpret_cast<const char *>(
-            &lines_[std::size_t{setIndex(key)} * config_.ways]);
-        // A set spans several host cache lines (16 ways x 24 bytes =
-        // six of them); prefetch the whole span, not just the first.
-        const std::size_t bytes = sizeof(CacheLine) * config_.ways;
-        for (std::size_t off = 0; off < bytes; off += 64)
-            __builtin_prefetch(p + off);
+        __builtin_prefetch(&tags_[setBase(key)]);
     }
 
     /** Look up a line; returns nullptr on miss. Updates LRU on hit. */
     CacheLine *
     find(const LineKey &key)
     {
-        const unsigned set = setIndex(key);
-        CacheLine *base = &lines_[std::size_t{set} * config_.ways];
-        for (unsigned w = 0; w < config_.ways; ++w) {
-            CacheLine &line = base[w];
-            if (live(line) && line.tag == key.addr &&
-                line.orient == key.orient) {
-                line.lru = ++lruClock_;
-                return &line;
-            }
-        }
-        return nullptr;
+        const std::size_t i = wayOf(key);
+        if (i == npos)
+            return nullptr;
+        lru_[i] = ++lruClock_;
+        return &lines_[i];
     }
 
     /** Look up without disturbing replacement state. */
     const CacheLine *
     probe(const LineKey &key) const
     {
-        const unsigned set = setIndex(key);
-        const CacheLine *base = &lines_[std::size_t{set} * config_.ways];
-        for (unsigned w = 0; w < config_.ways; ++w) {
-            const CacheLine &line = base[w];
-            if (live(line) && line.tag == key.addr &&
-                line.orient == key.orient) {
-                return &line;
-            }
-        }
-        return nullptr;
+        const std::size_t i = wayOf(key);
+        return i == npos ? nullptr : &lines_[i];
     }
 
     /**
@@ -134,72 +126,67 @@ class Cache
     insert(const LineKey &key, MesiState state,
            CacheLine **installed = nullptr)
     {
-        const unsigned set = setIndex(key);
-        CacheLine *base = &lines_[std::size_t{set} * config_.ways];
+        const std::size_t base = setBase(key);
+        const TagWord tag = tagOf(key);
 
-        // One pass: match the key, remember the first free way, and
-        // keep the LRU candidates ready in case the set is all live.
-        CacheLine *target = nullptr;
-        CacheLine *lru_unpinned = nullptr;
-        CacheLine *lru_any = nullptr;
-        for (unsigned w = 0; w < config_.ways; ++w) {
-            CacheLine &line = base[w];
-            if (live(line)) {
-                if (line.tag == key.addr &&
-                    line.orient == key.orient) {
-                    line.state = state;
-                    line.lru = ++lruClock_;
-                    if (installed)
-                        *installed = &line;
-                    return std::nullopt;
-                }
-                if (!lru_any || line.lru < lru_any->lru)
-                    lru_any = &line;
-                if (!line.pinned &&
-                    (!lru_unpinned || line.lru < lru_unpinned->lru)) {
-                    lru_unpinned = &line;
-                }
-            } else if (!target) {
-                target = &line;
+        // One pass over the tag words: match the key and remember the
+        // first free way.
+        std::size_t target = npos;
+        for (std::size_t i = base; i < base + config_.ways; ++i) {
+            if (tags_[i] == tag) {
+                lines_[i].state = state;
+                lru_[i] = ++lruClock_;
+                if (installed)
+                    *installed = &lines_[i];
+                return std::nullopt;
             }
+            if (tags_[i] == 0 && target == npos)
+                target = i;
         }
 
         std::optional<Victim> victim;
-        if (!target) {
+        if (target == npos) {
             // Evict the LRU non-pinned way; fall back to the LRU
             // pinned way if the whole set is pinned (group
             // over-subscription).
-            target = lru_unpinned ? lru_unpinned : lru_any;
-            if (!lru_unpinned)
+            std::size_t lru_unpinned = npos;
+            std::size_t lru_any = base;
+            for (std::size_t i = base; i < base + config_.ways; ++i) {
+                if (lru_[i] < lru_[lru_any])
+                    lru_any = i;
+                if (!lines_[i].pinned &&
+                    (lru_unpinned == npos ||
+                     lru_[i] < lru_[lru_unpinned])) {
+                    lru_unpinned = i;
+                }
+            }
+            target = lru_unpinned != npos ? lru_unpinned : lru_any;
+            if (lru_unpinned == npos)
                 ++pinnedEvictions_;
 
-            victim =
-                Victim{target->key(), target->state, target->crossing};
-            if (target->orient == Orientation::Row)
+            const CacheLine &old = lines_[target];
+            victim = Victim{keyOf(tags_[target]), old.state,
+                            old.crossing};
+            if (old.orient == Orientation::Row)
                 --rowLines_;
             else
                 --columnLines_;
         }
 
         if (!sharers_.empty()) {
-            SharerMask &mask = sharers(*target);
             if (victim)
-                victim->sharers = mask;
-            mask = 0;
+                victim->sharers = sharers_[target];
+            sharers_[target] = 0;
         }
-        target->tag = key.addr;
-        target->orient = key.orient;
-        target->state = state;
-        target->crossing = 0;
-        target->pinned = false;
-        target->epoch = epoch_;
-        target->lru = ++lruClock_;
+        tags_[target] = tag;
+        lines_[target] = CacheLine{key.orient, state, 0, false};
+        lru_[target] = ++lruClock_;
         if (key.orient == Orientation::Row)
             ++rowLines_;
         else
             ++columnLines_;
         if (installed)
-            *installed = target;
+            *installed = &lines_[target];
         return victim;
     }
 
@@ -237,34 +224,67 @@ class Cache
     void reset();
 
   private:
-    /** Shift/mask rather than divide/modulo: the constructor demands
-     *  power-of-two line size and set count, and two runtime integer
-     *  divisions here would otherwise lead every set scan. */
-    unsigned
-    setIndex(const LineKey &key) const
+    /** One way's identity: line number, orientation bit and valid
+     *  bit, from the most to the least significant; 0 is a free way. */
+    using TagWord = std::uint32_t;
+
+    /** "No way" index. */
+    static constexpr std::size_t npos = ~std::size_t{0};
+
+    /** Index of @p key's set's first way. Shift/mask rather than
+     *  divide/modulo: the constructor demands power-of-two line size
+     *  and set count, and two runtime integer divisions here would
+     *  otherwise lead every set scan. */
+    std::size_t
+    setBase(const LineKey &key) const
     {
-        return static_cast<unsigned>((key.addr >> lineShift_) &
-                                     setMask_);
+        return std::size_t{static_cast<unsigned>(
+                   (key.addr >> lineShift_) & setMask_)} *
+               config_.ways;
     }
 
-    /** A line counts as present only when it carries the current
-     *  reset generation; reset() bumps the generation instead of
-     *  touching every entry of the (possibly megabyte-sized) array. */
-    bool
-    live(const CacheLine &line) const
+    /** @p key's tag word: never 0, since the valid bit is set. */
+    TagWord
+    tagOf(const LineKey &key) const
     {
-        return line.epoch == epoch_ &&
-               line.state != MesiState::Invalid;
+        assert((key.addr >> lineShift_) < maxLines);
+        return static_cast<TagWord>(
+            (key.addr >> lineShift_) << 2 |
+            TagWord{key.orient == Orientation::Column} << 1 | 1);
+    }
+
+    /** The key a live tag word names. */
+    LineKey
+    keyOf(TagWord tag) const
+    {
+        return LineKey{Addr{tag >> 2} << lineShift_,
+                       (tag & 2) ? Orientation::Column
+                                 : Orientation::Row};
+    }
+
+    /** Index of @p key's way, or npos when it is not present. */
+    std::size_t
+    wayOf(const LineKey &key) const
+    {
+        const std::size_t base = setBase(key);
+        const TagWord tag = tagOf(key);
+        for (std::size_t i = base; i < base + config_.ways; ++i) {
+            if (tags_[i] == tag)
+                return i;
+        }
+        return npos;
     }
 
     CacheConfig config_;
     std::uint32_t numSets_;
     std::uint32_t lineShift_ = 0; //!< log2(lineBytes)
     std::uint32_t setMask_ = 0;   //!< numSets - 1
-    std::vector<CacheLine> lines_; //!< numSets_ x ways, row-major
-    /** Sharer mask per entry of lines_; empty unless a directory. */
+    // numSets_ x ways entries each, row-major, indexed alike.
+    std::vector<TagWord> tags_;
+    std::vector<std::uint64_t> lru_; //!< LRU timestamps
+    std::vector<CacheLine> lines_;
+    /** Sharer mask per way; empty unless a directory. */
     std::vector<SharerMask> sharers_;
-    std::uint32_t epoch_ = 0;      //!< current reset generation
     std::uint64_t lruClock_ = 0;
     std::uint64_t rowLines_ = 0;
     std::uint64_t columnLines_ = 0;

@@ -14,6 +14,7 @@ Hierarchy::Hierarchy(const HierarchyConfig &config, sim::EventQueue &eq,
     : config_(config),
       eq_(eq),
       memory_(memory),
+      addrMask_(memory.map().geometry().capacityBytes() - 1),
       synonymEnabled_(memory.caps().columnAccess),
       synonym_(memory.map()),
       mshrs_(config.mshrs),
@@ -23,6 +24,13 @@ Hierarchy::Hierarchy(const HierarchyConfig &config, sim::EventQueue &eq,
     if (config_.cores > Cache::maxSharers)
         rcnvm_fatal("hierarchy: ", config_.cores, " cores exceed the ",
                     Cache::maxSharers, "-bit directory sharer mask");
+    // access() and pinRange() mask every address below the capacity,
+    // so this bounds every line number a cache sees.
+    const std::uint64_t capacity = addrMask_ + 1;
+    if (capacity / 64 > Cache::maxLines)
+        rcnvm_fatal("hierarchy: a ", capacity, "-byte memory has more "
+                    "lines than a cache tag word holds (",
+                    Cache::maxLines, ")");
     for (unsigned c = 0; c < config_.cores; ++c) {
         l1_.push_back(std::make_unique<Cache>(config_.l1));
         l2_.push_back(std::make_unique<Cache>(config_.l2));
@@ -37,21 +45,32 @@ Hierarchy::setRetryHandler(unsigned core, RetryFn fn)
     retryHandlers_.at(core) = std::move(fn);
 }
 
-CpuCycles
-Hierarchy::onL3Fill(const LineKey &key)
+std::optional<Hierarchy::Partners>
+Hierarchy::fillPartners(const LineKey &key) const
 {
-    if (!synonymEnabled_)
-        return CpuCycles{};
     // Orientation filter: when no lines of the other orientation are
     // cached at all, the crossing probe is skipped at zero cost.
-    if (l3_->linesWithOrientation(flip(key.orient)) == 0)
+    if (!synonymEnabled_ ||
+        l3_->linesWithOrientation(flip(key.orient)) == 0)
+        return std::nullopt;
+    return synonym_.crossings(key);
+}
+
+CpuCycles
+Hierarchy::onL3Fill(const LineKey &key,
+                    const std::optional<Partners> &partners)
+{
+    // The fill's own eviction may have taken the other orientation's
+    // last line since @p partners was computed; an insert never adds
+    // one, so a fill that probes always has its partners.
+    if (!partners || l3_->linesWithOrientation(flip(key.orient)) == 0)
         return CpuCycles{};
 
     CpuCycles extra = config_.synonymProbe;
     synonymProbes_.inc(SynonymMapper::wordsPerLine);
 
     CacheLine *self = l3_->find(key);
-    for (const Crossing &c : synonym_.crossings(key)) {
+    for (const Crossing &c : *partners) {
         CacheLine *partner = l3_->find(c.partner);
         if (!partner)
             continue;
@@ -223,7 +242,9 @@ Hierarchy::backInvalidate(const LineKey &key, SharerMask sharers,
 }
 
 CacheLine &
-Hierarchy::fillL3(const LineKey &key, MesiState state, CpuCycles &extra)
+Hierarchy::fillL3(const LineKey &key, MesiState state,
+                  const std::optional<Partners> &partners,
+                  CpuCycles &extra)
 {
     CacheLine *line = nullptr;
     auto victim = l3_->insert(key, state, &line);
@@ -235,7 +256,7 @@ Hierarchy::fillL3(const LineKey &key, MesiState state, CpuCycles &extra)
         if (dirty)
             writeback(victim->key);
     }
-    extra += onL3Fill(key);
+    extra += onL3Fill(key, partners);
     return *line;
 }
 
@@ -252,9 +273,13 @@ Hierarchy::fillPrivate(unsigned core, const LineKey &key,
                     v2->state = MesiState::Modified;
             }
             if (v2->state == MesiState::Modified) {
-                // Fold the dirty data back into the shared L3.
-                if (CacheLine *l3line = l3_->find(v2->key))
+                // Fold the dirty data back into the shared L3. This
+                // core now holds no copy, so its sharer bit goes too
+                // (a clean victim's bit stays stale, DESIGN.md §4k).
+                if (CacheLine *l3line = l3_->find(v2->key)) {
                     l3line->state = MesiState::Modified;
+                    l3_->sharers(*l3line) &= ~(SharerMask{1} << core);
+                }
             }
         }
     }
@@ -351,13 +376,26 @@ Hierarchy::onFillComplete(unsigned mshr_idx)
                                                : entry->targets[0].core,
                         eq_.now(), key.addr);
 
+    // Every set this fill will scan was last touched when the miss
+    // issued, thousands of simulated ticks ago. Warm them all before
+    // the first scan: the L3 set and its synonym partners' sets here,
+    // each demand target's private sets in the loop below.
+    l3_->prefetchSet(key);
+    const std::optional<Partners> partners = fillPartners(key);
+    if (partners) {
+        for (const Crossing &c : *partners)
+            l3_->prefetchSet(c.partner);
+    }
     bool any_write = false;
     unsigned demand_targets = 0;
     for (const MshrTarget &t : entry->targets) {
         if (t.isWrite)
             any_write = true;
-        if (!t.prefetchOnly)
+        if (!t.prefetchOnly) {
             ++demand_targets;
+            l1_[t.core]->prefetchSet(key);
+            l2_[t.core]->prefetchSet(key);
+        }
     }
     // Swap (not move) the target list out so both buffers keep their
     // capacity: a move would steal the entry's buffer and force a
@@ -370,7 +408,8 @@ Hierarchy::onFillComplete(unsigned mshr_idx)
 
     CpuCycles extra;
     CacheLine &l3line = fillL3(
-        key, any_write ? MesiState::Modified : MesiState::Exclusive, extra);
+        key, any_write ? MesiState::Modified : MesiState::Exclusive,
+        partners, extra);
     SharerMask &sharers = l3_->sharers(l3line);
 
     for (MshrTarget &t : fillScratch_) {
@@ -382,11 +421,6 @@ Hierarchy::onFillComplete(unsigned mshr_idx)
                                this]() mutable { done(eq_.now()); });
             continue;
         }
-        // The sets were last touched when the miss issued, thousands
-        // of simulated ticks ago; warm the private ones while the L3
-        // fill and synonym probe run.
-        l1_[t.core]->prefetchSet(key);
-        l2_[t.core]->prefetchSet(key);
         CpuCycles textra = extra;
         if (t.isWrite) {
             textra += coherenceOnWrite(t.core, key, sharers);
@@ -435,7 +469,8 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
         return true;
     }
 
-    const LineKey key{util::alignDown(a.addr, 64), a.orient};
+    const LineKey key{util::alignDown(a.addr, 64) & addrMask_,
+                      a.orient};
     const unsigned word = static_cast<unsigned>((a.addr % 64) / 8);
 
     // A fill for this line is already in flight: coalesce into its
@@ -587,7 +622,8 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
             // copy, so no coherence traffic is needed; the line
             // re-enters dirty because memory never saw the data.
             CpuCycles extra;
-            CacheLine &l3line = fillL3(key, MesiState::Modified, extra);
+            CacheLine &l3line = fillL3(key, MesiState::Modified,
+                                       fillPartners(key), extra);
             if (a.isWrite)
                 extra += onWrite(key, word);
             fillPrivate(core, key, MesiState::Modified, l3line);
@@ -642,7 +678,7 @@ Hierarchy::pinRange(Addr addr, Orientation orient, std::uint64_t bytes,
     const Addr first = util::alignDown(addr, 64);
     const Addr last = util::alignDown(addr + bytes - 1, 64);
     for (Addr a = first; a <= last; a += 64) {
-        if (l3_->setPinned(LineKey{a, orient}, pinned))
+        if (l3_->setPinned(LineKey{a & addrMask_, orient}, pinned))
             ++changed;
     }
     pinOps_.inc();

@@ -9,7 +9,9 @@
  * of an L3 victim, remote-dirty fetches, write invalidations and
  * synonym partner updates visit only the cores in the line's mask;
  * inclusion guarantees no other core holds a copy. A bit may go stale
- * when an L2 evicts silently - probing that core is a harmless miss.
+ * when an L2 evicts a clean line silently - probing that core is a
+ * harmless miss; a dirty L2 victim clears its core's bit as it folds
+ * into L3.
  * Directory reads touch no replacement state (DESIGN.md §4k).
  *
  * Crossing bits are maintained at the shared L3 as well - the
@@ -28,8 +30,10 @@
 #ifndef RCNVM_CACHE_HIERARCHY_HH_
 #define RCNVM_CACHE_HIERARCHY_HH_
 
+#include <array>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -115,7 +119,10 @@ class Hierarchy
     using RetryFn = util::UniqueFunction<void()>;
 
     /**
-     * Perform one access for @p core.
+     * Perform one access for @p core. The memory decodes only the
+     * low log2(capacity) bits of an address, so the caches key a
+     * line by those bits too: addresses that differ only above them
+     * name one line.
      *
      * @return true when the access was accepted; @p done is then
      *   invoked exactly once with the completion tick. false when
@@ -178,8 +185,18 @@ class Hierarchy
   private:
     using SharerMask = Cache::SharerMask;
 
-    /** Charge and account synonym work on an L3 fill. */
-    CpuCycles onL3Fill(const LineKey &key);
+    /** The synonym partners of one line. */
+    using Partners = std::array<Crossing, SynonymMapper::wordsPerLine>;
+
+    /** The partners an L3 fill of @p key probes, or nullopt when it
+     *  probes none: synonyms are off, or L3 holds no line of the
+     *  other orientation. */
+    std::optional<Partners> fillPartners(const LineKey &key) const;
+
+    /** Charge and account synonym work on an L3 fill; @p partners is
+     *  fillPartners(key), taken before the insert. */
+    CpuCycles onL3Fill(const LineKey &key,
+                       const std::optional<Partners> &partners);
 
     /** Propagate a write to a crossed line if the bit is set. */
     CpuCycles onWrite(const LineKey &key, unsigned word);
@@ -187,9 +204,10 @@ class Hierarchy
     /** Clear partner crossing bits when an L3 line leaves. */
     void onL3Evict(const Cache::Victim &victim);
 
-    /** Insert into L3 handling eviction side effects.
-     *  @return the installed L3 line */
+    /** Insert into L3 handling eviction side effects; @p partners
+     *  is fillPartners(key). @return the installed L3 line */
     CacheLine &fillL3(const LineKey &key, MesiState state,
+                      const std::optional<Partners> &partners,
                       CpuCycles &extra);
 
     /** Insert into a private level, maintaining inclusion, and record
@@ -243,6 +261,8 @@ class Hierarchy
     HierarchyConfig config_;
     sim::EventQueue &eq_;
     mem::MemoryTier &memory_;
+    /** The address bits the memory decodes (its capacity - 1). */
+    Addr addrMask_;
     bool synonymEnabled_;
     SynonymMapper synonym_;
 

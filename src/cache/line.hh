@@ -44,21 +44,17 @@ struct LineKey {
     }
 };
 
-/** One cache line's tag-array entry. */
+/**
+ * One cache line's state: everything but its identity, which lives
+ * in the owning cache's tag array (DESIGN.md section 4m). Four bytes,
+ * kept in an array indexed like the tag words, so a set scan reads
+ * only tags and a `CacheLine *` stays valid until the way is reused.
+ */
 struct CacheLine {
-    Addr tag = 0;          //!< full line address (within orientation)
     Orientation orient = Orientation::Row;
     MesiState state = MesiState::Invalid;
     std::uint8_t crossing = 0; //!< crossing bit per 8-byte word
     bool pinned = false;       //!< group-caching pin
-    std::uint32_t epoch = 0;   //!< owning cache's reset generation
-    std::uint64_t lru = 0;     //!< LRU timestamp
-
-    bool valid() const { return state != MesiState::Invalid; }
-    bool dirty() const { return state == MesiState::Modified; }
-
-    /** Key identifying this (valid) line. */
-    LineKey key() const { return LineKey{tag, orient}; }
 };
 
 } // namespace rcnvm::cache

@@ -26,9 +26,21 @@ SynonymMapper::crossingOfWord(const LineKey &key,
 std::array<Crossing, SynonymMapper::wordsPerLine>
 SynonymMapper::crossings(const LineKey &key) const
 {
+    // A line's eight words differ only in its faster-varying field,
+    // which is the partners' slower-varying one: partner w lies w
+    // steps of that field past partner 0. A row line's partners are
+    // columns, one physical column (columnBytes) apart; a column
+    // line's are rows, one physical row (rowBytes) apart.
+    const mem::Geometry &g = map_->geometry();
+    const Addr step =
+        key.orient == Orientation::Row ? g.columnBytes() : g.rowBytes();
     std::array<Crossing, wordsPerLine> out;
-    for (unsigned w = 0; w < wordsPerLine; ++w)
-        out[w] = crossingOfWord(key, w);
+    out[0] = crossingOfWord(key, 0);
+    for (unsigned w = 1; w < wordsPerLine; ++w) {
+        out[w] = out[0];
+        out[w].partner.addr += step * w;
+        out[w].selfWord = w;
+    }
     return out;
 }
 

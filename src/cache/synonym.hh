@@ -6,7 +6,9 @@
  * physical row; each of those words also belongs to exactly one
  * column-oriented line (8 consecutive words of one physical column),
  * and vice versa. These helpers enumerate the 8 potential crossing
- * lines of a given line and locate the shared word in each.
+ * lines of a given line and locate the shared word in each. The 8
+ * partners of a line are evenly spaced in their own address space,
+ * so crossings() decodes only the first (DESIGN.md section 4m).
  */
 
 #ifndef RCNVM_CACHE_SYNONYM_HH_
@@ -41,7 +43,9 @@ class SynonymMapper
 
     /**
      * Enumerate the 8 lines of the opposite orientation that share a
-     * word with @p key.
+     * word with @p key: one address decode for the first, then a
+     * fixed stride (the other orientation's slower-varying field)
+     * for the rest.
      */
     std::array<Crossing, wordsPerLine>
     crossings(const LineKey &key) const;

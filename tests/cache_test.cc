@@ -2,16 +2,19 @@
  * @file
  * Tests for the set-associative cache: orientation-aware tag match,
  * LRU replacement, pinning, crossing-bit storage, directory sharer
- * masks, and the synonym crossing geometry of Figure 8.
+ * masks, a differential check against a per-way model, and the
+ * synonym crossing geometry of Figure 8.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/synonym.hh"
 #include "mem/geometry.hh"
+#include "util/random.hh"
 
 namespace rcnvm::cache {
 namespace {
@@ -197,6 +200,258 @@ TEST(CacheTest, ResetDropsEverything)
 }
 
 // ---------------------------------------------------------------
+// Differential check of the tag-array layout against a per-way model
+// ---------------------------------------------------------------
+
+/**
+ * The cache semantics spelled out one way at a time: each way keeps
+ * its own tag, orientation, state, crossing bits, pin, LRU stamp and
+ * sharer mask. Deliberately naive, so the packed layout of Cache can
+ * be checked against it.
+ */
+class ReferenceCache
+{
+  public:
+    struct Way {
+        bool valid = false;
+        Addr tag = 0;
+        Orientation orient = Orientation::Row;
+        MesiState state = MesiState::Invalid;
+        std::uint8_t crossing = 0;
+        bool pinned = false;
+        std::uint64_t lru = 0;
+        Cache::SharerMask sharers = 0;
+    };
+
+    explicit ReferenceCache(const CacheConfig &cfg)
+        : sets_(cfg.numSets()), ways_(cfg.ways), way_(sets_ * ways_)
+    {
+    }
+
+    Way *
+    find(const LineKey &key)
+    {
+        Way *w = lookup(key);
+        if (w)
+            w->lru = ++clock_;
+        return w;
+    }
+
+    Way *
+    lookup(const LineKey &key)
+    {
+        for (unsigned i = 0; i < ways_; ++i) {
+            Way &w = way_[setOf(key) * ways_ + i];
+            if (w.valid && w.tag == key.addr && w.orient == key.orient)
+                return &w;
+        }
+        return nullptr;
+    }
+
+    std::optional<Cache::Victim>
+    insert(const LineKey &key, MesiState state)
+    {
+        if (Way *w = lookup(key)) {
+            w->state = state;
+            w->lru = ++clock_;
+            return std::nullopt;
+        }
+        Way *target = nullptr;
+        Way *lru_unpinned = nullptr;
+        Way *lru_any = nullptr;
+        for (unsigned i = 0; i < ways_; ++i) {
+            Way &w = way_[setOf(key) * ways_ + i];
+            if (!w.valid) {
+                if (!target)
+                    target = &w;
+                continue;
+            }
+            if (!lru_any || w.lru < lru_any->lru)
+                lru_any = &w;
+            if (!w.pinned && (!lru_unpinned || w.lru < lru_unpinned->lru))
+                lru_unpinned = &w;
+        }
+        std::optional<Cache::Victim> victim;
+        if (!target) {
+            target = lru_unpinned ? lru_unpinned : lru_any;
+            if (!lru_unpinned)
+                ++pinnedEvictions;
+            victim = Cache::Victim{LineKey{target->tag, target->orient},
+                                   target->state, target->crossing,
+                                   target->sharers};
+            count(target->orient, -1);
+        }
+        *target = Way{true, key.addr, key.orient, state, 0, false,
+                      ++clock_, 0};
+        count(key.orient, +1);
+        return victim;
+    }
+
+    std::optional<Cache::Victim>
+    invalidate(const LineKey &key)
+    {
+        Way *w = find(key);
+        if (!w)
+            return std::nullopt;
+        const Cache::Victim v{key, w->state, w->crossing};
+        count(w->orient, -1);
+        w->valid = false;
+        return v;
+    }
+
+    void
+    reset()
+    {
+        for (Way &w : way_)
+            w.valid = false;
+        rowLines = columnLines = pinnedEvictions = 0;
+    }
+
+    std::uint64_t rowLines = 0;
+    std::uint64_t columnLines = 0;
+    std::uint64_t pinnedEvictions = 0;
+
+  private:
+    unsigned setOf(const LineKey &key) const
+    {
+        return static_cast<unsigned>((key.addr / 64) % sets_);
+    }
+
+    void
+    count(Orientation o, int delta)
+    {
+        (o == Orientation::Row ? rowLines : columnLines) +=
+            static_cast<std::uint64_t>(delta);
+    }
+
+    unsigned sets_;
+    unsigned ways_;
+    std::vector<Way> way_;
+    std::uint64_t clock_ = 0;
+};
+
+void
+expectSameVictim(const std::optional<Cache::Victim> &got,
+                 const std::optional<Cache::Victim> &want,
+                 bool directory)
+{
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (!got)
+        return;
+    EXPECT_EQ(got->key, want->key);
+    EXPECT_EQ(got->state, want->state);
+    EXPECT_EQ(got->crossing, want->crossing);
+    if (directory) {
+        EXPECT_EQ(got->sharers, want->sharers);
+    }
+}
+
+/** A found line must carry the model's state, crossing bits, pin and
+ *  orientation (and, on a directory, its sharer mask). */
+void
+expectSameLine(Cache &cache, const CacheLine *got,
+               const ReferenceCache::Way *want, bool directory)
+{
+    ASSERT_EQ(got != nullptr, want != nullptr);
+    if (!got)
+        return;
+    EXPECT_EQ(got->orient, want->orient);
+    EXPECT_EQ(got->state, want->state);
+    EXPECT_EQ(got->crossing, want->crossing);
+    EXPECT_EQ(got->pinned, want->pinned);
+    if (directory) {
+        EXPECT_EQ(cache.sharers(*got), want->sharers);
+    }
+}
+
+/** Drive @p steps random operations on a cache and the model. Keys
+ *  come from a pool about twice the cache's size, so hits, misses
+ *  and evictions all occur; frequent pinning fills whole sets with
+ *  pinned lines. */
+void
+runDifferential(const CacheConfig &cfg, bool directory,
+                std::uint64_t seed, unsigned steps)
+{
+    Cache cache(cfg, directory);
+    ReferenceCache ref(cfg);
+    util::Random rng(seed);
+    const std::uint64_t pool = 2ull * cfg.sizeBytes / cfg.lineBytes;
+    const MesiState states[] = {MesiState::Shared, MesiState::Exclusive,
+                                MesiState::Modified};
+    unsigned fully_pinned = 0; // inserts that met an all-pinned set
+    for (unsigned step = 0; step < steps; ++step) {
+        SCOPED_TRACE(::testing::Message() << "step " << step);
+        const LineKey key{rng.nextBounded(pool) * 64,
+                          rng.nextBool(0.5) ? Orientation::Column
+                                            : Orientation::Row};
+        const std::uint64_t op = rng.nextBounded(1000);
+        if (op < 300) {
+            // find, then write through the returned line as the
+            // hierarchy does (state, crossing bits, sharer mask).
+            CacheLine *got = cache.find(key);
+            ReferenceCache::Way *want = ref.find(key);
+            expectSameLine(cache, got, want, directory);
+            if (got && want && rng.nextBool(0.5)) {
+                const auto bit =
+                    std::uint8_t(1u << rng.nextBounded(8));
+                got->crossing |= bit;
+                want->crossing |= bit;
+                got->state = want->state = MesiState::Modified;
+                if (directory) {
+                    const auto mask =
+                        static_cast<Cache::SharerMask>(rng.next());
+                    cache.sharers(*got) = want->sharers = mask;
+                }
+            }
+        } else if (op < 380) {
+            expectSameLine(cache, cache.probe(key), ref.lookup(key),
+                           directory);
+        } else if (op < 730) {
+            const MesiState st = states[rng.nextBounded(3)];
+            const std::uint64_t forced = ref.pinnedEvictions;
+            CacheLine *installed = nullptr;
+            expectSameVictim(cache.insert(key, st, &installed),
+                             ref.insert(key, st), directory);
+            fully_pinned += ref.pinnedEvictions != forced;
+            ASSERT_NE(installed, nullptr);
+            EXPECT_EQ(installed, cache.probe(key));
+        } else if (op < 780) {
+            expectSameVictim(cache.invalidate(key), ref.invalidate(key),
+                             directory);
+        } else if (op < 999) {
+            const bool pin = rng.nextBounded(8) != 0;
+            ReferenceCache::Way *want = ref.find(key);
+            if (want)
+                want->pinned = pin;
+            EXPECT_EQ(cache.setPinned(key, pin), want != nullptr);
+        } else {
+            cache.reset();
+            ref.reset();
+        }
+        ASSERT_EQ(cache.pinnedEvictions(), ref.pinnedEvictions);
+        ASSERT_EQ(cache.rowLines(), ref.rowLines);
+        ASSERT_EQ(cache.columnLines(), ref.columnLines);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    EXPECT_GT(fully_pinned, 0u);
+}
+
+TEST(CacheTest, MatchesReferenceLruModel)
+{
+    const CacheConfig two_way{"two-way", 1024, 64, 2}; // 8 sets
+    for (const bool directory : {false, true}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            SCOPED_TRACE(::testing::Message()
+                         << "directory " << directory << " seed "
+                         << seed);
+            runDifferential(tinyConfig(), directory, seed, 20000);
+            runDifferential(two_way, directory, seed, 20000);
+        }
+    }
+}
+
+// ---------------------------------------------------------------
 // Directory sharer masks (kept by the shared L3 only)
 // ---------------------------------------------------------------
 
@@ -363,6 +618,61 @@ TEST_F(SynonymFixture, PartnerAddressesAreLineAligned)
                       Orientation::Row};
     for (const Crossing &c : synonym_.crossings(key))
         EXPECT_EQ(c.partner.addr % 64, 0u);
+}
+
+TEST_F(SynonymFixture, ClosedFormMatchesPerWordDecode)
+{
+    // crossings() decodes partner 0 and strides to the rest; every
+    // partner must match the full per-word decode, at the corners of
+    // each field included. The Table-1 subarray is square, so a
+    // 512 x 2048 one checks that each orientation strides by its own
+    // field.
+    mem::Geometry oblong = mem::Geometry::rcNvm();
+    oblong.rowsPerSubarray = 512;
+    oblong.colsPerSubarray = 2048;
+    for (const mem::Geometry &g : {mem::Geometry::rcNvm(), oblong}) {
+        const mem::AddressMap map(g);
+        const SynonymMapper synonym(map);
+        const unsigned rows[] = {0, 1, g.rowsPerSubarray - 8,
+                                 g.rowsPerSubarray - 1};
+        const unsigned cols[] = {0, 1, g.colsPerSubarray - 8,
+                                 g.colsPerSubarray - 1};
+        for (const Orientation o :
+             {Orientation::Row, Orientation::Column}) {
+            for (const unsigned hi : {0u, 1u}) {
+                for (const unsigned row : rows) {
+                    for (const unsigned col : cols) {
+                        mem::DecodedAddr d;
+                        d.channel = hi;
+                        d.rank = hi * 3;
+                        d.bank = hi * 7;
+                        d.subarray = (row + col) % 8;
+                        d.row = row;
+                        d.col = col;
+                        const LineKey key{map.encode(d, o) & ~Addr{63},
+                                          o};
+                        const auto all = synonym.crossings(key);
+                        for (unsigned w = 0;
+                             w < SynonymMapper::wordsPerLine; ++w) {
+                            SCOPED_TRACE(::testing::Message()
+                                         << "rows " << g.rowsPerSubarray
+                                         << " key " << key.addr
+                                         << " word " << w);
+                            const Crossing one =
+                                synonym.crossingOfWord(key, w);
+                            EXPECT_EQ(all[w].partner.addr,
+                                      one.partner.addr);
+                            EXPECT_EQ(all[w].partner.orient,
+                                      one.partner.orient);
+                            EXPECT_EQ(all[w].selfWord, one.selfWord);
+                            EXPECT_EQ(all[w].partnerWord,
+                                      one.partnerWord);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -334,6 +334,93 @@ TEST(DirectoryDeathTest, MoreCoresThanMaskBitsIsFatal)
                 ::testing::ExitedWithCode(1), "sharer mask");
 }
 
+TEST(HierarchyDeathTest, MemoryBeyondTagWordIsFatal)
+{
+    // A tag word holds 2^30 line numbers: a 64 GB memory fits, and a
+    // 128 GB one (a single 2^17 x 2^17 subarray, so the memory side
+    // allocates nothing large) is refused before any cache is built.
+    mem::Geometry g;
+    g.channels = g.ranksPerChannel = g.banksPerRank =
+        g.subarraysPerBank = 1;
+    g.rowsPerSubarray = g.colsPerSubarray = 1u << 17;
+    ASSERT_EQ(g.capacityBytes() / 64, 2 * Cache::maxLines);
+    const mem::TimingParams timing = mem::timingFor(mem::DeviceKind::RcNvm);
+    sim::EventQueue eq;
+    mem::MemorySystem too_large(mem::DeviceKind::RcNvm, eq, timing, false,
+                                32, g, mem::SchedPolicyKind::FrFcfs);
+    EXPECT_EXIT(Hierarchy(HierarchyConfig{}, eq, too_large),
+                ::testing::ExitedWithCode(1), "tag word");
+
+    g.rowsPerSubarray = 1u << 16;
+    mem::MemorySystem fits(mem::DeviceKind::RcNvm, eq, timing, false, 32,
+                           g, mem::SchedPolicyKind::FrFcfs);
+    Hierarchy hierarchy(HierarchyConfig{}, eq, fits);
+    EXPECT_EQ(hierarchy.sharers(LineKey{}), 0u);
+}
+
+TEST(HierarchyTest, AddressesBeyondTheMemoryFoldOntoIt)
+{
+    // The 4 GB memory decodes an address's low 32 bits, so a
+    // user-space address as a drcachesim listing records it, its
+    // folded twin and the address 64 GB above it (where a line number
+    // outgrows the tag word's 30 bits) all name one line.
+    Fixture f;
+    ASSERT_EQ(f.memory.map().geometry().capacityBytes(), Addr{1} << 32);
+    const Addr device = f.rowAddr(437, 176);
+    const Addr user = Addr{0x7ffd} << 32 | device;
+    f.access(0, user, Orientation::Row, false);
+    f.access(1, device, Orientation::Row, false);
+    f.access(2, user + (Addr{64} << 30), Orientation::Row, false);
+    EXPECT_DOUBLE_EQ(f.hierarchy.stats().get("cache.llcMisses"), 1.0);
+    EXPECT_DOUBLE_EQ(f.hierarchy.stats().get("cache.l3Hits"), 2.0);
+    EXPECT_EQ(f.hierarchy.sharers(LineKey{device, Orientation::Row}),
+              0b111u);
+    // The synonym partners the address map yields are device lines:
+    // a user-space column line crossing row 437 finds this one.
+    f.access(3, Addr{0x5555} << 32 | f.colAddr(437, 182),
+             Orientation::Column, false);
+    EXPECT_DOUBLE_EQ(f.hierarchy.stats().get("cache.crossingsFound"),
+                     1.0);
+    // Pinning through an alias no access used finds the line too.
+    EXPECT_EQ(f.hierarchy.pinRange(Addr{0x1234} << 32 | device,
+                                   Orientation::Row, 64, true),
+              1u);
+}
+
+TEST(HierarchyTest, DirtyL2EvictionClearsItsSharerBit)
+{
+    // 2-way, 8-set L2 (and 4-set L1) over the Table-1 L3: rows 0-3 at
+    // column 0 share one private set but not an L3 set.
+    HierarchyConfig small;
+    small.l1 = CacheConfig{"L1", 512, 64, 2};
+    small.l2 = CacheConfig{"L2", 1024, 64, 2};
+    sim::EventQueue eq;
+    mem::MemorySystem memory(mem::DeviceKind::RcNvm, eq);
+    Hierarchy hierarchy(small, eq, memory);
+    auto touch = [&](unsigned core, unsigned row, bool write) {
+        mem::DecodedAddr d;
+        d.row = row;
+        CacheAccess a;
+        a.addr = memory.map().encode(d, Orientation::Row);
+        a.isWrite = write;
+        EXPECT_TRUE(hierarchy.access(core, a, [](Tick) {}));
+        eq.run();
+        return LineKey{a.addr, Orientation::Row};
+    };
+    const LineKey dirty = touch(0, 0, true);
+    const LineKey clean = touch(1, 1, false);
+    touch(0, 1, false);
+    EXPECT_EQ(hierarchy.sharers(dirty), 0b01u);
+    EXPECT_EQ(hierarchy.sharers(clean), 0b11u);
+    // Core 0's L2 evicts its dirty row-0 line: the data folds into L3
+    // and core 0 leaves the line's mask.
+    touch(0, 2, false);
+    EXPECT_EQ(hierarchy.sharers(dirty), 0u);
+    // A clean victim leaves without telling L3; its bit stays stale.
+    touch(0, 3, false);
+    EXPECT_EQ(hierarchy.sharers(clean), 0b11u);
+}
+
 TEST(HierarchyTest, StatsResetClearsEverything)
 {
     Fixture f;

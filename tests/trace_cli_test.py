@@ -12,6 +12,7 @@ Usage: trace_cli_test.py <rcnvm_trace-binary> <sample.trace>
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -25,6 +26,16 @@ DRCACHESIM_LISTING = """\
      3: T1001 read 8 byte(s) @ 0x00000000000a1000
      4: T2002 write 4 byte(s) @ 0x00000000000b2040
      5: T1001 read 64 byte(s) @ 0x00000000000a1040
+"""
+
+# User-space addresses, as real listings hold them; the last is the
+# first plus 64 GB.
+WIDE_LISTING = """\
+     1: T7 read 8 byte(s) @ 0x00007ffd3a2c1f40
+     2: T7 write 8 byte(s) @ 0x00005555e8a01000
+     3: T8 read 64 byte(s) @ 0x00007ffd3a2c1f80
+     4: T8 write 4 byte(s) @ 0x0000800d3a2c1f40
+     5: T7 read 8 byte(s) @ 0x00005555e8a01008
 """
 
 failures = []
@@ -103,6 +114,26 @@ def main():
         check("converted 3 record(s) from 2 thread(s) onto 2 core(s)"
               in out, "drcachesim listing keeps 3 of 5 lines", out)
         ok("run drcachesim trace", "run", "dr.rtb")
+
+        # 3b. The 4 GB devices decode an address's low 32 bits, and so
+        #     do the caches: a listing of user-space addresses replays
+        #     exactly as the same listing folded below 4 GB.
+        folded = re.sub(r"0x([0-9a-f]+)",
+                        lambda m: "0x%x" % (int(m.group(1), 16) &
+                                            0xffffffff),
+                        WIDE_LISTING)
+        replays = []
+        for name, listing in (("wide", WIDE_LISTING),
+                              ("folded", folded)):
+            (tmp / (name + ".txt")).write_text(listing)
+            ok("convert %s listing" % name, "convert", "--drcachesim",
+               name + ".txt", name + ".rtb")
+            (tmp / name).mkdir()
+            ok("run %s listing" % name, "run", name + ".rtb",
+               RCNVM_STATS_DIR=str(tmp / name))
+            replays.append((tmp / name / "rcnvm_trace.json").read_bytes())
+        check(replays[0] == replays[1],
+              "user-space addresses replay as their folded twins")
 
         # 4. Any dump replays on any device: RC-NVM's has column ops,
         #    GS-DRAM's gathered loads.

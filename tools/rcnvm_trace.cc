@@ -24,7 +24,9 @@
  * (the simulated hierarchy is data-only); marker and header lines are
  * skipped. Numeric fields are strictly validated — a malformed size
  * or address is a fatal error with the line number, never a silently
- * different trace.
+ * different trace. Addresses are kept whole; replay folds them onto
+ * the device as its address map does (all four decode the low 32
+ * bits), so a user-space listing runs as its folded twin.
  *
  * Bad usage, an unknown device or query exits 2; an unreadable or
  * malformed input is fatal and exits 1.
