@@ -47,6 +47,14 @@ printDevice(util::TablePrinter &t, mem::DeviceKind kind)
                   " ns"});
 }
 
+/** "<line>B line, <ways>-way, " of one cache level. */
+std::string
+cacheShape(const cache::CacheConfig &c)
+{
+    return std::to_string(c.lineBytes) + "B line, " +
+           std::to_string(c.ways) + "-way, ";
+}
+
 } // namespace
 
 int
@@ -54,28 +62,28 @@ main()
 {
     util::setLogLevel(util::LogLevel::Quiet);
     const auto cfg = core::table1Machine(mem::DeviceKind::RcNvm);
+    const cache::HierarchyConfig &h = cfg.hierarchy;
+    const double ghz = static_cast<double>(ticksPerNs.value()) /
+                       static_cast<double>(h.cpuPeriod.value());
 
     util::TablePrinter proc("Table 1a: processor and caches");
     proc.addRow({"component", "configuration"});
-    proc.addRow({"Processor", std::to_string(cfg.hierarchy.cores) +
-                                  " cores, x86-like, 2.0 GHz"});
-    proc.addRow({"L1 cache",
-                 "private, 64B line, 8-way, " +
-                     std::to_string(cfg.hierarchy.l1.sizeBytes /
-                                    1024) +
-                     " KB"});
-    proc.addRow({"L2 cache",
-                 "private, 64B line, 8-way, " +
-                     std::to_string(cfg.hierarchy.l2.sizeBytes /
-                                    1024) +
-                     " KB"});
+    proc.addRow({"Processor", std::to_string(h.cores) +
+                                  " cores, x86-like, " +
+                                  bench::num(ghz, 1) + " GHz"});
+    proc.addRow({"L1 cache", "private, " + cacheShape(h.l1) +
+                                 std::to_string(h.l1.sizeBytes / 1024) +
+                                 " KB"});
+    proc.addRow({"L2 cache", "private, " + cacheShape(h.l2) +
+                                 std::to_string(h.l2.sizeBytes / 1024) +
+                                 " KB"});
     proc.addRow({"L3 cache",
-                 "shared, 64B line, 8-way, " +
-                     std::to_string(cfg.hierarchy.l3.sizeBytes /
-                                    (1024 * 1024)) +
+                 "shared, " + cacheShape(h.l3) +
+                     std::to_string(h.l3.sizeBytes / (1024 * 1024)) +
                      " MB"});
     proc.addRow({"Mem controller",
-                 "32-entry request queue per channel, FR-FCFS"});
+                 std::to_string(cfg.memQueueCapacity) +
+                     "-entry request queue per channel, FR-FCFS"});
     proc.print(std::cout);
     std::cout << "\n";
 

@@ -455,7 +455,6 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
         req.orient = a.orient;
         req.isWrite = a.isWrite;
         req.gathered = true;
-        req.origin = core;
         req.priority = a.priority;
         const Tick path = config_.cyc(config_.l1Latency +
                                       config_.l2Latency +
@@ -524,7 +523,6 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
         mem::MemPacket req;
         req.addr = key.addr;
         req.orient = key.orient;
-        req.origin = core;
         req.priority = a.priority;
         req.onComplete = [this, idx = mshrs_.indexOf(*entry)](Tick) {
             onFillComplete(idx);
@@ -657,7 +655,6 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
     req.addr = key.addr;
     req.orient = key.orient;
     req.isWrite = false; // line fill; the write happens on return
-    req.origin = core;
     req.priority = a.priority;
     req.onComplete = [this, idx = mshrs_.indexOf(*entry)](Tick) {
             onFillComplete(idx);

@@ -95,7 +95,6 @@ struct CacheAccess {
      *  that coalesces onto an in-flight MSHR entry inherits that
      *  packet's flag — the fill is already underway either way. */
     bool priority = false;
-    unsigned bytes = 64;
 };
 
 /**

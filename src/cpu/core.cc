@@ -130,7 +130,6 @@ Core::advance()
             access.bypass = op.kind == OpKind::GLoad;
             access.prefetchL3 = op.kind == OpKind::CPrefetch;
             access.priority = priority_;
-            access.bytes = op.bytes;
             // Completion is always delivered through the event queue
             // (never synchronously from inside access), so the
             // post-acceptance bookkeeping below cannot race it.

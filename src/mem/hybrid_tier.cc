@@ -24,112 +24,6 @@ constexpr unsigned kMigrationBurstLines = 4; //!< copy-traffic lines per
                                              //!< direction (of 128)
 constexpr unsigned kMaxInflightPerChannel = 4;
 
-/**
- * RBLA (Yoon et al.): promote rows whose far accesses keep missing
- * the row buffer — those pay the NVM activate latency repeatedly and
- * benefit most from DRAM residence. Rows that hit stay in NVM, where
- * buffer hits already cost DRAM-like latency. Victim rank follows
- * the same benefit estimate: evict the row gaining least.
- */
-class RblaPolicy final : public MigrationPolicy
-{
-  public:
-    explicit RblaPolicy(double hot_threshold)
-        : hotThreshold_(hot_threshold)
-    {
-    }
-
-    bool promote(const RowLocality &row) const override
-    {
-        return row.ewmaMiss >= kMissThreshold &&
-               row.rowTouches >= hotThreshold_;
-    }
-
-    bool demoteOnColumn(const RowLocality &) const override
-    {
-        return false;
-    }
-
-    double victimScore(const RowLocality &row,
-                       const TierFrame &frame) const override
-    {
-        return static_cast<double>(row.ewmaMiss) * frame.touches;
-    }
-
-  private:
-    double hotThreshold_;
-};
-
-/** Hot-page: promote on access count alone (locality-blind; the
- *  classic baseline RBLA was proposed against). */
-class HotPagePolicy final : public MigrationPolicy
-{
-  public:
-    explicit HotPagePolicy(double hot_threshold)
-        : hotThreshold_(hot_threshold)
-    {
-    }
-
-    bool promote(const RowLocality &row) const override
-    {
-        return row.rowTouches >= hotThreshold_;
-    }
-
-    bool demoteOnColumn(const RowLocality &) const override
-    {
-        return false;
-    }
-
-    double victimScore(const RowLocality &,
-                       const TierFrame &frame) const override
-    {
-        return frame.touches;
-    }
-
-  private:
-    double hotThreshold_;
-};
-
-/**
- * Orientation-aware: hot-page promotion gated by column usage. A row
- * the OLAP side scans column-wise must stay in RC-NVM — its column
- * segments are only addressable there, and promoting it turns every
- * overlapping column access into a coherence write-back. Column
- * pressure discovered after promotion demotes the row.
- */
-class OrientationPolicy final : public MigrationPolicy
-{
-  public:
-    explicit OrientationPolicy(double hot_threshold)
-        : hotThreshold_(hot_threshold)
-    {
-    }
-
-    bool promote(const RowLocality &row) const override
-    {
-        return row.rowTouches >= hotThreshold_ &&
-               row.colTouches <=
-                   kOrientVeto * static_cast<double>(row.rowTouches);
-    }
-
-    bool demoteOnColumn(const RowLocality &row) const override
-    {
-        return row.colTouches >
-               kOrientVeto * static_cast<double>(row.rowTouches);
-    }
-
-    double victimScore(const RowLocality &row,
-                       const TierFrame &frame) const override
-    {
-        // Column-touched rows rank first for eviction.
-        return frame.touches -
-               static_cast<double>(row.colTouches) * hotThreshold_;
-    }
-
-  private:
-    double hotThreshold_;
-};
-
 } // namespace
 
 const char *
@@ -142,20 +36,6 @@ toString(MigrationPolicyKind kind)
         return "hotpage";
       case MigrationPolicyKind::Orientation:
         return "orientation";
-    }
-    rcnvm_panic("unknown migration policy kind");
-}
-
-std::unique_ptr<MigrationPolicy>
-makeMigrationPolicy(const HybridTierConfig &cfg)
-{
-    switch (cfg.policy) {
-      case MigrationPolicyKind::Rbla:
-        return std::make_unique<RblaPolicy>(cfg.hotThreshold);
-      case MigrationPolicyKind::HotPage:
-        return std::make_unique<HotPagePolicy>(cfg.hotThreshold);
-      case MigrationPolicyKind::Orientation:
-        return std::make_unique<OrientationPolicy>(cfg.hotThreshold);
     }
     rcnvm_panic("unknown migration policy kind");
 }
@@ -178,7 +58,6 @@ HybridMemory::HybridMemory(MemorySystem &far, MemorySystem &near,
       near_(near),
       cfg_(config),
       eq_(eq),
-      policy_(makeMigrationPolicy(config)),
       remap_(far.map().geometry(), near.map().geometry()),
       tracker_(far.map().geometry(), kEwmaAlpha, config.decayPeriod),
       frames_(remap_.frames()),
@@ -189,21 +68,6 @@ HybridMemory::HybridMemory(MemorySystem &far, MemorySystem &near,
                     "construction; use a DRAM device");
 }
 
-bool
-HybridMemory::canAccept(Addr addr, Orientation orient) const
-{
-    if (orient == Orientation::Row) {
-        const DecodedAddr d = far_.map().decode(addr, orient);
-        const std::uint64_t row = remap_.rowId(d);
-        if (routeRowNear(row)) {
-            const Addr na =
-                near_.map().encode(remap_.toNear(d), orient);
-            return near_.canAccept(na, orient);
-        }
-    }
-    return far_.canAccept(addr, orient);
-}
-
 unsigned
 HybridMemory::channelOf(Addr addr, Orientation orient) const
 {
@@ -211,52 +75,30 @@ HybridMemory::channelOf(Addr addr, Orientation orient) const
     return far_.channelOf(addr, orient);
 }
 
-void
-HybridMemory::issue(MemPacket &&req)
-{
-    if (req.orient == Orientation::Row) {
-        const DecodedAddr d = far_.map().decode(req.addr, req.orient);
-        const std::uint64_t row = remap_.rowId(d);
-        if (routeRowNear(row)) {
-            req.addr = near_.map().encode(remap_.toNear(d), req.orient);
-            touchNear(row, req.isWrite);
-            near_.issue(std::move(req));
-            return;
-        }
-        far_.issue(std::move(req));
-        onFarRowAccess(row);
-        return;
-    }
-    const DecodedAddr d = far_.map().decode(req.addr, req.orient);
-    far_.issue(std::move(req));
-    onColumnAccess(d);
-}
-
 bool
 HybridMemory::tryIssue(MemPacket &pkt)
 {
-    if (pkt.orient == Orientation::Row) {
-        const DecodedAddr d = far_.map().decode(pkt.addr, pkt.orient);
-        const std::uint64_t row = remap_.rowId(d);
-        if (routeRowNear(row)) {
-            const Addr farAddr = pkt.addr;
-            pkt.addr = near_.map().encode(remap_.toNear(d), pkt.orient);
-            if (!near_.tryIssue(pkt)) {
-                pkt.addr = farAddr; // refused: hand back untouched
-                return false;
-            }
-            touchNear(row, pkt.isWrite);
-            return true;
-        }
+    const DecodedAddr d = far_.map().decode(pkt.addr, pkt.orient);
+    if (pkt.orient == Orientation::Column) {
+        if (!far_.tryIssue(pkt))
+            return false;
+        onColumnAccess(d);
+        return true;
+    }
+    const std::uint64_t row = remap_.rowId(d);
+    if (remap_.frameOf(row) < 0) {
         if (!far_.tryIssue(pkt))
             return false;
         onFarRowAccess(row);
         return true;
     }
-    const DecodedAddr d = far_.map().decode(pkt.addr, pkt.orient);
-    if (!far_.tryIssue(pkt))
+    const Addr farAddr = pkt.addr;
+    pkt.addr = near_.map().encode(remap_.toNear(d), pkt.orient);
+    if (!near_.tryIssue(pkt)) {
+        pkt.addr = farAddr; // refused: hand back untouched
         return false;
-    onColumnAccess(d);
+    }
+    touchNear(row, pkt.isWrite);
     return true;
 }
 
@@ -264,8 +106,8 @@ void
 HybridMemory::setRetryCallback(std::function<void()> cb)
 {
     // Both devices share the client's one hook; a refused client
-    // re-probes canAccept() per packet, so spare wakeups from the
-    // other tier are harmless (same contract as multi-channel).
+    // retries tryIssue() per packet, so spare wakeups from the other
+    // tier are harmless (same contract as multi-channel).
     far_.setRetryCallback(cb);
     near_.setRetryCallback(std::move(cb));
 }
@@ -278,7 +120,6 @@ HybridMemory::touchNear(std::uint64_t row_id, bool is_write)
     TierFrame &f =
         frames_[static_cast<std::uint32_t>(remap_.frameOf(row_id))];
     f.touches += 1.0;
-    f.lastTouch = eq_.now();
     f.dirty = f.dirty || is_write;
 }
 
@@ -289,7 +130,7 @@ HybridMemory::onFarRowAccess(std::uint64_t row_id)
     tracker_.recordRow(row_id, eq_.now());
     if (migrationPending(row_id))
         return;
-    if (policy_->promote(tracker_.sample(row_id, eq_.now())))
+    if (promotes(tracker_.sample(row_id, eq_.now())))
         startPromotion(row_id);
 }
 
@@ -325,9 +166,69 @@ HybridMemory::onColumnAccess(const DecodedAddr &d)
             colDirtyForces_.inc();
         }
         if (!f.busy && !migrationPending(row) &&
-            policy_->demoteOnColumn(tracker_.sample(row, eq_.now())))
+            demotesOnColumn(tracker_.sample(row, eq_.now())))
             startDemotion(static_cast<std::uint32_t>(frameIdx));
     }
+}
+
+bool
+HybridMemory::promotes(const RowLocality &row) const
+{
+    switch (cfg_.policy) {
+      case MigrationPolicyKind::Rbla:
+        // Yoon et al.: promote rows whose far accesses keep missing
+        // the row buffer; those pay the NVM activation again and
+        // again, while rows that hit already see DRAM-like latency.
+        return row.ewmaMiss >= kMissThreshold &&
+               row.rowTouches >= cfg_.hotThreshold;
+      case MigrationPolicyKind::HotPage:
+        // Access count alone: the locality-blind baseline RBLA was
+        // proposed against.
+        return row.rowTouches >= cfg_.hotThreshold;
+      case MigrationPolicyKind::Orientation:
+        // Hot-page gated by column usage: a row the OLAP side scans
+        // column-wise stays in RC-NVM, the only device that can
+        // serve its column segments; promoted, every overlapping
+        // column access would force a write-back.
+        return row.rowTouches >= cfg_.hotThreshold &&
+               row.colTouches <=
+                   kOrientVeto * static_cast<double>(row.rowTouches);
+    }
+    rcnvm_panic("unknown migration policy kind");
+}
+
+bool
+HybridMemory::demotesOnColumn(const RowLocality &row) const
+{
+    switch (cfg_.policy) {
+      case MigrationPolicyKind::Rbla:
+      case MigrationPolicyKind::HotPage:
+        return false;
+      case MigrationPolicyKind::Orientation:
+        // Column pressure found after promotion sends the row home.
+        return row.colTouches >
+               kOrientVeto * static_cast<double>(row.rowTouches);
+    }
+    rcnvm_panic("unknown migration policy kind");
+}
+
+double
+HybridMemory::victimScore(const RowLocality &row,
+                          const TierFrame &frame) const
+{
+    switch (cfg_.policy) {
+      case MigrationPolicyKind::Rbla:
+        // The same benefit estimate as promotion: evict the row
+        // gaining least.
+        return static_cast<double>(row.ewmaMiss) * frame.touches;
+      case MigrationPolicyKind::HotPage:
+        return frame.touches;
+      case MigrationPolicyKind::Orientation:
+        // Column-touched rows rank first for eviction.
+        return frame.touches -
+               static_cast<double>(row.colTouches) * cfg_.hotThreshold;
+    }
+    rcnvm_panic("unknown migration policy kind");
 }
 
 bool
@@ -394,8 +295,8 @@ HybridMemory::startPromotion(std::uint64_t row_id)
             freeFrame = f;
             break;
         }
-        const double score = policy_->victimScore(
-            tracker_.sample(fr.rowId, eq_.now()), fr);
+        const double score =
+            victimScore(tracker_.sample(fr.rowId, eq_.now()), fr);
         if (victimFrame < 0 || score < victimBest) {
             victimFrame = f;
             victimBest = score;
@@ -415,9 +316,7 @@ HybridMemory::startPromotion(std::uint64_t row_id)
         if (vf.dirty) {
             // Copy the displaced row's data home before reuse.
             copyTraffic(remap_.frameLocation(m.frame), true,
-                        farRowLocation(
-                            static_cast<std::uint64_t>(m.victimRow)),
-                        false);
+                        remap_.rowLocation(vf.rowId), false);
             dirtyWritebacks_.inc();
         }
     } else {
@@ -431,7 +330,7 @@ HybridMemory::startPromotion(std::uint64_t row_id)
     inflightMigs_.push_back(m);
 
     // Fill traffic: read the promoted row far, write it near.
-    copyTraffic(farRowLocation(row_id), false,
+    copyTraffic(remap_.rowLocation(row_id), false,
                 remap_.frameLocation(m.frame), true);
 
     eq_.schedule(eq_.now() + cfg_.migrationLatency,
@@ -456,7 +355,7 @@ HybridMemory::startDemotion(std::uint32_t frame)
 
     if (f.dirty) {
         copyTraffic(remap_.frameLocation(frame), true,
-                    farRowLocation(f.rowId), false);
+                    remap_.rowLocation(f.rowId), false);
         dirtyWritebacks_.inc();
     }
     f.busy = true;
@@ -485,7 +384,6 @@ HybridMemory::commit(const Migration &m)
         f.dirty = false;
         f.rowId = static_cast<std::uint64_t>(m.promoteRow);
         f.touches = 0;
-        f.lastTouch = eq_.now();
         promotions_.inc();
     }
     f.busy = false;
@@ -498,22 +396,6 @@ HybridMemory::commit(const Migration &m)
             break;
         }
     }
-}
-
-DecodedAddr
-HybridMemory::farRowLocation(std::uint64_t row_id) const
-{
-    const Geometry &g = far_.map().geometry();
-    DecodedAddr d;
-    d.row = static_cast<unsigned>(row_id % g.rowsPerSubarray);
-    row_id /= g.rowsPerSubarray;
-    d.subarray = static_cast<unsigned>(row_id % g.subarraysPerBank);
-    row_id /= g.subarraysPerBank;
-    d.bank = static_cast<unsigned>(row_id % g.banksPerRank);
-    row_id /= g.banksPerRank;
-    d.rank = static_cast<unsigned>(row_id % g.ranksPerChannel);
-    d.channel = static_cast<unsigned>(row_id / g.ranksPerChannel);
-    return d;
 }
 
 void

@@ -3,23 +3,25 @@
  * The hybrid DRAM + RC-NVM memory tier: a small DRAM MemorySystem
  * (shaped by nearTierGeometry(), at DDR3-1333 timing) fronts the far
  * NVM device behind the MemoryTier interface, with a row-granularity
- * remap table and one of three migration policies. The policies'
- * fixed thresholds and the migration mechanics are constants of
- * hybrid_tier.cc; HybridTierConfig holds only what callers set.
+ * remap table and one of three migration policies. Each policy
+ * decision (promote, demote on column pressure, rank a victim) is one
+ * private HybridMemory member switching on the configured kind; the
+ * thresholds and the migration mechanics are constants of
+ * hybrid_tier.cc, and HybridTierConfig holds only what callers set.
  *
- * Clients keep addressing the far device; routing is transparent.
- * Row-oriented accesses to a mapped row are redirected to its DRAM
- * frame; column-oriented accesses always execute in the far device
- * (only RC-NVM can serve them). A column access overlapping a dirty
- * mapped row first forces a write-back of the stale far segment so
- * column readers never observe pre-migration data.
+ * Clients keep addressing the far device; HybridMemory::tryIssue is
+ * the one routing decision. Row-oriented accesses to a mapped row are
+ * redirected to its DRAM frame; column-oriented accesses always
+ * execute in the far device (only RC-NVM can serve them). A column
+ * access overlapping a dirty mapped row first forces a write-back of
+ * the stale far segment so column readers never observe
+ * pre-migration data.
  */
 
 #ifndef RCNVM_MEM_HYBRID_TIER_HH_
 #define RCNVM_MEM_HYBRID_TIER_HH_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mem/memory_system.hh"
@@ -45,31 +47,7 @@ struct TierFrame {
     bool busy = false;   //!< a migration in flight targets it
     bool dirty = false;  //!< written since promotion
     std::uint64_t rowId = 0; //!< resident far row (valid frames)
-    Tick lastTouch{0};
     double touches = 0;  //!< accesses while resident
-};
-
-/**
- * A migration policy: decides promotion on far-access locality,
- * demotion on column pressure, and victim ranking under capacity.
- * Stateless beyond its thresholds, so decisions are a pure function
- * of the tracker/frame inputs.
- */
-class MigrationPolicy
-{
-  public:
-    virtual ~MigrationPolicy() = default;
-
-    /** Promote this far-resident row into the DRAM tier now? */
-    virtual bool promote(const RowLocality &row) const = 0;
-
-    /** Demote this near-resident row on a column-oriented touch? */
-    virtual bool demoteOnColumn(const RowLocality &row) const = 0;
-
-    /** Eviction rank of a resident frame: the lowest score is the
-     *  victim when the tier is full. */
-    virtual double victimScore(const RowLocality &row,
-                               const TierFrame &frame) const = 0;
 };
 
 /** Tier configuration carried by cpu::MachineConfig. */
@@ -102,16 +80,16 @@ class HybridMemory : public MemoryTier
     /** The remap table (tests and reports). */
     const RemapTable &remap() const { return remap_; }
 
-    /** The locality tracker (tests). */
-    const RowLocalityTracker &tracker() const { return tracker_; }
-
     // MemoryTier -----------------------------------------------------
     const DeviceCaps &caps() const override { return far_.caps(); }
     const AddressMap &map() const override { return far_.map(); }
-    bool canAccept(Addr addr, Orientation orient) const override;
     unsigned channelOf(Addr addr, Orientation orient) const override;
     unsigned channels() const override { return far_.channels(); }
-    void issue(MemPacket &&req) override;
+
+    /** Route @p pkt: a row access to a mapped row goes to its near
+     *  frame, every other access to the far device. On refusal the
+     *  packet is left untouched; on acceptance the tier updates its
+     *  locality state and may start a migration. */
     [[nodiscard]] bool tryIssue(MemPacket &pkt) override;
     void setRetryCallback(std::function<void()> cb) override;
     void registerStats(util::StatRegistry &r) const override;
@@ -138,12 +116,6 @@ class HybridMemory : public MemoryTier
         std::uint64_t gen = 0; //!< reset() invalidation stamp
     };
 
-    /** Route decision for one row-oriented packet. */
-    bool routeRowNear(std::uint64_t row_id) const
-    {
-        return remap_.frameOf(row_id) >= 0;
-    }
-
     /** Post-acceptance bookkeeping of a near-routed row access. */
     void touchNear(std::uint64_t row_id, bool is_write);
 
@@ -154,6 +126,17 @@ class HybridMemory : public MemoryTier
     /** Post-acceptance bookkeeping of a column access: tracker and
      *  dirty-overlap handling for each far row the line crosses. */
     void onColumnAccess(const DecodedAddr &d);
+
+    /** Promote this far-resident row into the DRAM tier now? */
+    bool promotes(const RowLocality &row) const;
+
+    /** Demote this near-resident row on a column-oriented touch? */
+    bool demotesOnColumn(const RowLocality &row) const;
+
+    /** Eviction rank of a resident frame: the lowest score is the
+     *  victim when the tier is full. */
+    double victimScore(const RowLocality &row,
+                       const TierFrame &frame) const;
 
     /** True when @p row_id is the subject of an in-flight migration
      *  (as promotee or victim). */
@@ -173,14 +156,10 @@ class HybridMemory : public MemoryTier
     /** Commit @p m: apply the remap flips and release the frame. */
     void commit(const Migration &m);
 
-    /** Far-device location of row @p row_id (column 0). */
-    DecodedAddr farRowLocation(std::uint64_t row_id) const;
-
     MemorySystem &far_;
     MemorySystem &near_;
     HybridTierConfig cfg_;
     sim::EventQueue &eq_;
-    std::unique_ptr<MigrationPolicy> policy_;
     RemapTable remap_;
     RowLocalityTracker tracker_;
     std::vector<TierFrame> frames_;
@@ -202,10 +181,6 @@ class HybridMemory : public MemoryTier
     util::Counter deferred_;      //!< migrations skipped (in-flight
                                   //!< cap or no eligible frame)
 };
-
-/** Construct the migration-policy object for @p cfg. */
-std::unique_ptr<MigrationPolicy>
-makeMigrationPolicy(const HybridTierConfig &cfg);
 
 } // namespace rcnvm::mem
 

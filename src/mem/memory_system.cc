@@ -89,7 +89,7 @@ void
 MemorySystem::setRetryCallback(std::function<void()> cb)
 {
     // All channels share the one client-side retry hook: a client
-    // that was refused re-probes canAccept() per packet, so a spare
+    // that was refused retries tryIssue() per packet, so a spare
     // wakeup from another channel is harmless.
     for (auto &ch : channels_)
         ch->setSpaceCallback(cb);

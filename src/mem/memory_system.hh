@@ -23,12 +23,12 @@
 namespace rcnvm::mem {
 
 /**
- * The abstract memory tier the cache hierarchy (and any other
- * memory-side client) programs against. A tier is anything that can
- * accept line packets and complete them asynchronously: a single
- * device (MemorySystem) or a composition such as the hybrid
- * DRAM-fronting-RC-NVM tier (HybridMemory). The interface is exactly
- * the surface the hierarchy already consumed, so single-tier
+ * The abstract memory tier the cache hierarchy programs against. A
+ * tier is anything that can accept line packets and complete them
+ * asynchronously: a single device (MemorySystem) or a composition
+ * such as the hybrid DRAM-fronting-RC-NVM tier (HybridMemory). The
+ * interface is exactly the surface the hierarchy consumes — packets
+ * enter only through the backpressured tryIssue() — so single-tier
  * machines pay only a devirtualisable indirection.
  */
 class MemoryTier
@@ -43,17 +43,11 @@ class MemoryTier
     /** The address map client addresses are expressed in. */
     virtual const AddressMap &map() const = 0;
 
-    /** True when a request can be queued right now. */
-    virtual bool canAccept(Addr addr, Orientation orient) const = 0;
-
     /** Channel a packet to this address/orientation would use. */
     virtual unsigned channelOf(Addr addr, Orientation orient) const = 0;
 
     /** Number of channels (for per-channel client bookkeeping). */
     virtual unsigned channels() const = 0;
-
-    /** Queue a request unconditionally (write-back overshoot). */
-    virtual void issue(MemPacket &&req) = 0;
 
     /** Backpressured issue; on refusal @p pkt is left untouched. */
     [[nodiscard]] virtual bool tryIssue(MemPacket &pkt) = 0;
@@ -108,7 +102,7 @@ class MemorySystem : public MemoryTier
     const AddressMap &map() const override { return map_; }
 
     /** True when a request can be queued right now. */
-    bool canAccept(Addr addr, Orientation orient) const override;
+    bool canAccept(Addr addr, Orientation orient) const;
 
     /** Channel a packet to this address/orientation would use. */
     unsigned channelOf(Addr addr, Orientation orient) const override;
@@ -120,11 +114,12 @@ class MemorySystem : public MemoryTier
     }
 
     /**
-     * Queue a request. Column-oriented requests are rejected with a
-     * panic on devices without column access (the compiler must not
-     * emit them).
+     * Queue a request unconditionally (the hybrid tier's copy and
+     * write-back traffic, and callers without a cache hierarchy).
+     * Column-oriented requests are rejected with a panic on devices
+     * without column access (the compiler must not emit them).
      */
-    void issue(MemPacket &&req) override;
+    void issue(MemPacket &&req);
 
     /**
      * Backpressured issue: queue @p pkt only if its channel has

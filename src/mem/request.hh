@@ -15,21 +15,13 @@
 namespace rcnvm::mem {
 
 /**
- * One memory transaction (normally a 64-byte line fill or
- * write-back). The orientation selects which address space the
- * address lives in and which bank buffer serves it; `gathered`
- * marks a GS-DRAM in-row gather access; `origin` names the core the
- * packet was issued on behalf of (kNoOrigin for internal traffic
- * such as write-backs), so queueing and backpressure can be
- * attributed to an owner instead of an anonymous lambda chain.
+ * One memory transaction: a 64-byte line fill or write-back. The
+ * orientation selects which address space the address lives in and
+ * which bank buffer serves it; `gathered` marks a GS-DRAM in-row
+ * gather access.
  */
 struct MemPacket {
-    /** Origin value of internal (ownerless) traffic. */
-    static constexpr unsigned kNoOrigin = ~0u;
-
     Addr addr = 0;
-    unsigned bytes = 64;
-    unsigned origin = kNoOrigin; //!< issuing core, or kNoOrigin
     Orientation orient = Orientation::Row;
     bool isWrite = false;
     bool gathered = false;

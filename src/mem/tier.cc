@@ -47,6 +47,21 @@ RemapTable::rowId(const DecodedAddr &d) const
            d.row;
 }
 
+DecodedAddr
+RemapTable::rowLocation(std::uint64_t row_id) const
+{
+    DecodedAddr d;
+    d.row = static_cast<unsigned>(row_id % far_.rowsPerSubarray);
+    row_id /= far_.rowsPerSubarray;
+    d.subarray = static_cast<unsigned>(row_id % far_.subarraysPerBank);
+    row_id /= far_.subarraysPerBank;
+    d.bank = static_cast<unsigned>(row_id % far_.banksPerRank);
+    row_id /= far_.banksPerRank;
+    d.rank = static_cast<unsigned>(row_id % far_.ranksPerChannel);
+    d.channel = static_cast<unsigned>(row_id / far_.ranksPerChannel);
+    return d;
+}
+
 unsigned
 RemapTable::rowChannel(std::uint64_t row_id) const
 {

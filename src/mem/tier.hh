@@ -52,6 +52,10 @@ class RemapTable
     /** Flat id of the far row holding @p d (a row-oriented decode). */
     std::uint64_t rowId(const DecodedAddr &d) const;
 
+    /** Far location of row @p row_id at column 0: the inverse of
+     *  rowId() (migration copy traffic). */
+    DecodedAddr rowLocation(std::uint64_t row_id) const;
+
     /** Channel a far row id belongs to. */
     unsigned rowChannel(std::uint64_t row_id) const;
 

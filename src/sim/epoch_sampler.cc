@@ -3,7 +3,6 @@
 #include <ostream>
 
 #include "util/logging.hh"
-#include "util/stats_io.hh"
 
 namespace rcnvm::sim {
 
@@ -20,27 +19,6 @@ EpochSeries::writeCsv(std::ostream &os) const
             os << "," << v;
         os << "\n";
     }
-}
-
-void
-EpochSeries::writeJson(std::ostream &os) const
-{
-    os << "{\"names\":[";
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        os << (i ? "," : "") << "\""
-           << util::jsonEscape(names[i]) << "\"";
-    }
-    os << "],\"ticks\":[";
-    for (std::size_t i = 0; i < ticks.size(); ++i)
-        os << (i ? "," : "") << ticks[i];
-    os << "],\"rows\":[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        os << (i ? "," : "") << "[";
-        for (std::size_t j = 0; j < rows[i].size(); ++j)
-            os << (j ? "," : "") << rows[i][j];
-        os << "]";
-    }
-    os << "]}";
 }
 
 void

@@ -31,9 +31,6 @@ struct EpochSeries {
 
     /** CSV with a `tick,<name>,...` header. */
     void writeCsv(std::ostream &os) const;
-
-    /** JSON object {"names":[...],"ticks":[...],"rows":[[...]]}. */
-    void writeJson(std::ostream &os) const;
 };
 
 /**

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Byte-for-byte output checks of the examples (ctest -L examples).
 
-Runs each example binary in a temporary directory with every RCNVM_*
-variable removed from the environment, so that an ambient setting
-cannot change a result, and compares its stdout with the pinned
-<golden-dir>/<name>.txt. Every example is deterministic, so any
-difference is a change in what the simulator computes or prints.
+Runs each example binary, and any other binary that takes no
+arguments (the Table 1 bench, tab01_config), in a temporary directory
+with every RCNVM_* variable removed from the environment, so that an
+ambient setting cannot change a result, and compares its stdout with
+the pinned <golden-dir>/<name>.txt. Every binary is deterministic, so
+any difference is a change in what the simulator computes or prints.
 
 Usage: examples_test.py <golden-dir> <example-binary>...
 """

@@ -23,15 +23,13 @@ struct Fixture {
 
     /** Blocking access helper: returns the completion tick. */
     Tick
-    access(unsigned core, Addr addr, Orientation o, bool write,
-           unsigned bytes = 64)
+    access(unsigned core, Addr addr, Orientation o, bool write)
     {
         Tick done{0};
         CacheAccess a;
         a.addr = addr;
         a.orient = o;
         a.isWrite = write;
-        a.bytes = bytes;
         const Tick start = eq.now();
         EXPECT_TRUE(hierarchy.access(core, a,
                                      [&](Tick t) { done = t - start; }));
@@ -78,7 +76,7 @@ TEST(HierarchyTest, SameLineDifferentWordHitsL1)
     Fixture f;
     f.access(0, f.rowAddr(5, 0), Orientation::Row, false);
     const Tick hit = f.access(0, f.rowAddr(5, 3), Orientation::Row,
-                              false, 8);
+                              false);
     EXPECT_EQ(hit, f.config.cyc(f.config.l1Latency));
 }
 
@@ -126,7 +124,7 @@ TEST(HierarchyTest, WriteInvalidatesOtherCores)
     f.access(0, f.rowAddr(5, 0), Orientation::Row, false);
     f.access(1, f.rowAddr(5, 0), Orientation::Row, false);
     // Core 1 writes: core 0's copy must be invalidated.
-    f.access(1, f.rowAddr(5, 0), Orientation::Row, true, 8);
+    f.access(1, f.rowAddr(5, 0), Orientation::Row, true);
     EXPECT_GE(f.hierarchy.stats().get("cache.cohInvalidations"), 1.0);
     // Core 0 reads again: not an L1 hit (copy was invalidated), and
     // it must pay the remote-dirty penalty.
@@ -163,7 +161,7 @@ TEST(HierarchyTest, WriteToCrossedWordPropagates)
     f.access(0, f.rowAddr(437, 176), Orientation::Row, false);
     // Word 6 of the row line (col 176+6 = 182) crosses the cached
     // column line; writing it must update the partner.
-    f.access(0, f.rowAddr(437, 182), Orientation::Row, true, 8);
+    f.access(0, f.rowAddr(437, 182), Orientation::Row, true);
     EXPECT_GE(f.hierarchy.stats().get("cache.synonymUpdates"), 1.0);
     EXPECT_GT(f.hierarchy.stats().get("cache.synonymTicks"), 0.0);
 }
@@ -174,7 +172,7 @@ TEST(HierarchyTest, WriteToUncrossedWordDoesNotPropagate)
     f.access(0, f.colAddr(437, 182), Orientation::Column, false);
     f.access(0, f.rowAddr(437, 176), Orientation::Row, false);
     // Word 0 (col 176) does not cross the cached column line 182.
-    f.access(0, f.rowAddr(437, 176), Orientation::Row, true, 8);
+    f.access(0, f.rowAddr(437, 176), Orientation::Row, true);
     EXPECT_DOUBLE_EQ(f.hierarchy.stats().get("cache.synonymUpdates"),
                      0.0);
 }
@@ -250,7 +248,6 @@ TEST(HierarchyTest, DirtyEvictionWritesBack)
         CacheAccess a;
         a.addr = memory.map().encode(d, Orientation::Row);
         a.isWrite = true;
-        a.bytes = 8;
         EXPECT_TRUE(hierarchy.access(0, a, [](Tick) {}));
         eq.run();
     }
@@ -279,14 +276,14 @@ TEST(DirectoryTest, WriteLeavesOnlyTheWritersBit)
         f.access(core, b.addr, Orientation::Row, false);
     }
     // Upgrade of a Shared L1 copy.
-    f.access(1, a.addr, Orientation::Row, true, 8);
+    f.access(1, a.addr, Orientation::Row, true);
     EXPECT_EQ(f.hierarchy.sharers(a), 0b010u);
     // Write that hits only in L3: the writer joins, the rest leave.
-    f.access(3, b.addr, Orientation::Row, true, 8);
+    f.access(3, b.addr, Orientation::Row, true);
     EXPECT_EQ(f.hierarchy.sharers(b), 0b1000u);
     // A write miss fill starts from an empty mask.
     const LineKey c{f.rowAddr(7, 0), Orientation::Row};
-    f.access(2, c.addr, Orientation::Row, true, 8);
+    f.access(2, c.addr, Orientation::Row, true);
     EXPECT_EQ(f.hierarchy.sharers(c), 0b100u);
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the hybrid DRAM + RC-NVM memory tier: remap-table
- * involution, the shadow-row-buffer locality tracker, migration
- * routing and policies on a directly-driven HybridMemory, and
- * whole-machine determinism of hybrid runs (a hot-row golden, same
- * seed byte-identical JSON).
+ * involution and row-id round trip, the shadow-row-buffer locality
+ * tracker, migration routing and policies on a directly-driven
+ * HybridMemory, and whole-machine determinism of hybrid runs (a
+ * hot-row golden per policy, same seed byte-identical JSON).
  */
 
 #include <gtest/gtest.h>
@@ -93,6 +93,48 @@ TEST(RemapTable, ToNearCarriesColumnAndChannel)
     EXPECT_EQ(n.channel, 1u); // migrations are channel-local
     EXPECT_EQ(n.col, 48u);    // column offset carries over
     rt.unmap(row);
+}
+
+TEST(RemapTable, RowLocationInvertsRowId)
+{
+    const Geometry far = Geometry::rcNvm();
+    RemapTable rt(far, nearTierGeometry(far));
+
+    // Ids at and around each field's carry into the next survive the
+    // decode and re-encode.
+    const std::uint64_t perChannel = rt.rows() / far.channels;
+    const std::uint64_t ids[] = {0,
+                                 1,
+                                 far.rowsPerSubarray - 1,
+                                 far.rowsPerSubarray,
+                                 std::uint64_t{far.rowsPerSubarray} *
+                                     far.subarraysPerBank,
+                                 perChannel / far.ranksPerChannel,
+                                 perChannel - 1,
+                                 perChannel,
+                                 rt.rows() / 2 + 12345,
+                                 rt.rows() - 1};
+    for (const std::uint64_t id : ids) {
+        const DecodedAddr d = rt.rowLocation(id);
+        EXPECT_EQ(rt.rowId(d), id);
+        EXPECT_EQ(d.channel, rt.rowChannel(id));
+        EXPECT_EQ(d.col, 0u);
+        EXPECT_EQ(d.offset, 0u);
+    }
+
+    // And a decode's row fields come back from its id, at column 0.
+    DecodedAddr d;
+    d.channel = 1;
+    d.rank = 3;
+    d.bank = 5;
+    d.subarray = far.subarraysPerBank - 1;
+    d.row = 77;
+    d.col = 48;
+    d.offset = 3;
+    DecodedAddr want = d;
+    want.col = 0;
+    want.offset = 0;
+    EXPECT_EQ(rt.rowLocation(rt.rowId(d)), want);
 }
 
 TEST(RemapTable, FrameLocationRoundRobinsNearBanks)
@@ -361,22 +403,51 @@ hotRowPlans(const cpu::Machine &machine, unsigned ops_per_core)
     return plans;
 }
 
-TEST(HybridDeterminism, HotRowRunGolden)
+class HybridDeterminism
+    : public ::testing::TestWithParam<MigrationPolicyKind>
 {
-    // Four channels behind a 64 KB LLC with the orientation policy
-    // promoting hot rows and demoting them under column traffic.
-    // Pins the finish tick and an FNV-1a hash of the full stats JSON.
-    cpu::Machine machine(hybridConfig());
+};
+
+TEST_P(HybridDeterminism, HotRowRunGolden)
+{
+    // Four channels behind a 64 KB LLC, hot rows promoted under each
+    // policy (and, under the orientation policy, demoted again by
+    // column traffic). Pins the finish tick and an FNV-1a hash of the
+    // full stats JSON.
+    cpu::MachineConfig config = hybridConfig();
+    config.tier.policy = GetParam();
+    cpu::Machine machine(config);
     const cpu::RunResult r = machine.run(hotRowPlans(machine, 400));
     std::ostringstream os;
     util::writeStatsJson(os, r.stats, "hybrid", r.ticks);
     test::Fnv1a json;
     json.text(os.str());
-    EXPECT_EQ(r.ticks, Tick{5540750});
-    EXPECT_EQ(json.hash, 12347305910772561000ull);
+    switch (GetParam()) {
+      case MigrationPolicyKind::Rbla: // 4 promotions
+        EXPECT_EQ(r.ticks, Tick{6960000});
+        EXPECT_EQ(json.hash, 5840050107835215763ull);
+        break;
+      case MigrationPolicyKind::HotPage: // 32 promotions
+        EXPECT_EQ(r.ticks, Tick{4901750});
+        EXPECT_EQ(json.hash, 538904017233551697ull);
+        break;
+      case MigrationPolicyKind::Orientation: // 132 up, 100 down
+        EXPECT_EQ(r.ticks, Tick{5540750});
+        EXPECT_EQ(json.hash, 12347305910772561000ull);
+        break;
+    }
     // The golden must be exercised by real tier activity.
     EXPECT_GT(r.stats.get("tier.promotions"), 0.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, HybridDeterminism,
+    ::testing::Values(MigrationPolicyKind::Rbla,
+                      MigrationPolicyKind::HotPage,
+                      MigrationPolicyKind::Orientation),
+    [](const ::testing::TestParamInfo<MigrationPolicyKind> &info) {
+        return std::string(toString(info.param));
+    });
 
 TEST(HybridDeterminism, SameSeedHybridServiceRunsAreByteIdentical)
 {

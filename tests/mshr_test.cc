@@ -118,7 +118,6 @@ TEST(MshrTest, CoalescedWriteLeavesLineModified)
                                    [&](Tick) { ++done; }));
     CacheAccess w = f.read(addr);
     w.isWrite = true;
-    w.bytes = 8;
     ASSERT_TRUE(f.hierarchy.access(1, w, [&](Tick) { ++done; }));
     f.eq.run();
     EXPECT_EQ(done, 2u);

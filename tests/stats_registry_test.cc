@@ -188,15 +188,6 @@ TEST(EpochSamplerTest, SeriesWritersProduceParsableOutput)
     s.writeCsv(csv);
     EXPECT_NE(csv.str().find("tick,a,b"), std::string::npos);
     EXPECT_NE(csv.str().find("200,3,4"), std::string::npos);
-
-    std::ostringstream json;
-    s.writeJson(json);
-    const JsonValue doc = parseJson(json.str());
-    ASSERT_EQ(doc.type, JsonValue::Type::Object);
-    const JsonValue *rows = doc.find("rows");
-    ASSERT_NE(rows, nullptr);
-    ASSERT_EQ(rows->array.size(), 2u);
-    EXPECT_DOUBLE_EQ(rows->array[1].array[0].number, 3.0);
 }
 
 TEST(StatsIo, JsonRoundTripPreservesValuesAndKinds)
