@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "core/presets.hh"
 #include "cpu/machine.hh"
 #include "mem/bank.hh"
@@ -133,25 +135,47 @@ BM_MachineConstruction(benchmark::State &state)
 }
 BENCHMARK(BM_MachineConstruction);
 
+/** Time whole runs of @p plans, each on a fresh machine built from
+ *  @p config. Building and destroying the machine stay outside the
+ *  timed region (BM_MachineConstruction measures them). */
+void
+timeRuns(benchmark::State &state, const cpu::MachineConfig &config,
+         const std::vector<cpu::AccessPlan> &plans)
+{
+    std::int64_t ops = 0;
+    for (const cpu::AccessPlan &plan : plans)
+        ops += static_cast<std::int64_t>(plan.size());
+    std::uint64_t simTicks = 0;
+    std::optional<cpu::Machine> machine;
+    for (auto _ : state) {
+        state.PauseTiming();
+        machine.emplace(config);
+        state.ResumeTiming();
+        const cpu::RunResult r = machine->run(plans);
+        simTicks += r.ticks.value();
+        benchmark::DoNotOptimize(r.ticks);
+        state.PauseTiming();
+        machine.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() * ops);
+    state.counters["simTicks/s"] = benchmark::Counter(
+        static_cast<double>(simTicks), benchmark::Counter::kIsRate);
+}
+
 void
 BM_EndToEndSimulatedAccesses(benchmark::State &state)
 {
-    // Steady-state simulation rate: the machine is built once and
-    // reset between runs (construction is measured separately by
-    // BM_MachineConstruction), so this tracks the event-driven
-    // core/cache/memory path that dominates experiment runtime.
+    // Simulation rate from cold caches, which tracks the
+    // event-driven core/cache/memory path that dominates experiment
+    // runtime.
     util::setLogLevel(util::LogLevel::Quiet);
     cpu::MachineConfig config;
     config.device = mem::DeviceKind::RcNvm;
     cpu::AccessPlan plan;
     for (unsigned i = 0; i < 4096; ++i)
         plan.push_back(cpu::MemOp::load((Addr{i} * 64) & 0xffffffff));
-    cpu::Machine machine(config);
-    for (auto _ : state) {
-        machine.reset();
-        benchmark::DoNotOptimize(machine.run(plan).ticks);
-    }
-    state.SetItemsProcessed(state.iterations() * 4096);
+    timeRuns(state, config, {plan});
 }
 BENCHMARK(BM_EndToEndSimulatedAccesses);
 
@@ -180,26 +204,6 @@ crossChannelPlans(const mem::AddressMap &map, unsigned cores,
     return plans;
 }
 
-/** Time whole runs of @p plans on @p machine from cold caches. */
-void
-timeRuns(benchmark::State &state, cpu::Machine &machine,
-         const std::vector<cpu::AccessPlan> &plans)
-{
-    std::int64_t ops = 0;
-    for (const cpu::AccessPlan &plan : plans)
-        ops += static_cast<std::int64_t>(plan.size());
-    std::uint64_t simTicks = 0;
-    for (auto _ : state) {
-        machine.reset();
-        const cpu::RunResult r = machine.run(plans);
-        simTicks += r.ticks.value();
-        benchmark::DoNotOptimize(r.ticks);
-    }
-    state.SetItemsProcessed(state.iterations() * ops);
-    state.counters["simTicks/s"] = benchmark::Counter(
-        static_cast<double>(simTicks), benchmark::Counter::kIsRate);
-}
-
 void
 BM_FourChannelSmallLlc(benchmark::State &state)
 {
@@ -216,8 +220,8 @@ BM_FourChannelSmallLlc(benchmark::State &state)
     config.hierarchy.l3 =
         cache::CacheConfig{"L3", 64 * 1024, 64, 8};
     config.seed = 42;
-    cpu::Machine machine(config);
-    timeRuns(state, machine, crossChannelPlans(machine.map(), 4, 4096));
+    const mem::AddressMap map(*config.geometry);
+    timeRuns(state, config, crossChannelPlans(map, 4, 4096));
 }
 BENCHMARK(BM_FourChannelSmallLlc)->Unit(benchmark::kMillisecond);
 
@@ -232,10 +236,9 @@ BM_Serve16Machine(benchmark::State &state)
     cpu::MachineConfig config =
         core::serve16Machine(mem::DeviceKind::RcNvm);
     config.seed = 42;
-    cpu::Machine machine(config);
-    timeRuns(state, machine,
-             crossChannelPlans(machine.map(), config.hierarchy.cores,
-                               2048));
+    const mem::AddressMap map(*config.geometry);
+    timeRuns(state, config,
+             crossChannelPlans(map, config.hierarchy.cores, 2048));
 }
 BENCHMARK(BM_Serve16Machine)->Unit(benchmark::kMillisecond);
 

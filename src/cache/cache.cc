@@ -1,6 +1,5 @@
 #include "cache/cache.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "util/bitfield.hh"
@@ -50,18 +49,6 @@ Cache::setPinned(const LineKey &key, bool pinned)
         return false;
     line->pinned = pinned;
     return true;
-}
-
-void
-Cache::reset()
-{
-    // Zeroing the tag words frees every way; a way's other fields are
-    // rewritten when insert() reuses it. The LRU clock keeps running,
-    // as only live ways' stamps are ever compared.
-    std::fill(tags_.begin(), tags_.end(), TagWord{0});
-    rowLines_ = 0;
-    columnLines_ = 0;
-    pinnedEvictions_ = 0;
 }
 
 } // namespace rcnvm::cache

@@ -220,9 +220,6 @@ class Cache
     /** Forced evictions of pinned lines (should stay zero). */
     std::uint64_t pinnedEvictions() const { return pinnedEvictions_; }
 
-    /** Drop all lines and statistics. */
-    void reset();
-
   private:
     /** One way's identity: line number, orientation bit and valid
      *  bit, from the most to the least significant; 0 is a free way. */

@@ -1,6 +1,5 @@
 #include "cache/hierarchy.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "util/bitfield.hh"
@@ -66,7 +65,7 @@ Hierarchy::onL3Fill(const LineKey &key,
     if (!partners || l3_->linesWithOrientation(flip(key.orient)) == 0)
         return CpuCycles{};
 
-    CpuCycles extra = config_.synonymProbe;
+    CpuCycles extra = kSynonymProbe;
     synonymProbes_.inc(SynonymMapper::wordsPerLine);
 
     CacheLine *self = l3_->find(key);
@@ -98,7 +97,7 @@ Hierarchy::onWrite(const LineKey &key, unsigned word)
     // (the writer's included). Inclusion: a partner missing from L3
     // has no private copies.
     const Crossing c = synonym_.crossingOfWord(key, word);
-    CpuCycles extra = config_.synonymUpdate;
+    CpuCycles extra = kSynonymUpdate;
     if (CacheLine *partner = l3_->find(c.partner)) {
         partner->state = MesiState::Modified;
         for (SharerMask m = l3_->sharers(*partner); m; m &= m - 1) {
@@ -127,7 +126,7 @@ Hierarchy::onL3Evict(const Cache::Victim &victim)
         const Crossing c = synonym_.crossingOfWord(victim.key, w);
         if (CacheLine *partner = l3_->find(c.partner))
             partner->crossing &= std::uint8_t(~(1u << c.partnerWord));
-        cleanup += config_.synonymCleanup;
+        cleanup += kSynonymCleanup;
     }
     // Clean-up happens off the critical path but still consumes tag
     // bandwidth; account it in the overhead statistic.
@@ -315,8 +314,8 @@ Hierarchy::coherenceOnRead(unsigned core, const LineKey &key,
             if (CacheLine *l3line = l3_->find(key))
                 l3line->state = MesiState::Modified;
             cohRemoteFetches_.inc();
-            cohTicks_.inc(config_.cyc(config_.remoteFetchPenalty).value());
-            extra += config_.remoteFetchPenalty;
+            cohTicks_.inc(config_.cyc(kRemoteFetchPenalty).value());
+            extra += kRemoteFetchPenalty;
         }
     }
     return extra;
@@ -339,8 +338,8 @@ Hierarchy::coherenceOnWrite(unsigned core, const LineKey &key,
     sharers &= self;
     if (any) {
         cohInvalidations_.inc();
-        cohTicks_.inc(config_.cyc(config_.invalidatePenalty).value());
-        extra += config_.invalidatePenalty;
+        cohTicks_.inc(config_.cyc(kInvalidatePenalty).value());
+        extra += kInvalidatePenalty;
     }
     return extra;
 }
@@ -431,7 +430,7 @@ Hierarchy::onFillComplete(unsigned mshr_idx)
             : (demand_targets == 1 && !any_write) ? MesiState::Exclusive
                                                   : MesiState::Shared;
         fillPrivate(t.core, key, st, l3line);
-        const Tick fill = config_.cyc(config_.l1Latency + textra);
+        const Tick fill = config_.cyc(kL1Latency + textra);
         eq_.scheduleAfter(fill, [done = std::move(t.done),
                                  this]() mutable { done(eq_.now()); });
     }
@@ -456,9 +455,7 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
         req.isWrite = a.isWrite;
         req.gathered = true;
         req.priority = a.priority;
-        const Tick path = config_.cyc(config_.l1Latency +
-                                      config_.l2Latency +
-                                      config_.l3Latency);
+        const Tick path = config_.cyc(kL1Latency + kL2Latency + kL3Latency);
         req.onComplete = [done = std::move(done)](Tick t) mutable {
             done(t);
         };
@@ -499,7 +496,7 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
         if (l3_->find(key)) {
             accesses_.inc();
             l3Hits_.inc();
-            eq_.scheduleAfter(config_.cyc(config_.l3Latency),
+            eq_.scheduleAfter(config_.cyc(kL3Latency),
                               [done = std::move(done), this]() mutable {
                                   done(eq_.now());
                               });
@@ -527,7 +524,7 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
         req.onComplete = [this, idx = mshrs_.indexOf(*entry)](Tick) {
             onFillComplete(idx);
         };
-        const Tick path = config_.cyc(config_.l3Latency);
+        const Tick path = config_.cyc(kL3Latency);
         eq_.scheduleAfter(path,
                           [this, req = std::move(req)]() mutable {
                               sendPacket(std::move(req));
@@ -535,7 +532,7 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
         return true;
     }
 
-    CpuCycles lat = config_.l1Latency;
+    CpuCycles lat = kL1Latency;
 
     // L1.
     if (CacheLine *line = l1_[core]->find(key)) {
@@ -559,7 +556,7 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
     }
 
     // L2.
-    lat += config_.l2Latency;
+    lat += kL2Latency;
     if (CacheLine *line = l2_[core]->find(key)) {
         accesses_.inc();
         l2Hits_.inc();
@@ -587,7 +584,7 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
     }
 
     // L3 + directory.
-    lat += config_.l3Latency;
+    lat += kL3Latency;
     if (CacheLine *line = l3_->find(key)) {
         accesses_.inc();
         l3Hits_.inc();
@@ -725,39 +722,6 @@ Hierarchy::stats() const
     util::StatRegistry r;
     registerStats(r);
     return r.snapshot();
-}
-
-void
-Hierarchy::reset()
-{
-    for (auto &c : l1_)
-        c->reset();
-    for (auto &c : l2_)
-        c->reset();
-    l3_->reset();
-    mshrs_.reset();
-    deferred_.clear();
-    std::fill(deferredInChannel_.begin(), deferredInChannel_.end(), 0u);
-    wbBuffer_.clear();
-    pendingRetries_ = 0;
-    accesses_.reset();
-    l1Hits_.reset();
-    l2Hits_.reset();
-    l3Hits_.reset();
-    llcMisses_.reset();
-    writebacks_.reset();
-    bypasses_.reset();
-    mshrCoalesced_.reset();
-    retries_.reset();
-    wbForwards_.reset();
-    synonymProbes_.reset();
-    crossingsFound_.reset();
-    synonymUpdates_.reset();
-    synonymTicks_.reset();
-    cohRemoteFetches_.reset();
-    cohInvalidations_.reset();
-    cohTicks_.reset();
-    pinOps_.reset();
 }
 
 } // namespace rcnvm::cache

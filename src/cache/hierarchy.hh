@@ -49,6 +49,18 @@
 
 namespace rcnvm::cache {
 
+// Table-1 hierarchy timing, in CPU cycles.
+inline constexpr CpuCycles kL1Latency{4};
+inline constexpr CpuCycles kL2Latency{12};
+inline constexpr CpuCycles kL3Latency{38};
+inline constexpr CpuCycles kRemoteFetchPenalty{40}; //!< dirty in another core
+inline constexpr CpuCycles kInvalidatePenalty{24};  //!< upgrade invalidations
+
+// Synonym upkeep (Sec. 4.3), in CPU cycles.
+inline constexpr CpuCycles kSynonymProbe{2};   //!< crossing probe, L3 fill
+inline constexpr CpuCycles kSynonymUpdate{2};  //!< write-through, crossed line
+inline constexpr CpuCycles kSynonymCleanup{1}; //!< per crossing bit evicted
+
 /** Static configuration of the whole hierarchy (Table 1 defaults). */
 struct HierarchyConfig {
     unsigned cores = 4;
@@ -57,16 +69,6 @@ struct HierarchyConfig {
     CacheConfig l1{"L1", 32 * 1024, 64, 8};
     CacheConfig l2{"L2", 256 * 1024, 64, 8};
     CacheConfig l3{"L3", 8 * 1024 * 1024, 64, 8};
-
-    CpuCycles l1Latency{4};
-    CpuCycles l2Latency{12};
-    CpuCycles l3Latency{38};
-    CpuCycles remoteFetchPenalty{40}; //!< dirty line in another core
-    CpuCycles invalidatePenalty{24};  //!< upgrade invalidations
-
-    CpuCycles synonymProbe{2};  //!< crossing probe on an L3 fill
-    CpuCycles synonymUpdate{2}; //!< write-through to a crossed line
-    CpuCycles synonymCleanup{1}; //!< per bit cleared on eviction
 
     unsigned mshrs = 16;         //!< in-flight line fills (MSHR file)
     unsigned wbBufferDepth = 16; //!< parked dirty evictions
@@ -177,9 +179,6 @@ class Hierarchy
     /** Directory sharer mask of @p key's L3 line; 0 when the line is
      *  not in L3. Touches no replacement state. */
     Cache::SharerMask sharers(const LineKey &key) const;
-
-    /** Drop all cache state and statistics. */
-    void reset();
 
   private:
     using SharerMask = Cache::SharerMask;

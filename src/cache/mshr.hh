@@ -127,15 +127,6 @@ class MshrFile
     /** Occupancy after each allocation (exported as a stat). */
     const util::Sampled &occupancy() const { return occupancy_; }
 
-    void reset()
-    {
-        for (auto &e : entries_)
-            e.targets.clear();
-        valid_ = 0;
-        inUse_ = 0;
-        occupancy_.reset();
-    }
-
   private:
     std::vector<MshrEntry> entries_;
     std::uint64_t valid_ = 0; //!< bit i set = entries_[i] live

@@ -43,17 +43,10 @@ runStreamed(const cpu::MachineConfig &config,
             cores.push_back(&sources.emplace_back(std::move(s)));
         last = machine.runSources(cores);
         result.ticks += last.ticks;
-        // Per-phase series chain into one continuous timeline.
-        if (result.series.names.empty())
-            result.series.names = last.series.names;
-        result.series.ticks.insert(result.series.ticks.end(),
-                                   last.series.ticks.begin(),
-                                   last.series.ticks.end());
-        result.series.rows.insert(result.series.rows.end(),
-                                  last.series.rows.begin(),
-                                  last.series.rows.end());
     }
-    result.stats = last.stats; // counters accumulate across phases
+    // Counters and the epoch series accumulate across phases.
+    result.stats = std::move(last.stats);
+    result.series = std::move(last.series);
     return result;
 }
 

@@ -115,10 +115,8 @@ Machine::drain(Tick start, const Tick *end)
     result.ticks = (end != nullptr ? *end : eq_.now()) - start;
     result.stats = registry_.snapshot();
     result.stats.set("run.ticks", static_cast<double>(result.ticks.value()));
-    if (sampler_) {
+    if (sampler_)
         result.series = sampler_->series();
-        sampler_->clear();
-    }
     return result;
 }
 
@@ -179,13 +177,6 @@ RunResult
 Machine::serve()
 {
     return drain(eq_.now(), nullptr);
-}
-
-void
-Machine::reset()
-{
-    hierarchy_->reset();
-    tier_->reset(); // the hybrid tier resets both devices
 }
 
 } // namespace rcnvm::cpu

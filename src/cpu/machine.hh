@@ -61,7 +61,8 @@ struct MachineConfig {
 struct RunResult {
     Tick ticks{0}; //!< wall-clock of the slowest core
     util::StatsMap stats;
-    /** Per-epoch time series (empty unless epochTicks was set). */
+    /** The machine's epoch time series so far, over all its runs
+     *  (empty unless epochTicks was set). */
     sim::EpochSeries series;
 
     /** Execution time in CPU cycles (2 GHz). */
@@ -73,8 +74,9 @@ struct RunResult {
 
 /**
  * Owns the event queue and all components of one simulated machine.
- * A machine can run several plans in sequence; state (caches, bank
- * buffers) persists between runs unless reset() is called.
+ * A machine can run several plans in sequence; its state (caches,
+ * bank buffers, statistics, the epoch series) carries over from one
+ * run to the next. A cold machine is a new Machine.
  */
 class Machine
 {
@@ -159,9 +161,6 @@ class Machine
     /** The epoch sampler, or nullptr when epochTicks is 0 (service
      *  clients attach run-queue gauges to it). */
     sim::EpochSampler *epochSampler() { return sampler_.get(); }
-
-    /** Drop all cache/bank state and statistics. */
-    void reset();
 
     /** Access to the hierarchy (tests and advanced callers). */
     cache::Hierarchy &hierarchy() { return *hierarchy_; }

@@ -119,12 +119,4 @@ Bank::access(Tick now, Orientation orient, unsigned subarray,
     return s;
 }
 
-void
-Bank::reset()
-{
-    for (Buffer &buf : buffers_)
-        buf = Buffer{};
-    nextReady_ = Tick{};
-}
-
 } // namespace rcnvm::mem

@@ -130,9 +130,6 @@ class Bank
                    unsigned index, bool isWrite, const TimingParams &t,
                    Tick bus_free = Tick{});
 
-    /** Reset to the precharged state (between experiment phases). */
-    void reset();
-
   private:
     /** Buffer state of one subarray group. */
     struct Buffer {

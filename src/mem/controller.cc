@@ -338,23 +338,4 @@ ChannelController::trySchedule()
     }
 }
 
-void
-ChannelController::reset()
-{
-    for (auto &bq : bankQueues_) {
-        bq.fifo.clear();
-        bq.hitPos = -1;
-        bq.active = false;
-    }
-    activeBanks_.clear();
-    totalQueued_ = 0;
-    for (auto &bank : banks_)
-        bank.reset();
-    busFree_ = Tick{};
-    cancelWakeup();
-    spaceNotifyPending_ = false;
-    statsSince_ = eq_.now();
-    stats_ = ControllerStats{};
-}
-
 } // namespace rcnvm::mem

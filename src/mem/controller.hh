@@ -118,11 +118,8 @@ class ChannelController
     /** Controller statistics. */
     const ControllerStats &stats() const { return stats_; }
 
-    /** Ticks covered by the current statistics window. */
+    /** Ticks covered by the statistics: since construction. */
     Tick statsElapsed() const { return eq_.now() - statsSince_; }
-
-    /** Clear statistics and bank state. */
-    void reset();
 
   private:
     struct Pending {

@@ -86,7 +86,11 @@ HybridMemory::tryIssue(MemPacket &pkt)
         return true;
     }
     const std::uint64_t row = remap_.rowId(d);
-    if (remap_.frameOf(row) < 0) {
+    // A busy frame that still maps a row is losing it (a demotion or
+    // an eviction), and its commit copies nothing home: the row's
+    // accesses go far from the migration's start.
+    const std::int64_t frame = remap_.frameOf(row);
+    if (frame < 0 || frames_[static_cast<std::size_t>(frame)].busy) {
         if (!far_.tryIssue(pkt))
             return false;
         onFarRowAccess(row);
@@ -98,7 +102,7 @@ HybridMemory::tryIssue(MemPacket &pkt)
         pkt.addr = farAddr; // refused: hand back untouched
         return false;
     }
-    touchNear(row, pkt.isWrite);
+    touchNear(frames_[static_cast<std::size_t>(frame)], pkt.isWrite);
     return true;
 }
 
@@ -113,12 +117,10 @@ HybridMemory::setRetryCallback(std::function<void()> cb)
 }
 
 void
-HybridMemory::touchNear(std::uint64_t row_id, bool is_write)
+HybridMemory::touchNear(TierFrame &f, bool is_write)
 {
     rowAccesses_.inc();
     nearHits_.inc();
-    TierFrame &f =
-        frames_[static_cast<std::uint32_t>(remap_.frameOf(row_id))];
     f.touches += 1.0;
     f.dirty = f.dirty || is_write;
 }
@@ -306,7 +308,6 @@ HybridMemory::startPromotion(std::uint64_t row_id)
     Migration m;
     m.promoteRow = static_cast<std::int64_t>(row_id);
     m.channel = ch;
-    m.gen = resetGen_;
     if (freeFrame >= 0) {
         m.frame = static_cast<std::uint32_t>(freeFrame);
     } else if (victimFrame >= 0) {
@@ -351,7 +352,6 @@ HybridMemory::startDemotion(std::uint32_t frame)
     m.victimRow = static_cast<std::int64_t>(f.rowId);
     m.frame = frame;
     m.channel = ch;
-    m.gen = resetGen_;
 
     if (f.dirty) {
         copyTraffic(remap_.frameLocation(frame), true,
@@ -369,9 +369,6 @@ HybridMemory::startDemotion(std::uint32_t frame)
 void
 HybridMemory::commit(const Migration &m)
 {
-    if (m.gen != resetGen_)
-        return; // the run was reset while this migration flew
-
     TierFrame &f = frames_[m.frame];
     if (m.victimRow >= 0) {
         remap_.unmap(static_cast<std::uint64_t>(m.victimRow));
@@ -388,9 +385,9 @@ HybridMemory::commit(const Migration &m)
     }
     f.busy = false;
     --inflight_[m.channel];
+    // A busy frame is the target of exactly one migration.
     for (std::size_t i = 0; i < inflightMigs_.size(); ++i) {
-        if (inflightMigs_[i].frame == m.frame &&
-            inflightMigs_[i].gen == m.gen) {
+        if (inflightMigs_[i].frame == m.frame) {
             inflightMigs_.erase(inflightMigs_.begin() +
                                 static_cast<std::ptrdiff_t>(i));
             break;
@@ -441,28 +438,6 @@ HybridMemory::registerStats(util::StatRegistry &r) const
     r.addCounterFn("tier.near.energyPJ", [this] {
         return near_.stats().get("mem.energyPJ");
     });
-}
-
-void
-HybridMemory::reset()
-{
-    far_.reset();
-    near_.reset();
-    remap_.reset();
-    tracker_.reset();
-    frames_.assign(frames_.size(), TierFrame{});
-    std::fill(inflight_.begin(), inflight_.end(), 0u);
-    inflightMigs_.clear();
-    ++resetGen_;
-    rowAccesses_.reset();
-    nearHits_.reset();
-    colAccesses_.reset();
-    colNearOverlaps_.reset();
-    colDirtyForces_.reset();
-    promotions_.reset();
-    demotions_.reset();
-    dirtyWritebacks_.reset();
-    deferred_.reset();
 }
 
 } // namespace rcnvm::mem

@@ -11,8 +11,9 @@
  *
  * Clients keep addressing the far device; HybridMemory::tryIssue is
  * the one routing decision. Row-oriented accesses to a mapped row are
- * redirected to its DRAM frame; column-oriented accesses always
- * execute in the far device (only RC-NVM can serve them). A column
+ * redirected to its DRAM frame, except while a demotion or eviction
+ * takes the row out of it; column-oriented accesses always execute
+ * in the far device (only RC-NVM can serve them). A column
  * access overlapping a dirty mapped row first forces a write-back of
  * the stale far segment so column readers never observe
  * pre-migration data.
@@ -87,9 +88,10 @@ class HybridMemory : public MemoryTier
     unsigned channels() const override { return far_.channels(); }
 
     /** Route @p pkt: a row access to a mapped row goes to its near
-     *  frame, every other access to the far device. On refusal the
-     *  packet is left untouched; on acceptance the tier updates its
-     *  locality state and may start a migration. */
+     *  frame unless a migration is taking the row out of it; every
+     *  other access goes to the far device. On refusal the packet is
+     *  left untouched; on acceptance the tier updates its locality
+     *  state and may start a migration. */
     [[nodiscard]] bool tryIssue(MemPacket &pkt) override;
     void setRetryCallback(std::function<void()> cb) override;
     void registerStats(util::StatRegistry &r) const override;
@@ -97,7 +99,6 @@ class HybridMemory : public MemoryTier
     {
         return far_.queuedTotal() + near_.queuedTotal();
     }
-    void reset() override;
 
     /** Migrations started but not yet committed (drain audit). */
     std::size_t migrationsInFlight() const
@@ -113,11 +114,10 @@ class HybridMemory : public MemoryTier
         std::int64_t victimRow = -1;  //!< resident row displaced
         std::uint32_t frame = 0;
         unsigned channel = 0;
-        std::uint64_t gen = 0; //!< reset() invalidation stamp
     };
 
-    /** Post-acceptance bookkeeping of a near-routed row access. */
-    void touchNear(std::uint64_t row_id, bool is_write);
+    /** Post-acceptance bookkeeping of a row access served by @p f. */
+    void touchNear(TierFrame &f, bool is_write);
 
     /** Post-acceptance bookkeeping of a far row access: tracker
      *  update plus a possible promotion start. */
@@ -165,7 +165,6 @@ class HybridMemory : public MemoryTier
     std::vector<TierFrame> frames_;
     std::vector<unsigned> inflight_; //!< migrations per channel
     std::vector<Migration> inflightMigs_;
-    std::uint64_t resetGen_ = 0;
 
     // Statistics (tier.* namespace).
     util::Counter rowAccesses_;   //!< row packets routed by the tier

@@ -201,12 +201,4 @@ MemorySystem::queuedTotal() const
     return n;
 }
 
-void
-MemorySystem::reset()
-{
-    for (auto &ch : channels_)
-        ch->reset();
-    rejectedIssues_.reset();
-}
-
 } // namespace rcnvm::mem

@@ -60,9 +60,6 @@ class MemoryTier
 
     /** Requests queued across the tier right now (epoch gauge). */
     virtual std::size_t queuedTotal() const = 0;
-
-    /** Reset device state and statistics. */
-    virtual void reset() = 0;
 };
 
 /**
@@ -154,9 +151,6 @@ class MemorySystem : public MemoryTier
 
     /** Requests queued across all channels right now (epoch gauge). */
     std::size_t queuedTotal() const override;
-
-    /** Reset controllers, banks, and statistics. */
-    void reset() override;
 
   private:
     /** Panic on a column-oriented or gathered packet the device

@@ -122,14 +122,6 @@ RemapTable::frameLocation(std::uint32_t frame, unsigned col) const
     return d;
 }
 
-void
-RemapTable::reset()
-{
-    rowToFrame_.assign(rowToFrame_.size(), -1);
-    frameToRow_.assign(frameToRow_.size(), -1);
-    mapped_ = 0;
-}
-
 RowLocalityTracker::RowLocalityTracker(const Geometry &far,
                                        double alpha,
                                        Tick decay_period)
@@ -194,13 +186,6 @@ RowLocalityTracker::sample(std::uint64_t row_id, Tick now) const
     RowLocality r = rows_[row_id];
     decayTo(r, now);
     return r;
-}
-
-void
-RowLocalityTracker::reset()
-{
-    rows_.assign(rows_.size(), RowLocality{});
-    shadow_.assign(shadow_.size(), kClosed);
 }
 
 } // namespace rcnvm::mem

@@ -96,9 +96,6 @@ class RemapTable
     DecodedAddr frameLocation(std::uint32_t frame,
                               unsigned col = 0) const;
 
-    /** Drop every mapping. */
-    void reset();
-
   private:
     Geometry far_;
     Geometry near_;
@@ -148,9 +145,6 @@ class RowLocalityTracker
 
     /** Decayed locality of @p row_id as of @p now (non-mutating). */
     RowLocality sample(std::uint64_t row_id, Tick now) const;
-
-    /** Drop all locality state. */
-    void reset();
 
   private:
     /** Far bank index of a row id (shadow-buffer granularity). */

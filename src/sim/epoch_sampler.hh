@@ -54,8 +54,8 @@ class EpochSampler
     }
 
     /** Begin sampling every @p epoch ticks from now. Rows append to
-     *  the existing series, so multi-phase runs produce one
-     *  continuous timeline. */
+     *  the existing series, so a machine's runs (a query's phases)
+     *  produce one continuous timeline. */
     void start(Tick epoch);
 
     /** True while a sampling event is queued. */
@@ -63,14 +63,6 @@ class EpochSampler
 
     /** The series collected so far. */
     const EpochSeries &series() const { return series_; }
-
-    /** Drop all collected rows (gauges stay registered). */
-    void
-    clear()
-    {
-        series_.ticks.clear();
-        series_.rows.clear();
-    }
 
   private:
     void fire();

@@ -27,9 +27,6 @@ class Counter
     /** Current count. */
     std::uint64_t value() const { return value_; }
 
-    /** Reset to zero. */
-    void reset() { value_ = 0; }
-
   private:
     std::uint64_t value_ = 0;
 };
@@ -59,16 +56,6 @@ class Sampled
     /** Fold another sample set into this one (aggregation across
      *  per-channel statistics). */
     void merge(const Sampled &other);
-
-    /** Discard all samples. */
-    void
-    reset()
-    {
-        sum_ = 0;
-        count_ = 0;
-        min_ = 0;
-        max_ = 0;
-    }
 
   private:
     double sum_ = 0;

@@ -187,18 +187,6 @@ TEST(CacheTest, ProbeDoesNotTouchLru)
     EXPECT_EQ(victim->key.addr, 0u);
 }
 
-TEST(CacheTest, ResetDropsEverything)
-{
-    Cache cache(tinyConfig());
-    cache.insert(LineKey{0x40, Orientation::Row}, MesiState::Shared);
-    cache.insert(LineKey{0x80, Orientation::Column},
-                 MesiState::Shared);
-    cache.reset();
-    EXPECT_EQ(cache.find(LineKey{0x40, Orientation::Row}), nullptr);
-    EXPECT_EQ(cache.rowLines(), 0u);
-    EXPECT_EQ(cache.columnLines(), 0u);
-}
-
 // ---------------------------------------------------------------
 // Differential check of the tag-array layout against a per-way model
 // ---------------------------------------------------------------
@@ -297,14 +285,6 @@ class ReferenceCache
         count(w->orient, -1);
         w->valid = false;
         return v;
-    }
-
-    void
-    reset()
-    {
-        for (Way &w : way_)
-            w.valid = false;
-        rowLines = columnLines = pinnedEvictions = 0;
     }
 
     std::uint64_t rowLines = 0;
@@ -418,15 +398,12 @@ runDifferential(const CacheConfig &cfg, bool directory,
         } else if (op < 780) {
             expectSameVictim(cache.invalidate(key), ref.invalidate(key),
                              directory);
-        } else if (op < 999) {
+        } else {
             const bool pin = rng.nextBounded(8) != 0;
             ReferenceCache::Way *want = ref.find(key);
             if (want)
                 want->pinned = pin;
             EXPECT_EQ(cache.setPinned(key, pin), want != nullptr);
-        } else {
-            cache.reset();
-            ref.reset();
         }
         ASSERT_EQ(cache.pinnedEvictions(), ref.pinnedEvictions);
         ASSERT_EQ(cache.rowLines(), ref.rowLines);
@@ -476,12 +453,6 @@ TEST(SharerMaskTest, NewLineStartsWithEmptyMask)
         ASSERT_TRUE(victim.has_value());
         EXPECT_EQ(cache.sharers(*line), 0u);
     }
-    // A reset orphans lines in place; their slots start empty too.
-    cache.sharers(*cache.find(LineKey{8 * 256, Orientation::Row})) = 3;
-    cache.reset();
-    CacheLine *line = nullptr;
-    cache.insert(LineKey{0, Orientation::Row}, MesiState::Shared, &line);
-    EXPECT_EQ(cache.sharers(*line), 0u);
 }
 
 TEST(SharerMaskTest, VictimReportsItsMask)

@@ -180,18 +180,6 @@ TEST(MachineTest, DeterministicAcrossIdenticalRuns)
     EXPECT_EQ(a.run(plan).ticks, b.run(plan).ticks);
 }
 
-TEST(MachineTest, ResetRestoresColdCaches)
-{
-    Machine machine(smallMachine());
-    AccessPlan plan{MemOp::load(0x1000)};
-    const Tick cold = machine.run(plan).ticks;
-    const Tick warm = machine.run(plan).ticks;
-    machine.reset();
-    const Tick cold_again = machine.run(plan).ticks;
-    EXPECT_LT(warm, cold);
-    EXPECT_EQ(cold_again, cold);
-}
-
 TEST(MachineTest, SequentialLoadTraceGolden)
 {
     // End-to-end deterministic-trace regression: the exact finish

@@ -66,7 +66,7 @@ TEST(HierarchyTest, MissThenL1Hit)
     const Tick hit = f.access(0, f.rowAddr(5, 0), Orientation::Row,
                               false);
     EXPECT_GT(miss, hit);
-    EXPECT_EQ(hit, f.config.cyc(f.config.l1Latency));
+    EXPECT_EQ(hit, f.config.cyc(kL1Latency));
     EXPECT_DOUBLE_EQ(f.hierarchy.stats().get("cache.llcMisses"), 1.0);
     EXPECT_DOUBLE_EQ(f.hierarchy.stats().get("cache.l1Hits"), 1.0);
 }
@@ -77,7 +77,7 @@ TEST(HierarchyTest, SameLineDifferentWordHitsL1)
     f.access(0, f.rowAddr(5, 0), Orientation::Row, false);
     const Tick hit = f.access(0, f.rowAddr(5, 3), Orientation::Row,
                               false);
-    EXPECT_EQ(hit, f.config.cyc(f.config.l1Latency));
+    EXPECT_EQ(hit, f.config.cyc(kL1Latency));
 }
 
 TEST(HierarchyTest, MissLatencyIncludesMemory)
@@ -85,9 +85,7 @@ TEST(HierarchyTest, MissLatencyIncludesMemory)
     Fixture f;
     const Tick miss = f.access(0, f.rowAddr(5, 0), Orientation::Row,
                                false);
-    const Tick path =
-        f.config.cyc(f.config.l1Latency + f.config.l2Latency +
-         f.config.l3Latency);
+    const Tick path = f.config.cyc(kL1Latency + kL2Latency + kL3Latency);
     EXPECT_GT(miss, path);
 }
 
@@ -97,8 +95,7 @@ TEST(HierarchyTest, CrossCoreReadHitsL3)
     f.access(0, f.rowAddr(5, 0), Orientation::Row, false);
     const Tick other = f.access(1, f.rowAddr(5, 0), Orientation::Row,
                                 false);
-    const Tick l3 = f.config.cyc(f.config.l1Latency + f.config.l2Latency +
-                     f.config.l3Latency);
+    const Tick l3 = f.config.cyc(kL1Latency + kL2Latency + kL3Latency);
     EXPECT_EQ(other, l3);
     EXPECT_DOUBLE_EQ(f.hierarchy.stats().get("cache.llcMisses"), 1.0);
     EXPECT_DOUBLE_EQ(f.hierarchy.stats().get("cache.l3Hits"), 1.0);
@@ -110,10 +107,9 @@ TEST(HierarchyTest, RemoteDirtyFetchPaysPenalty)
     f.access(0, f.rowAddr(5, 0), Orientation::Row, true); // dirty@0
     const Tick other = f.access(1, f.rowAddr(5, 0), Orientation::Row,
                                 false);
-    const Tick l3 = f.config.cyc(f.config.l1Latency + f.config.l2Latency +
-                     f.config.l3Latency);
+    const Tick l3 = f.config.cyc(kL1Latency + kL2Latency + kL3Latency);
     EXPECT_EQ(other,
-              l3 + f.config.cyc(f.config.remoteFetchPenalty));
+              l3 + f.config.cyc(kRemoteFetchPenalty));
     EXPECT_DOUBLE_EQ(
         f.hierarchy.stats().get("cache.cohRemoteFetches"), 1.0);
 }
@@ -130,7 +126,7 @@ TEST(HierarchyTest, WriteInvalidatesOtherCores)
     // it must pay the remote-dirty penalty.
     const Tick again = f.access(0, f.rowAddr(5, 0), Orientation::Row,
                                 false);
-    EXPECT_GT(again, f.config.cyc(f.config.l1Latency));
+    EXPECT_GT(again, f.config.cyc(kL1Latency));
 }
 
 TEST(HierarchyTest, SynonymCrossingBitsSetOnFill)
@@ -416,20 +412,6 @@ TEST(HierarchyTest, DirtyL2EvictionClearsItsSharerBit)
     // A clean victim leaves without telling L3; its bit stays stale.
     touch(0, 3, false);
     EXPECT_EQ(hierarchy.sharers(clean), 0b11u);
-}
-
-TEST(HierarchyTest, StatsResetClearsEverything)
-{
-    Fixture f;
-    f.access(0, f.rowAddr(1, 0), Orientation::Row, true);
-    f.hierarchy.reset();
-    const auto stats = f.hierarchy.stats();
-    EXPECT_DOUBLE_EQ(stats.get("cache.accesses"), 0.0);
-    EXPECT_DOUBLE_EQ(stats.get("cache.llcMisses"), 0.0);
-    // And the data is gone: the next access misses again.
-    const Tick miss = f.access(0, f.rowAddr(1, 0), Orientation::Row,
-                               false);
-    EXPECT_GT(miss, f.config.cyc(f.config.l1Latency));
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * involution and row-id round trip, the shadow-row-buffer locality
  * tracker, migration routing and policies on a directly-driven
  * HybridMemory, and whole-machine determinism of hybrid runs (a
- * hot-row golden per policy, same seed byte-identical JSON).
+ * hot-row and a victim golden per policy, same seed byte-identical
+ * JSON).
  */
 
 #include <gtest/gtest.h>
@@ -227,9 +228,9 @@ struct TierFixture {
         return c;
     }
 
-    /** Issue one row access through the tier and drain. */
+    /** Issue one row access through the tier. */
     void
-    row(unsigned row_id, unsigned col, bool write = false)
+    issueRow(unsigned row_id, unsigned col, bool write = false)
     {
         DecodedAddr d;
         d.row = row_id;
@@ -239,12 +240,19 @@ struct TierFixture {
         p.orient = Orientation::Row;
         p.isWrite = write;
         ASSERT_TRUE(tier.tryIssue(p));
+    }
+
+    /** Issue one row access through the tier and drain. */
+    void
+    row(unsigned row_id, unsigned col, bool write = false)
+    {
+        issueRow(row_id, col, write);
         eq.run();
     }
 
     /** Issue one column access (line spanning rows 0-7 at @p col). */
     void
-    column(unsigned col)
+    issueColumn(unsigned col)
     {
         DecodedAddr d;
         d.col = col;
@@ -252,6 +260,13 @@ struct TierFixture {
         p.addr = far.map().encode(d, Orientation::Column);
         p.orient = Orientation::Column;
         ASSERT_TRUE(tier.tryIssue(p));
+    }
+
+    /** Issue one column access and drain. */
+    void
+    column(unsigned col)
+    {
+        issueColumn(col);
         eq.run();
     }
 
@@ -338,20 +353,31 @@ TEST(HybridMemory, OrientationPolicyDemotesColumnScannedRows)
     EXPECT_EQ(f.stat("tier.nearHits"), nearBefore);
 }
 
-TEST(HybridMemory, ResetRestoresPristineState)
+TEST(HybridMemory, RowWriteDuringDemotionReachesTheFarDevice)
 {
-    TierFixture f(policyConfig(MigrationPolicyKind::HotPage));
+    TierFixture f(policyConfig(MigrationPolicyKind::Orientation));
+
     f.row(5, 0);
     f.row(5, 8);
     f.row(5, 16);
     ASSERT_EQ(f.tier.remap().mappedRows(), 1u);
-    f.tier.reset();
+    const double nearWrites = f.stat("tier.near.writes"); // the fill
+
+    // Three column touches match the row's three; the fourth passes
+    // the veto ratio and starts the demotion.
+    for (unsigned i = 0; i < 3; ++i)
+        f.column(8 * i);
+    ASSERT_EQ(f.tier.migrationsInFlight(), 0u);
+    f.issueColumn(24);
+    ASSERT_EQ(f.tier.migrationsInFlight(), 1u);
+
+    // The commit releases the frame without copying it home, so a
+    // row write issued before it must bypass the frame.
+    f.issueRow(5, 32, /*write=*/true);
+    f.eq.run();
     EXPECT_EQ(f.tier.remap().mappedRows(), 0u);
-    EXPECT_EQ(f.stat("tier.promotions"), 0.0);
-    EXPECT_EQ(f.stat("tier.rowAccesses"), 0.0);
-    // The tier works again after the wipe.
-    f.row(5, 0);
-    EXPECT_EQ(f.stat("tier.rowAccesses"), 1.0);
+    EXPECT_EQ(f.stat("mem.writes"), 1.0);
+    EXPECT_EQ(f.stat("tier.near.writes"), nearWrites);
 }
 
 // --- Whole-machine determinism -----------------------------------
@@ -374,10 +400,32 @@ hybridConfig()
     return config;
 }
 
-/** Mixed row/column plans concentrated on a few hot rows so the
- *  tier promotes (and the orientation policy demotes) mid-run. */
+/** The far row a core's i-th access touches in every bank. */
+using HotRowFn = unsigned (*)(unsigned core, unsigned i);
+
+/** A handful of hot rows: with four channels the row follows the
+ *  channel, so each channel has one per bank, 8 against its 128 near
+ *  frames. */
+unsigned
+fewHotRows(unsigned core, unsigned i)
+{
+    return (core + i) % 4;
+}
+
+/** 48 hot rows per bank, 16 accesses at a time: 384 per channel,
+ *  three times the near frames, so every channel fills and later
+ *  promotions evict ranked victims. */
+unsigned
+manyHotRows(unsigned core, unsigned i)
+{
+    return (core * 7 + i / 16) % 48;
+}
+
+/** Mixed row/column plans concentrated on hot rows so the tier
+ *  promotes (and the orientation policy demotes) mid-run. */
 std::vector<cpu::AccessPlan>
-hotRowPlans(const cpu::Machine &machine, unsigned ops_per_core)
+hotRowPlans(const cpu::Machine &machine, unsigned ops_per_core,
+            HotRowFn row_of = fewHotRows)
 {
     const AddressMap &map = machine.map();
     const Geometry &g = map.geometry();
@@ -387,7 +435,7 @@ hotRowPlans(const cpu::Machine &machine, unsigned ops_per_core)
             DecodedAddr d;
             d.channel = (core + i) % g.channels;
             d.bank = (i / 5) % g.banksPerRank;
-            d.row = (core + i) % 4; // a handful of hot rows per bank
+            d.row = row_of(core, i);
             d.col = ((i * 13) % (g.colsPerSubarray / 8)) * 8;
             const Addr row_a = map.encode(d, Orientation::Row);
             if (i % 11 == 10) {
@@ -401,6 +449,17 @@ hotRowPlans(const cpu::Machine &machine, unsigned ops_per_core)
         }
     }
     return plans;
+}
+
+/** FNV-1a of a hybrid run's stats JSON. */
+std::uint64_t
+statsHash(const cpu::RunResult &r)
+{
+    std::ostringstream os;
+    util::writeStatsJson(os, r.stats, "hybrid", r.ticks);
+    test::Fnv1a json;
+    json.text(os.str());
+    return json.hash;
 }
 
 class HybridDeterminism
@@ -418,26 +477,58 @@ TEST_P(HybridDeterminism, HotRowRunGolden)
     config.tier.policy = GetParam();
     cpu::Machine machine(config);
     const cpu::RunResult r = machine.run(hotRowPlans(machine, 400));
-    std::ostringstream os;
-    util::writeStatsJson(os, r.stats, "hybrid", r.ticks);
-    test::Fnv1a json;
-    json.text(os.str());
+    const std::uint64_t hash = statsHash(r);
     switch (GetParam()) {
       case MigrationPolicyKind::Rbla: // 4 promotions
         EXPECT_EQ(r.ticks, Tick{6960000});
-        EXPECT_EQ(json.hash, 5840050107835215763ull);
+        EXPECT_EQ(hash, 5840050107835215763ull);
         break;
       case MigrationPolicyKind::HotPage: // 32 promotions
         EXPECT_EQ(r.ticks, Tick{4901750});
-        EXPECT_EQ(json.hash, 538904017233551697ull);
+        EXPECT_EQ(hash, 538904017233551697ull);
         break;
       case MigrationPolicyKind::Orientation: // 132 up, 100 down
         EXPECT_EQ(r.ticks, Tick{5540750});
-        EXPECT_EQ(json.hash, 12347305910772561000ull);
+        EXPECT_EQ(hash, 12347305910772561000ull);
         break;
     }
     // The golden must be exercised by real tier activity.
     EXPECT_GT(r.stats.get("tier.promotions"), 0.0);
+}
+
+TEST_P(HybridDeterminism, VictimRunGolden)
+{
+    // More hot rows than near frames: once a channel's 128 frames
+    // hold rows, each promotion evicts the frame victimScore ranks
+    // lowest. Pins the finish tick and the stats-JSON FNV-1a.
+    cpu::MachineConfig config = hybridConfig();
+    config.tier.policy = GetParam();
+    cpu::Machine machine(config);
+    const cpu::RunResult r =
+        machine.run(hotRowPlans(machine, 4000, manyHotRows));
+    const std::uint64_t hash = statsHash(r);
+    switch (GetParam()) {
+      case MigrationPolicyKind::Rbla:
+        EXPECT_EQ(r.ticks, Tick{97416000});
+        EXPECT_EQ(hash, 4208877366359402347ull);
+        break;
+      case MigrationPolicyKind::HotPage:
+        EXPECT_EQ(r.ticks, Tick{97280750});
+        EXPECT_EQ(hash, 13633372380374926712ull);
+        break;
+      case MigrationPolicyKind::Orientation:
+        EXPECT_EQ(r.ticks, Tick{100004250});
+        EXPECT_EQ(hash, 779723539764022868ull);
+        break;
+    }
+    EXPECT_GT(r.stats.get("tier.promotions"), 0.0);
+    if (GetParam() != MigrationPolicyKind::Orientation) {
+        // RBLA and HotPage never demote on column traffic: they fill
+        // every frame, and each demotion is an evicted victim.
+        EXPECT_EQ(r.stats.get("tier.remapOccupancy"),
+                  r.stats.get("tier.remapFrames"));
+        EXPECT_GT(r.stats.get("tier.demotions"), 0.0);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -190,16 +190,6 @@ TEST(Bank, BusyBankDefersStart)
     EXPECT_EQ(s.start, t.cyc(t.tRCD + t.tCCD));
 }
 
-TEST(Bank, ResetRestoresPristineState)
-{
-    Bank bank;
-    bank.access(Tick{0}, Orientation::Column, 1, 2, true, rc());
-    bank.reset();
-    EXPECT_EQ(bank.bufState(), Bank::BufState::Closed);
-    EXPECT_EQ(bank.nextReady(), Tick{0});
-    EXPECT_FALSE(bank.bufferDirty());
-}
-
 TEST(TimingParamsTest, Table1Presets)
 {
     const TimingParams dram = TimingParams::ddr3_1333();

@@ -363,18 +363,6 @@ TEST(Controller, CanAcceptReflectsCapacity)
     EXPECT_EQ(ctrl.queued(), 0u);
 }
 
-TEST(Controller, ResetClearsStatsAndState)
-{
-    Fixture f;
-    ChannelController ctrl(f.map, f.timing, f.eq);
-    ctrl.enqueue(makeReq(f.map, 0, 0, 5, 0, Orientation::Row,
-                         [](Tick) {}));
-    f.eq.run();
-    ctrl.reset();
-    EXPECT_EQ(ctrl.stats().reads.value(), 0u);
-    EXPECT_EQ(ctrl.queued(), 0u);
-}
-
 TEST(MemorySystemTest, GeometryPresetsPerKind)
 {
     EXPECT_EQ(geometryFor(DeviceKind::Dram).colsPerSubarray, 256u);

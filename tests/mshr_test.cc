@@ -105,8 +105,8 @@ TEST(MshrTest, ConcurrentSameLineMissesCoalesce)
     ASSERT_TRUE(f.hierarchy.access(
         1, f.read(addr), [&](Tick t) { hit1 = t - start; }));
     f.eq.run();
-    EXPECT_EQ(hit0, f.config.cyc(f.config.l1Latency));
-    EXPECT_EQ(hit1, f.config.cyc(f.config.l1Latency));
+    EXPECT_EQ(hit0, f.config.cyc(kL1Latency));
+    EXPECT_EQ(hit1, f.config.cyc(kL1Latency));
 }
 
 TEST(MshrTest, CoalescedWriteLeavesLineModified)
@@ -131,9 +131,8 @@ TEST(MshrTest, CoalescedWriteLeavesLineModified)
     ASSERT_TRUE(f.hierarchy.access(2, f.read(addr),
                                    [&](Tick t) { t2 = t - start; }));
     f.eq.run();
-    const Tick l3 = f.config.cyc(f.config.l1Latency + f.config.l2Latency +
-                     f.config.l3Latency);
-    EXPECT_EQ(t2, l3 + f.config.cyc(f.config.remoteFetchPenalty));
+    const Tick l3 = f.config.cyc(kL1Latency + kL2Latency + kL3Latency);
+    EXPECT_EQ(t2, l3 + f.config.cyc(kRemoteFetchPenalty));
 }
 
 TEST(MshrTest, MshrFullRefusesThenWakes)
@@ -202,30 +201,6 @@ TEST(MshrTest, OccupancyStatIsExported)
     const auto s = f.hierarchy.stats();
     EXPECT_DOUBLE_EQ(s.get("cache.maxMshrOccupancy"), 2.0);
     EXPECT_GT(s.get("cache.mshrOccupancy"), 0.0);
-}
-
-TEST(MshrTest, ResetClearsMissPathState)
-{
-    HierarchyConfig cfg;
-    cfg.mshrs = 1;
-    Fixture f(cfg);
-    ASSERT_TRUE(
-        f.hierarchy.access(0, f.read(f.rowAddr(1, 0)), [](Tick) {}));
-    EXPECT_FALSE(
-        f.hierarchy.access(1, f.read(f.rowAddr(2, 0)), [](Tick) {}));
-    f.eq.run(); // drain: reset is only defined between runs
-    f.hierarchy.reset();
-    f.memory.reset();
-    const auto s = f.hierarchy.stats();
-    EXPECT_DOUBLE_EQ(s.get("cache.retries"), 0.0);
-    EXPECT_DOUBLE_EQ(s.get("cache.maxMshrOccupancy"), 0.0);
-    // The miss path is empty again: a fresh miss is accepted and the
-    // occupancy statistic restarts from zero.
-    EXPECT_TRUE(
-        f.hierarchy.access(1, f.read(f.rowAddr(2, 0)), [](Tick) {}));
-    f.eq.run();
-    EXPECT_DOUBLE_EQ(f.hierarchy.stats().get("cache.maxMshrOccupancy"),
-                     1.0);
 }
 
 } // namespace

@@ -6,7 +6,8 @@
  * Each cell is pinned by its completion ticks and by an FNV-1a hash
  * of its stats JSON, so every statistic a figure reads is covered.
  * Runs are deterministic and the match is exact; a failure names
- * the query and device.
+ * the query and device. A second golden pins the epoch series of one
+ * three-phase query (Q8) at the artifacts' CI scale.
  */
 
 #include <gtest/gtest.h>
@@ -95,6 +96,38 @@ TEST(SqlSuiteGolden, TicksAndStatsPerCell)
             EXPECT_EQ(h.hash, kGolden[q][d].statsHash) << label;
         }
     }
+}
+
+TEST(EpochSeriesGolden, JoinPhasesShareOneTimeline)
+{
+    // Q8, a hash join, runs as three phases on one machine; its epoch
+    // series is one timeline across them. Pinned at the stats
+    // artifacts' CI scale (4096 tuples, 1000000-tick epochs) by the
+    // row count and an FNV-1a of the epochs CSV.
+    util::setLogLevel(util::LogLevel::Quiet);
+    const workload::TableSet tables = workload::TableSet::standard(4096);
+    const workload::QueryWorkload workload(tables);
+    cpu::MachineConfig config = core::table1Machine(mem::DeviceKind::RcNvm);
+    config.epochTicks = Tick{1000000};
+    const mem::AddressMap map(mem::geometryFor(config.device));
+    const workload::PlacedDatabase pd = workload.place(config.device, map);
+    workload::QueryStreams q = workload.stream(
+        workload::QueryId::Q8, pd, config.hierarchy.cores);
+    ASSERT_EQ(q.phases.size(), 3u);
+    const core::ExperimentResult r =
+        core::runStreamed(config, std::move(q));
+
+    const sim::EpochSeries &s = r.series;
+    EXPECT_EQ(s.ticks.size(), 30u); // 19 + 10 + 1 per phase
+    ASSERT_EQ(s.rows.size(), s.ticks.size());
+    // Each phase's samples follow the previous phase's.
+    for (std::size_t i = 1; i < s.ticks.size(); ++i)
+        ASSERT_LT(s.ticks[i - 1], s.ticks[i]) << "sample " << i;
+    std::ostringstream csv;
+    s.writeCsv(csv);
+    test::Fnv1a h;
+    h.text(csv.str());
+    EXPECT_EQ(h.hash, 7261973212293443208ull);
 }
 
 } // namespace
