@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "fnv1a.hh"
@@ -237,6 +239,109 @@ TEST(Controller, DeterministicTraceRegression)
     EXPECT_EQ(f.eq.now(), Tick{1402500});
     EXPECT_EQ(ctrl.stats().bufferHits.value(), 3u);
 }
+
+/** A scheduling policy and whether each subarray has its own buffers. */
+using ScheduleParam = std::tuple<SchedPolicyKind, bool>;
+
+class Controller : public ::testing::TestWithParam<ScheduleParam>
+{
+};
+
+TEST_P(Controller, ScheduleGolden)
+{
+    // 512 seeded requests over 2 ranks x 8 banks x 4 subarrays in
+    // both orientations, half of them revisiting the previous
+    // request's buffer so hits queue behind conflicts. 1 in 4 is a
+    // write, 1 in 8 gathered and 1 in 4 flagged. They go into a
+    // 4-deep queue without checking canAccept(), as write-backs may
+    // overshoot it, interleaved with service. Pins every completion
+    // tick (folded into an FNV-1a hash), the final tick and the
+    // wakeup and buffer counters.
+    const auto [sched, salp] = GetParam();
+    Fixture f;
+    ChannelController ctrl(f.map, f.timing, f.eq, 4, salp, 0, sched);
+    std::uint64_t lcg = 0x9E3779B97F4A7C15ull;
+    test::Fnv1a hash;
+    unsigned completions = 0;
+    DecodedAddr d;
+    Orientation o = Orientation::Row;
+    for (unsigned i = 0; i < 512; ++i) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        const std::uint64_t r = lcg >> 24;
+        if (i == 0 || r % 2 == 0) {
+            d.rank = (r >> 1) % 2;
+            d.bank = (r >> 2) % 8;
+            d.subarray = (r >> 5) % 4;
+            d.row = ((r >> 7) % 16) * 8;
+            d.col = ((r >> 11) % 16) * 8;
+            o = (r >> 15) % 2 == 0 ? Orientation::Row
+                                   : Orientation::Column;
+        }
+        // Another line of the same row or column buffer.
+        const unsigned offset = ((r >> 16) % 16) * 8;
+        (o == Orientation::Row ? d.col : d.row) = offset;
+        MemPacket req;
+        req.addr = f.map.encode(d, o);
+        req.orient = o;
+        req.isWrite = (r >> 20) % 4 == 0;
+        req.gathered = (r >> 22) % 8 == 0;
+        req.priority = (r >> 25) % 4 == 0;
+        req.onComplete = [&, i](Tick t) {
+            ++completions;
+            hash.word((std::uint64_t{i} << 48) ^ t.value());
+        };
+        ctrl.enqueue(std::move(req));
+        if (i % 4 == 3)
+            f.eq.runUntil(f.eq.now() +
+                          f.timing.cyc(f.timing.tBURST) * 4u);
+    }
+    f.eq.run();
+    EXPECT_EQ(completions, 512u);
+    EXPECT_EQ(ctrl.queued(), 0u);
+    // The queue overshot its depth, so the overshoot path ran.
+    EXPECT_GT(ctrl.stats().queueOccupancy.max(), 4.0);
+
+    struct Golden {
+        std::uint64_t hash;
+        Tick end;
+        std::uint64_t wakeups;
+        std::uint64_t bufferHits;
+        std::uint64_t orientationSwitches;
+    };
+    // Captured before the controller cached per-bank views.
+    constexpr Golden goldens[] = {
+        // FR-FCFS, one buffer pair per bank
+        {6854672706870344150ull, Tick{6612500}, 477, 259, 112},
+        // FR-FCFS, one buffer pair per subarray (SALP)
+        {6806750799590382635ull, Tick{6530000}, 489, 263, 93},
+        // read priority
+        {1580892311741055329ull, Tick{6857500}, 480, 259, 112},
+        // read priority, SALP
+        {379895782591158168ull, Tick{6640000}, 491, 263, 93},
+    };
+    const Golden &g =
+        goldens[(sched == SchedPolicyKind::ReadPriority ? 2 : 0) +
+                (salp ? 1 : 0)];
+    EXPECT_EQ(hash.hash, g.hash);
+    EXPECT_EQ(f.eq.now(), g.end);
+    EXPECT_EQ(ctrl.stats().wakeups.value(), g.wakeups);
+    EXPECT_EQ(ctrl.stats().bufferHits.value(), g.bufferHits);
+    EXPECT_EQ(ctrl.stats().orientationSwitches.value(),
+              g.orientationSwitches);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, Controller,
+    ::testing::Combine(::testing::Values(SchedPolicyKind::FrFcfs,
+                                         SchedPolicyKind::ReadPriority),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ScheduleParam> &info) {
+        return std::string(std::get<0>(info.param) ==
+                                   SchedPolicyKind::FrFcfs
+                               ? "FrFcfs"
+                               : "ReadPriority") +
+               (std::get<1>(info.param) ? "Salp" : "");
+    });
 
 TEST(Controller, ReadPriorityServesOltpReadsFirst)
 {
