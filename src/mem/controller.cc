@@ -9,7 +9,6 @@
 namespace rcnvm::mem {
 
 namespace {
-constexpr std::uint64_t noSeq = std::numeric_limits<std::uint64_t>::max();
 constexpr Tick noTick = std::numeric_limits<Tick>::max();
 } // namespace
 
@@ -30,10 +29,10 @@ ChannelController::ChannelController(const AddressMap &map,
     const Geometry &g = map_.geometry();
     banks_.assign(g.ranksPerChannel * g.banksPerRank,
                   Bank(salp ? g.subarraysPerBank : 0));
-    // Constructed rather than resized: Pending is move-only, so the
-    // vector must never instantiate a copying relocation path.
-    bankQueues_ = std::vector<BankQueue>(banks_.size());
+    bankQueues_.resize(banks_.size());
     activeBanks_.reserve(banks_.size());
+    pool_.reserve(capacity_);
+    freeSlots_.reserve(capacity_);
 }
 
 unsigned
@@ -49,34 +48,53 @@ ChannelController::bufferIndex(const DecodedAddr &d, Orientation o)
 }
 
 void
-ChannelController::enqueue(MemPacket &&req)
+ChannelController::enqueue(MemPacket &&req, const DecodedAddr &dec)
 {
     // The capacity is a soft cap: demand traffic respects
     // canAccept(), while write-backs may transiently overshoot so
     // evictions never deadlock the hierarchy.
-    const DecodedAddr dec = map_.decode(req.addr, req.orient);
-    const unsigned b = bankIndex(dec);
-    BankQueue &bq = bankQueues_[b];
-
-    // Built in place: the request's completion continuation is bulky
-    // enough that every avoided move shows up in profiles.
-    Pending &p = bq.fifo.emplace_back();
-    p.dec = dec;
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(pool_.size());
+        pool_.emplace_back();
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    Pending &p = pool_[slot];
     p.req = std::move(req);
     p.enqueueTick = eq_.now();
     p.seq = nextSeq_++;
-    p.bufferIdx = bufferIndex(p.dec, p.req.orient);
+    p.subarray = dec.subarray;
+    p.bufferIdx = bufferIndex(dec, p.req.orient);
+    p.bypassed = 0;
 
-    if (bq.hitPos < 0 &&
-        banks_[b].hits(p.req.orient, p.dec.subarray, p.bufferIdx))
+    const unsigned b = bankIndex(dec);
+    BankQueue &bq = bankQueues_[b];
+    bq.fifo.push_back(slot);
+
+    // A request joins the candidates only as its bank's front or as
+    // its oldest hit; either one may bring the idle horizon closer.
+    Tick readyAt = noTick;
+    if (bq.fifo.size() == 1) {
+        refreshView(b);
+        readyAt = frontReadyAt(bq);
+    } else if (bq.hitPos < 0 &&
+               banks_[b].hits(p.req.orient, p.subarray, p.bufferIdx)) {
         bq.hitPos = static_cast<std::ptrdiff_t>(bq.fifo.size()) - 1;
+        bq.hitSeq = p.seq;
+        bq.hitUpper = upperTier(p);
+        readyAt = hitReadyAt(bq);
+    }
+    if (!idleHeld_ && readyAt < idleUntil_)
+        idleUntil_ = readyAt;
+
     stats_.bankQueueDepth.sample(static_cast<double>(bq.fifo.size()));
     if (!bq.active) {
         bq.active = true;
         activeBanks_.push_back(b);
     }
-    ++totalQueued_;
-    stats_.queueOccupancy.sample(static_cast<double>(totalQueued_));
+    stats_.queueOccupancy.sample(static_cast<double>(queued()));
     trySchedule();
 }
 
@@ -90,7 +108,7 @@ ChannelController::scheduleWakeup(Tick when)
     const std::uint64_t gen = ++wakeupGen_;
     eq_.schedule(when, [this, gen] {
         if (wakeupGen_ != gen)
-            return; // superseded by a newer wakeup or a reset
+            return; // superseded by a newer wakeup
         wakeupScheduled_ = false;
         stats_.wakeups.inc();
         trySchedule();
@@ -107,13 +125,30 @@ ChannelController::cancelWakeup()
 }
 
 void
-ChannelController::refreshHitPos(BankQueue &bq, const Bank &bank) const
+ChannelController::refreshView(unsigned b)
 {
+    BankQueue &bq = bankQueues_[b];
+    const Bank &bank = banks_[b];
     bq.hitPos = -1;
-    for (std::size_t i = 0; i < bq.fifo.size(); ++i) {
-        const Pending &p = bq.fifo[i];
-        if (bank.hits(p.req.orient, p.dec.subarray, p.bufferIdx)) {
+    bq.hitSeq = noSeq;
+    if (bq.fifo.empty())
+        return; // the next enqueue refreshes it as the front
+    bq.nextReady = bank.nextReady();
+    const Pending &front = pool_[bq.fifo.front()];
+    bq.front = bank.lookahead(front.req.orient, front.subarray,
+                              front.bufferIdx, timing_);
+    bq.frontSeq = front.seq;
+    bq.frontUpper = upperTier(front);
+    if (bq.front.outcome == AccessOutcome::BufferHit) {
+        bq.hitPos = 0;
+        return;
+    }
+    for (std::size_t i = 1; i < bq.fifo.size(); ++i) {
+        const Pending &p = pool_[bq.fifo[i]];
+        if (bank.hits(p.req.orient, p.subarray, p.bufferIdx)) {
             bq.hitPos = static_cast<std::ptrdiff_t>(i);
+            bq.hitSeq = p.seq;
+            bq.hitUpper = upperTier(p);
             return;
         }
     }
@@ -123,19 +158,18 @@ void
 ChannelController::issueFrom(unsigned b, std::size_t pos)
 {
     BankQueue &bq = bankQueues_[b];
-    Pending p = std::move(bq.fifo[pos]);
-    if (pos == 0)
-        bq.fifo.pop_front();
-    else
-        bq.fifo.erase(bq.fifo.begin() +
-                      static_cast<std::ptrdiff_t>(pos));
-    --totalQueued_;
+    const std::uint32_t slot = bq.fifo[pos];
+    bq.fifo.erase(bq.fifo.begin() + static_cast<std::ptrdiff_t>(pos));
+    // The slot is free again, but nothing can claim it before this
+    // function returns, so p stays valid.
+    freeSlots_.push_back(slot);
+    Pending &p = pool_[slot];
+    idleUntil_ = Tick{};
 
     // Backpressure: tell the client the moment occupancy drops back
     // below capacity. Deferred to a same-tick event so client code
     // (which may re-enter enqueue) never runs inside the scheduler.
-    if (spaceCb_ && totalQueued_ == capacity_ - 1 &&
-        !spaceNotifyPending_) {
+    if (spaceCb_ && queued() == capacity_ - 1 && !spaceNotifyPending_) {
         spaceNotifyPending_ = true;
         eq_.schedule(eq_.now(), [this] {
             spaceNotifyPending_ = false;
@@ -146,7 +180,7 @@ ChannelController::issueFrom(unsigned b, std::size_t pos)
 
     Bank &bank = banks_[b];
     Bank::Service s =
-        bank.access(eq_.now(), p.req.orient, p.dec.subarray,
+        bank.access(eq_.now(), p.req.orient, p.subarray,
                     p.bufferIdx, p.req.isWrite, timing_, busFree_);
 
     // A gathered line's words come from shuffled column positions
@@ -159,8 +193,8 @@ ChannelController::issueFrom(unsigned b, std::size_t pos)
 
     busFree_ = s.finish;
 
-    // The buffer the bank holds open may have changed.
-    refreshHitPos(bq, bank);
+    // The bank's state and its front may have changed.
+    refreshView(b);
 
     // Statistics.
     (p.req.isWrite ? stats_.writes : stats_.reads).inc();
@@ -232,8 +266,17 @@ ChannelController::trySchedule()
         std::size_t pos = 0;
     };
 
+    // Nothing has issued since a round found nothing ready before
+    // idleUntil_, and no enqueue has added a candidate ready sooner:
+    // the views and busFree_ are unchanged, so a full round would
+    // come to the same wakeup.
+    if (eq_.now() < idleUntil_) {
+        scheduleWakeup(idleUntil_);
+        return;
+    }
+
     for (;;) {
-        if (totalQueued_ == 0) {
+        if (queued() == 0) {
             cancelWakeup();
             return;
         }
@@ -249,21 +292,19 @@ ChannelController::trySchedule()
         // bank's front solely on the strength of an open-buffer hit.
         // The pass also tracks the globally oldest request (for
         // starvation control) and the earliest tick anything becomes
-        // ready.
+        // ready. It reads only the banks' views and busFree_.
         Best best[4];
         const auto offer = [&](unsigned b, std::size_t pos,
-                               const Pending &p, bool hit) {
-            const bool upper =
-                readPriority_ && p.req.priority && !p.req.isWrite;
+                               std::uint64_t seq, bool upper, bool hit) {
             Best &bestHit = best[upper ? 0 : 2];
             Best &bestFront = best[upper ? 1 : 3];
-            if (hit && p.seq < bestHit.seq)
-                bestHit = {p.seq, b, pos};
-            if (pos == 0 && p.seq < bestFront.seq)
-                bestFront = {p.seq, b, pos};
+            if (hit && seq < bestHit.seq)
+                bestHit = {seq, b, pos};
+            if (pos == 0 && seq < bestFront.seq)
+                bestFront = {seq, b, pos};
         };
         std::uint64_t headSeq = noSeq;
-        Pending *head = nullptr;
+        unsigned headBank = 0;
         Tick headReadyAt = noTick;
         Tick nextWake = noTick;
 
@@ -276,37 +317,31 @@ ChannelController::trySchedule()
                 activeBanks_.pop_back();
                 continue;
             }
-            const Bank &bank = banks_[b];
 
             // Within a bank requests are FIFO except for buffer
-            // hits, so the front plus the oldest cached hit are the
-            // only candidates this bank can contribute.
-            Pending &front = bq.fifo.front();
-            const Bank::Lookahead la = bank.lookahead(
-                front.req.orient, front.dec.subarray, front.bufferIdx,
-                timing_);
-            const Tick readyAt =
-                std::max(la.cmdReady, busReadyAt(la.lead));
-            if (front.seq < headSeq) {
-                headSeq = front.seq;
-                head = &front;
+            // hits, so the front plus the oldest hit are the only
+            // candidates this bank can contribute.
+            const Tick readyAt = frontReadyAt(bq);
+            if (bq.frontSeq < headSeq) {
+                headSeq = bq.frontSeq;
+                headBank = b;
                 headReadyAt = readyAt;
             }
             if (readyAt <= now) {
-                offer(b, 0, front, la.outcome == AccessOutcome::BufferHit);
+                offer(b, 0, bq.frontSeq, bq.frontUpper,
+                      bq.front.outcome == AccessOutcome::BufferHit);
             } else if (readyAt < nextWake) {
                 nextWake = readyAt;
             }
 
             if (bq.hitPos > 0) {
-                const auto pos = static_cast<std::size_t>(bq.hitPos);
-                const Tick hitReady =
-                    std::max(bank.nextReady(),
-                             busReadyAt(timing_.cyc(timing_.tCAS)));
-                if (hitReady <= now)
-                    offer(b, pos, bq.fifo[pos], true);
-                else if (hitReady < nextWake)
+                const Tick hitReady = hitReadyAt(bq);
+                if (hitReady <= now) {
+                    offer(b, static_cast<std::size_t>(bq.hitPos),
+                          bq.hitSeq, bq.hitUpper, true);
+                } else if (hitReady < nextWake) {
                     nextWake = hitReady;
+                }
             }
             ++i;
         }
@@ -314,11 +349,14 @@ ChannelController::trySchedule()
         // Starvation control: once the globally oldest request has
         // been bypassed by ANY younger request too often, nothing
         // else may issue until it has been served.
-        if (head->bypassed >= starvationCap) {
+        Pending &head = pool_[bankQueues_[headBank].fifo.front()];
+        if (head.bypassed >= starvationCap) {
             if (headReadyAt <= now) {
-                issueFrom(bankIndex(head->dec), 0);
+                issueFrom(headBank, 0);
                 continue;
             }
+            idleUntil_ = headReadyAt;
+            idleHeld_ = true;
             scheduleWakeup(headReadyAt);
             return;
         }
@@ -327,13 +365,16 @@ ChannelController::trySchedule()
             std::find_if(std::begin(best), std::end(best),
                          [](const Best &c) { return c.seq != noSeq; });
         if (pick == std::end(best)) {
-            if (nextWake != noTick)
-                scheduleWakeup(nextWake);
+            // Some front is queued and none is ready, so nextWake is
+            // that front's (or an earlier hit's) ready tick.
+            idleUntil_ = nextWake;
+            idleHeld_ = false;
+            scheduleWakeup(nextWake);
             return;
         }
 
         if (pick->seq != headSeq)
-            ++head->bypassed;
+            ++head.bypassed;
         issueFrom(pick->bank, pick->pos);
     }
 }

@@ -12,8 +12,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -93,13 +93,21 @@ class ChannelController
                       SchedPolicyKind sched = SchedPolicyKind::FrFcfs);
 
     /** True when the request queue has room. */
-    bool canAccept() const { return totalQueued_ < capacity_; }
+    bool canAccept() const { return queued() < capacity_; }
 
-    /** Add a request (caller must have checked canAccept). */
-    void enqueue(MemPacket &&req);
+    /** Add a request whose address decodes to @p dec (the caller
+     *  must have checked canAccept). */
+    void enqueue(MemPacket &&req, const DecodedAddr &dec);
 
-    /** Number of queued (not yet issued) requests. */
-    std::size_t queued() const { return totalQueued_; }
+    /** Add a request, decoding its address. */
+    void enqueue(MemPacket &&req)
+    {
+        const DecodedAddr dec = map_.decode(req.addr, req.orient);
+        enqueue(std::move(req), dec);
+    }
+
+    /** Number of queued (not yet issued) requests: occupied slots. */
+    std::size_t queued() const { return pool_.size() - freeSlots_.size(); }
 
     /** Configured request-queue depth. */
     unsigned capacity() const { return capacity_; }
@@ -122,23 +130,38 @@ class ChannelController
     Tick statsElapsed() const { return eq_.now() - statsSince_; }
 
   private:
+    static constexpr std::uint64_t noSeq =
+        std::numeric_limits<std::uint64_t>::max();
+
+    /** A queued request, in its pool slot. */
     struct Pending {
         MemPacket req;
-        DecodedAddr dec;
-        Tick enqueueTick;
-        std::uint64_t seq;    //!< global arrival order
-        unsigned bufferIdx;   //!< row (row orient) or column index
+        Tick enqueueTick{0};
+        std::uint64_t seq = 0; //!< global arrival order
+        unsigned subarray = 0;
+        unsigned bufferIdx = 0; //!< row (row orient) or column index
         unsigned bypassed = 0;
     };
 
-    /** Pending requests of one bank, in arrival order. */
+    /**
+     * Pending requests of one bank, in arrival order, and the view of
+     * them a scheduling round reads. Only the front and the oldest
+     * open-buffer hit can be candidates, and their timing depends
+     * only on this bank's state, so the view is refreshed only when
+     * the bank issues or an enqueue changes its front or oldest hit.
+     * The bus term is applied per round (busReadyAt).
+     */
     struct BankQueue {
-        std::deque<Pending> fifo;
-        /** Position of the oldest open-buffer hit, or -1. Valid
-         *  against the bank's current buffer state; recomputed after
-         *  every issue from this bank. */
+        std::vector<std::uint32_t> fifo; //!< pool slots, oldest first
+        /** Position of the oldest open-buffer hit, or -1. */
         std::ptrdiff_t hitPos = -1;
-        bool active = false; //!< listed in activeBanks_
+        Bank::Lookahead front; //!< the front's command chain
+        Tick nextReady{0};     //!< the bank's next command slot
+        std::uint64_t frontSeq = noSeq;
+        std::uint64_t hitSeq = noSeq; //!< hit behind the front, if any
+        bool frontUpper = false;      //!< front ranks in tier 0
+        bool hitUpper = false;        //!< that hit ranks in tier 0
+        bool active = false;          //!< listed in activeBanks_
     };
 
     /** Flat bank index for a decoded address. */
@@ -148,9 +171,10 @@ class ChannelController
     static unsigned bufferIndex(const DecodedAddr &d, Orientation o);
 
     /** Issue as many requests as are ready right now: each round
-     *  scans the banks once and issues the first of the tier-0 hit,
-     *  tier-0 front, tier-1 hit and tier-1 front, unless the
-     *  starvation cap holds the round for the oldest request. */
+     *  scans the banks' views once and issues the first of the
+     *  tier-0 hit, tier-0 front, tier-1 hit and tier-1 front, unless
+     *  the starvation cap holds the round for the oldest request.
+     *  Before idleUntil_ it only re-arms the wakeup for it. */
     void trySchedule();
 
     /** Arrange a future trySchedule call at @p when. */
@@ -162,8 +186,27 @@ class ChannelController
     /** Serve entry @p pos of bank @p bank's queue. */
     void issueFrom(unsigned bank, std::size_t pos);
 
-    /** Recompute @p bq's oldest-hit cache against @p bank. */
-    void refreshHitPos(BankQueue &bq, const Bank &bank) const;
+    /** Recompute bank @p b's view from its queue and state. */
+    void refreshView(unsigned b);
+
+    /** Does @p p rank in the upper (tier-0) read-priority tier? */
+    bool upperTier(const Pending &p) const
+    {
+        return readPriority_ && p.req.priority && !p.req.isWrite;
+    }
+
+    /** Earliest tick @p bq's front may issue. */
+    Tick frontReadyAt(const BankQueue &bq) const
+    {
+        return std::max(bq.front.cmdReady, busReadyAt(bq.front.lead));
+    }
+
+    /** Earliest tick @p bq's hit behind the front may issue. */
+    Tick hitReadyAt(const BankQueue &bq) const
+    {
+        return std::max(bq.nextReady,
+                        busReadyAt(timing_.cyc(timing_.tCAS)));
+    }
 
     /** Earliest tick a request with burst lead @p lead may issue so
      *  its burst queues at most busHorizon() deep behind the bus.
@@ -192,9 +235,17 @@ class ChannelController
     std::vector<Bank> banks_;
     std::vector<BankQueue> bankQueues_;
     std::vector<unsigned> activeBanks_; //!< banks with pending work
-    std::size_t totalQueued_ = 0;
+    /** Request slots; write-back overshoot grows it past capacity_. */
+    std::vector<Pending> pool_;
+    std::vector<std::uint32_t> freeSlots_; //!< unoccupied pool slots
     std::uint64_t nextSeq_ = 0;
     Tick busFree_{0};
+    /** Until this tick a round can only re-arm the wakeup for it:
+     *  the smallest ready tick the last round that issued nothing
+     *  found. Cleared by every issue; lowered by an enqueue that adds
+     *  a candidate, unless the starvation cap held that round. */
+    Tick idleUntil_{0};
+    bool idleHeld_ = false; //!< the cap held the last idle round
     Tick wakeupAt_{0};
     bool wakeupScheduled_ = false;
     std::uint64_t wakeupGen_ = 0; //!< cancels superseded wakeups

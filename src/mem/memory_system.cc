@@ -67,7 +67,7 @@ MemorySystem::issue(MemPacket &&req)
 {
     checkCaps(req);
     const DecodedAddr d = map_.decode(req.addr, req.orient);
-    channels_[d.channel]->enqueue(std::move(req));
+    channels_[d.channel]->enqueue(std::move(req), d);
 }
 
 bool
@@ -81,7 +81,7 @@ MemorySystem::tryIssue(MemPacket &pkt)
         return false;
     }
     checkCaps(pkt);
-    channels_[d.channel]->enqueue(std::move(pkt));
+    channels_[d.channel]->enqueue(std::move(pkt), d);
     return true;
 }
 
