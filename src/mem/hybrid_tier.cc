@@ -315,9 +315,12 @@ HybridMemory::startPromotion(std::uint64_t row_id)
         TierFrame &vf = frames_[m.frame];
         m.victimRow = static_cast<std::int64_t>(vf.rowId);
         if (vf.dirty) {
-            // Copy the displaced row's data home before reuse.
+            // Copy the displaced row's data home before reuse. The
+            // busy frame takes no more writes, so the far copy is
+            // current from here on.
             copyTraffic(remap_.frameLocation(m.frame), true,
                         remap_.rowLocation(vf.rowId), false);
+            vf.dirty = false;
             dirtyWritebacks_.inc();
         }
     } else {

@@ -380,6 +380,44 @@ TEST(HybridMemory, RowWriteDuringDemotionReachesTheFarDevice)
     EXPECT_EQ(f.stat("tier.near.writes"), nearWrites);
 }
 
+TEST(HybridMemory, DirtyVictimIsWrittenHomeOnce)
+{
+    TierFixture f(policyConfig(MigrationPolicyKind::HotPage));
+
+    // Promote rows 0-127 into channel 0's 128 near frames.
+    for (unsigned row = 0; row < 128; ++row) {
+        f.row(row, 0);
+        f.row(row, 8);
+        f.row(row, 16);
+    }
+    ASSERT_EQ(f.tier.remap().mappedRows(), 128u);
+    // Two near touches on every frame but row 5's, whose one touch
+    // is a write: row 5 is the dirty, lowest-ranked victim.
+    for (unsigned row = 0; row < 128; ++row) {
+        if (row == 5)
+            continue;
+        f.row(row, 24);
+        f.row(row, 32);
+    }
+    f.row(5, 24, /*write=*/true);
+    ASSERT_EQ(f.stat("mem.writes"), 0.0);
+
+    // Row 128's third touch evicts row 5, copying it home; a column
+    // line over rows 0-7 crosses row 5 before the commit.
+    f.row(128, 0);
+    f.row(128, 8);
+    f.issueRow(128, 16);
+    ASSERT_EQ(f.tier.migrationsInFlight(), 1u);
+    f.issueColumn(0);
+    f.eq.run();
+
+    EXPECT_EQ(f.stat("tier.dirtyWritebacks"), 1.0);
+    EXPECT_EQ(f.stat("tier.colDirtyForces"), 0.0);
+    // The copy-back's lines, and no forced write on top of them.
+    EXPECT_EQ(f.stat("mem.writes"), 4.0);
+    EXPECT_EQ(f.tier.remap().frameOf(5), -1);
+}
+
 // --- Whole-machine determinism -----------------------------------
 
 cpu::MachineConfig
