@@ -122,6 +122,67 @@ BM_ChannelControllerThroughput(benchmark::State &state)
 BENCHMARK(BM_ChannelControllerThroughput);
 
 void
+BM_ChannelControllerMixed(benchmark::State &state)
+{
+    // Scheduling rounds over many banks: core::serve16Machine's
+    // RC-NVM geometry (32 banks per channel) and 128-deep queues
+    // under read priority. Row and column requests land on every
+    // bank, revisiting a few buffers so hits queue behind
+    // conflicting fronts; every third is a write and every fourth
+    // is flagged, so both tiers compete.
+    util::setLogLevel(util::LogLevel::Quiet);
+    const cpu::MachineConfig config =
+        core::serve16Machine(mem::DeviceKind::RcNvm);
+    const mem::Geometry &g = *config.geometry;
+    const mem::TimingParams timing = mem::timingFor(config.device);
+    sim::EventQueue eq;
+    mem::MemorySystem memory(config.device, eq, timing, false,
+                             config.memQueueCapacity, g,
+                             mem::SchedPolicyKind::ReadPriority);
+    struct Request {
+        Addr addr;
+        Orientation orient;
+    };
+    std::vector<Request> requests;
+    std::uint64_t lcg = 42;
+    for (unsigned i = 0; i < 8192; ++i) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        const std::uint64_t r = lcg >> 24;
+        mem::DecodedAddr d;
+        d.channel = r % g.channels;
+        d.rank = (r >> 3) % g.ranksPerChannel;
+        d.bank = (r >> 5) % g.banksPerRank;
+        d.subarray = (r >> 8) % 2;
+        d.row = ((r >> 9) % 4) * 8;
+        d.col = ((r >> 11) % 4) * 8;
+        const Orientation o =
+            (r >> 13) % 4 == 0 ? Orientation::Column : Orientation::Row;
+        requests.push_back({memory.map().encode(d, o), o});
+    }
+    const Tick slot = timing.cyc(timing.tBURST);
+    std::uint64_t completions = 0;
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+            mem::MemPacket pkt;
+            pkt.addr = requests[i].addr;
+            pkt.orient = requests[i].orient;
+            pkt.isWrite = i % 3 == 0;
+            pkt.priority = i % 4 == 1;
+            pkt.onComplete = [&completions](Tick) { ++completions; };
+            // Queues stay full: a refused request waits a burst slot
+            // at a time until its channel frees one.
+            while (!memory.tryIssue(pkt))
+                eq.runUntil(eq.now() + slot);
+        }
+        eq.run();
+        benchmark::DoNotOptimize(completions);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(requests.size()));
+}
+BENCHMARK(BM_ChannelControllerMixed);
+
+void
 BM_MachineConstruction(benchmark::State &state)
 {
     util::setLogLevel(util::LogLevel::Quiet);

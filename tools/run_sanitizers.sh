@@ -7,6 +7,11 @@
 # Usage: run_sanitizers.sh [mode] [build-dir]
 #   mode: asan-ubsan (default) | tsan | integer
 #
+# asan-ubsan also builds with -D_GLIBCXX_ASSERTIONS, so standard
+# containers bounds-check operator[], front() and back(). ASan alone
+# misses an index that stays inside a vector's capacity, which is how
+# a stale slot or bank index goes wrong.
+#
 # tsan runs the race detector over the code that uses host threads:
 # core::runGrid's tests and the SQL-suite golden, whose 52 machines
 # run on the grid at the host's worker count. ThreadSanitizer cannot
@@ -33,6 +38,7 @@ asan-ubsan)
     bdir=${2:-"$root/build-sanitize"}
     cmake -B "$bdir" -S "$root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
         -DRCNVM_SANITIZE="address;undefined"
     cmake --build "$bdir" -j "$(nproc)"
 
