@@ -9,9 +9,11 @@
 #include <set>
 #include <vector>
 
+#include "fnv1a.hh"
 #include "imdb/bin_packing.hh"
 #include "imdb/schema.hh"
 #include "imdb/table.hh"
+#include "workload/tables.hh"
 
 namespace rcnvm::imdb {
 namespace {
@@ -102,6 +104,33 @@ TEST(TableTest, MatchPredicatesConsistent)
                           (eq[i] ? 1 : 0);
         EXPECT_EQ(total, 1); // trichotomy
     }
+}
+
+TEST(TableTest, StandardSetGolden)
+{
+    // DeterministicContents compares two fresh tables, which a
+    // generator that changed its draws for both would still pass.
+    // This pins the values themselves, and the chunk summaries the
+    // plan optimizer prunes with.
+    const workload::TableSet set =
+        workload::TableSet::standard(4096, 256, 42);
+    test::Fnv1a h;
+    for (const Table *t :
+         {set.a.get(), set.b.get(), set.c.get(), set.micro.get(),
+          set.hash.get()}) {
+        for (unsigned f = 0; f < t->schema().fieldCount(); ++f) {
+            if (t->schema().field(f).words() != 1)
+                continue;
+            for (std::uint64_t i = 0; i < t->tuples(); ++i)
+                h.word(static_cast<std::uint64_t>(t->value(f, i)));
+            for (unsigned c = 0; c < t->chunkCount(); ++c) {
+                const Table::ChunkMinMax mm = t->chunkStats(f, c);
+                h.word(static_cast<std::uint64_t>(mm.min));
+                h.word(static_cast<std::uint64_t>(mm.max));
+            }
+        }
+    }
+    EXPECT_EQ(h.hash, 16399872357338830563ull);
 }
 
 TEST(TableDeathTest, WideFieldHasNoValues)
