@@ -10,6 +10,7 @@
 
 #include <optional>
 
+#include "cache/hierarchy.hh"
 #include "core/presets.hh"
 #include "cpu/machine.hh"
 #include "mem/bank.hh"
@@ -17,6 +18,7 @@
 #include "mem/memory_system.hh"
 #include "sim/event_queue.hh"
 #include "util/logging.hh"
+#include "workload/tables.hh"
 
 using namespace rcnvm;
 
@@ -302,6 +304,89 @@ BM_Serve16Machine(benchmark::State &state)
              crossChannelPlans(map, config.hierarchy.cores, 2048));
 }
 BENCHMARK(BM_Serve16Machine)->Unit(benchmark::kMillisecond);
+
+void
+BM_TableSetStandard(benchmark::State &state)
+{
+    // The synthetic tables every SQL run generates before its first
+    // simulated access, at the benches' default 131072 tuples.
+    for (auto _ : state) {
+        const workload::TableSet set =
+            workload::TableSet::standard(131072);
+        benchmark::DoNotOptimize(set.a.get());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TableSetStandard)->Unit(benchmark::kMillisecond);
+
+void
+BM_L3FillSynonymStream(benchmark::State &state)
+{
+    // The L3 fill path on the Table-1 hierarchy, driven without
+    // cores: 32-line row bursts alternate with 32-line column bursts
+    // that cross them in the same subarray, over twice the LLC's
+    // lines. The stream runs once untimed to fill the LLC, so every
+    // timed fill evicts a victim and probes its synonym partners.
+    util::setLogLevel(util::LogLevel::Quiet);
+    sim::EventQueue eq;
+    mem::MemorySystem memory(mem::DeviceKind::RcNvm, eq);
+    const cache::HierarchyConfig config;
+    cache::Hierarchy hierarchy(config, eq, memory);
+    const mem::Geometry &g = memory.map().geometry();
+    const unsigned banks =
+        g.channels * g.ranksPerChannel * g.banksPerRank;
+    constexpr unsigned burst = 32;
+    constexpr unsigned wordsPerLine = 8;
+    const std::size_t lines =
+        2 * std::size_t{config.l3.sizeBytes / config.l3.lineBytes};
+    std::vector<cache::CacheAccess> stream;
+    stream.reserve(lines);
+    for (unsigned pair = 0; stream.size() < lines; ++pair) {
+        // Pair p of a bank: row p's first 32 lines, then column p's.
+        mem::DecodedAddr d;
+        d.channel = pair % g.channels;
+        d.rank = (pair / g.channels) % g.ranksPerChannel;
+        d.bank = (pair / (g.channels * g.ranksPerChannel)) %
+                 g.banksPerRank;
+        const unsigned p = pair / banks;
+        for (const Orientation o :
+             {Orientation::Row, Orientation::Column}) {
+            for (unsigned i = 0; i < burst; ++i) {
+                d.row = o == Orientation::Row ? p : i * wordsPerLine;
+                d.col = o == Orientation::Row ? i * wordsPerLine : p;
+                cache::CacheAccess a;
+                a.addr = memory.map().encode(d, o);
+                a.orient = o;
+                stream.push_back(a);
+            }
+        }
+    }
+    std::uint64_t completions = 0;
+    const auto runLines = [&](std::size_t first, std::size_t count) {
+        for (std::size_t i = first; i < first + count; ++i) {
+            const cache::CacheAccess &a = stream[i % lines];
+            const unsigned core =
+                static_cast<unsigned>(i / burst % config.cores);
+            // A refused access waits for the misses in flight.
+            while (!hierarchy.access(core, a, [&completions](Tick) {
+                ++completions;
+            }))
+                eq.run();
+        }
+        eq.run();
+    };
+    runLines(0, lines);
+    constexpr std::size_t batch = 4096;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        runLines(next, batch);
+        next = (next + batch) % lines;
+        benchmark::DoNotOptimize(completions);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_L3FillSynonymStream);
 
 } // namespace
 
