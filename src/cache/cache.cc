@@ -14,15 +14,19 @@ Cache::Cache(const CacheConfig &config, bool directory)
         rcnvm_fatal(config_.name, ": set count must be a power of two");
     if (!util::isPowerOfTwo(config_.lineBytes))
         rcnvm_fatal(config_.name, ": line size must be a power of two");
+    if (config_.ways > maxWays)
+        rcnvm_fatal(config_.name, ": ", config_.ways,
+                    " ways exceed the ", maxWays,
+                    " an LRU order word ranks");
     lineShift_ = static_cast<std::uint32_t>(
         std::countr_zero(config_.lineBytes));
     setMask_ = numSets_ - 1;
     const std::size_t entries = std::size_t{numSets_} * config_.ways;
     tags_.resize(entries);
-    lru_.resize(entries);
     lines_.resize(entries);
     if (directory)
         sharers_.resize(entries);
+    order_.assign(numSets_, initialOrder);
 }
 
 std::optional<Cache::Victim>

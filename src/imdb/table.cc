@@ -16,16 +16,17 @@ Table::Table(std::string name, Schema schema, std::uint64_t tuples,
     for (unsigned f = 0; f < schema_.fieldCount(); ++f) {
         if (schema_.field(f).words() != 1)
             continue; // wide fields carry no predicate values
-        auto &col = columns_[f];
-        col.resize(tuples_);
+        Column &col = columns_[f];
+        col.reserve(tuples_);
         for (std::uint64_t t = 0; t < tuples_; ++t) {
-            col[t] = static_cast<std::int64_t>(
-                rng.nextBounded(valueRange));
+            col.push_back(static_cast<std::int32_t>(
+                rng.nextBounded(valueRange)));
         }
     }
 
-    // Chunk min/max summaries, computed after generation so the RNG
-    // draw sequence (and therefore every seeded golden) is untouched.
+    // Chunk min/max summaries, computed once after generation so the
+    // RNG draw sequence (and therefore every seeded golden) is
+    // untouched.
     chunkStats_.resize(columns_.size());
     for (unsigned f = 0; f < columns_.size(); ++f) {
         const auto &col = columns_[f];
@@ -39,8 +40,8 @@ Table::Table(std::string name, Schema schema, std::uint64_t tuples,
                 std::min<std::uint64_t>(t0 + chunkTuples, tuples_);
             ChunkMinMax mm{col[t0], col[t0]};
             for (std::uint64_t t = t0 + 1; t < t1; ++t) {
-                mm.min = std::min(mm.min, col[t]);
-                mm.max = std::max(mm.max, col[t]);
+                mm.min = std::min<std::int64_t>(mm.min, col[t]);
+                mm.max = std::max<std::int64_t>(mm.max, col[t]);
             }
             stats[c] = mm;
         }
@@ -53,20 +54,6 @@ Table::value(unsigned f, std::uint64_t t) const
     if (f >= columns_.size() || columns_[f].empty())
         rcnvm_fatal(name_, ": field ", f, " has no numeric values");
     return columns_[f][t];
-}
-
-void
-Table::setValue(unsigned f, std::uint64_t t, std::int64_t v)
-{
-    if (f >= columns_.size() || columns_[f].empty())
-        rcnvm_fatal(name_, ": field ", f, " has no numeric values");
-    if (t >= tuples_)
-        rcnvm_fatal(name_, ": tuple ", t, " of ", tuples_);
-    columns_[f][t] = v;
-    ChunkMinMax &mm =
-        chunkStats_[f][static_cast<unsigned>(t / chunkTuples)];
-    mm.min = std::min(mm.min, v);
-    mm.max = std::max(mm.max, v);
 }
 
 unsigned

@@ -20,7 +20,9 @@ namespace rcnvm::imdb {
  * Table metadata plus generated values. Only 8-byte fields carry
  * values (wide fields are opaque payloads); values are uniform in
  * [0, valueRange) so predicate selectivity can be dialled by
- * choosing thresholds.
+ * choosing thresholds. The generator is the only writer, so the host
+ * keeps each value in 4 bytes; the simulated field stays 8 bytes
+ * wide.
  */
 class Table
 {
@@ -55,14 +57,6 @@ class Table
     /** Value of 8-byte field @p f in tuple @p t. */
     std::int64_t value(unsigned f, std::uint64_t t) const;
 
-    /**
-     * Overwrite the value of 8-byte field @p f in tuple @p t,
-     * widening the chunk's min/max summary so pruning stays sound
-     * (a summary may overstate the range after updates — that only
-     * costs a scanned chunk, never a wrong result).
-     */
-    void setValue(unsigned f, std::uint64_t t, std::int64_t v);
-
     /** Number of chunk-statistics entries per field. */
     unsigned chunkCount() const;
 
@@ -96,8 +90,13 @@ class Table
     std::string name_;
     Schema schema_;
     std::uint64_t tuples_;
+    /** Host copy of one generated column. */
+    using Column = std::vector<std::int32_t>;
+    static_assert(valueRange - 1 <= INT32_MAX,
+                  "generated values must fit a Column entry");
+
     /** columns_[field][tuple]; empty for wide fields. */
-    std::vector<std::vector<std::int64_t>> columns_;
+    std::vector<Column> columns_;
     /** chunkStats_[field][chunk]; empty for wide fields. */
     std::vector<std::vector<ChunkMinMax>> chunkStats_;
 };

@@ -21,12 +21,6 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Random::Random(std::uint64_t seed)
@@ -34,35 +28,6 @@ Random::Random(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &word : s_)
         word = splitMix64(sm);
-}
-
-std::uint64_t
-Random::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Random::nextBounded(std::uint64_t bound)
-{
-    assert(bound > 0);
-    // Rejection sampling to remove modulo bias.
-    const std::uint64_t threshold = -bound % bound;
-    for (;;) {
-        const std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
 }
 
 std::int64_t

@@ -9,6 +9,8 @@
 #ifndef RCNVM_UTIL_RANDOM_HH_
 #define RCNVM_UTIL_RANDOM_HH_
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
 
 namespace rcnvm::util {
@@ -16,6 +18,10 @@ namespace rcnvm::util {
 /**
  * xoshiro256** generator. Small, fast, and good enough statistical
  * quality for synthetic database contents and selectivity draws.
+ *
+ * next() and nextBounded() are defined inline: table generation makes
+ * millions of draws, and a constant bound such as Table::valueRange
+ * then turns both divisions into multiplies.
  */
 class Random
 {
@@ -24,10 +30,35 @@ class Random
     explicit Random(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Uniform 64-bit word. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound). @pre bound > 0. */
-    std::uint64_t nextBounded(std::uint64_t bound);
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        assert(bound > 0);
+        // Rejection sampling to remove modulo bias.
+        const std::uint64_t threshold = -bound % bound;
+        for (;;) {
+            const std::uint64_t r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** Uniform integer in [lo, hi] inclusive. @pre lo <= hi. */
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);

@@ -417,6 +417,10 @@ runDifferential(const CacheConfig &cfg, bool directory,
 TEST(CacheTest, MatchesReferenceLruModel)
 {
     const CacheConfig two_way{"two-way", 1024, 64, 2}; // 8 sets
+    // The most ways a set's order word ranks, so every nibble is
+    // live. Sixteen pinned ways are rarer than eight, so it runs
+    // longer to reach fully pinned sets.
+    const CacheConfig sixteen_way{"sixteen-way", 4096, 64, 16}; // 4 sets
     for (const bool directory : {false, true}) {
         for (std::uint64_t seed = 1; seed <= 4; ++seed) {
             SCOPED_TRACE(::testing::Message()
@@ -424,8 +428,18 @@ TEST(CacheTest, MatchesReferenceLruModel)
                          << seed);
             runDifferential(tinyConfig(), directory, seed, 20000);
             runDifferential(two_way, directory, seed, 20000);
+            runDifferential(sixteen_way, directory, seed, 60000);
         }
     }
+}
+
+TEST(CacheDeathTest, MoreThanSixteenWaysIsFatal)
+{
+    const CacheConfig sixteen{"sixteen", 2048, 64, 16};
+    EXPECT_EQ(Cache(sixteen).config().ways, 16u);
+    const CacheConfig seventeen{"seventeen", 2176, 64, 17};
+    EXPECT_EXIT(Cache{seventeen}, ::testing::ExitedWithCode(1),
+                "17 ways exceed the 16");
 }
 
 // ---------------------------------------------------------------
