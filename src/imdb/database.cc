@@ -8,6 +8,7 @@
 namespace rcnvm::imdb {
 
 using util::divCeil;
+using util::log2i;
 
 namespace {
 
@@ -52,6 +53,12 @@ Database::Database(mem::DeviceKind kind, const mem::AddressMap &map,
                    PlacementPolicy policy, bool allow_rotation)
     : kind_(kind),
       map_(map),
+      channelBits_(log2i(map.geometry().channels)),
+      rankBits_(log2i(map.geometry().ranksPerChannel)),
+      bankBits_(log2i(map.geometry().banksPerRank)),
+      rowsBits_(log2i(map.geometry().rowsPerSubarray)),
+      rowBytesBits_(log2i(map.geometry().rowBytes())),
+      wordBits_(log2i(map.geometry().wordBytes)),
       colCapable_(mem::capsFor(kind).columnAccess),
       // Rotation swaps the role of rows and columns inside a chunk,
       // which is only meaningful on a dual-addressable device.
@@ -170,21 +177,30 @@ Database::chunkCoord(const PlacedTable &pt, const ChunkPlace &cp,
     }
 }
 
+std::uint64_t
+Database::splitBanks(std::uint64_t n, mem::DecodedAddr &d) const
+{
+    const mem::Geometry &g = map_.geometry();
+    d.channel = static_cast<unsigned>(n & (g.channels - 1));
+    n >>= channelBits_;
+    d.rank = static_cast<unsigned>(n & (g.ranksPerChannel - 1));
+    n >>= rankBits_;
+    d.bank = static_cast<unsigned>(n & (g.banksPerRank - 1));
+    return n >> bankBits_;
+}
+
 Addr
 Database::physAddr(unsigned bin, unsigned r, unsigned c,
                    Orientation space) const
 {
+    // Shifts and masks throughout: every field this splits by is a
+    // power of two, and the row-only path runs once per compiled
+    // line.
     const mem::Geometry &g = map_.geometry();
-    const unsigned C = g.channels;
-    const unsigned R = g.ranksPerChannel;
-    const unsigned B = g.banksPerRank;
 
     if (colCapable_) {
         mem::DecodedAddr d;
-        d.channel = bin % C;
-        d.rank = (bin / C) % R;
-        d.bank = (bin / (C * R)) % B;
-        d.subarray = bin / (C * R * B);
+        d.subarray = static_cast<unsigned>(splitBanks(bin, d));
         if (d.subarray >= g.subarraysPerBank)
             rcnvm_fatal("database does not fit: bin ", bin,
                         " exceeds device subarrays");
@@ -199,22 +215,17 @@ Database::physAddr(unsigned bin, unsigned r, unsigned c,
     const std::uint64_t linear =
         std::uint64_t{bin} * binSide * binSide * 8 +
         (std::uint64_t{r} * binSide + c) * 8;
-    const std::uint64_t block_bytes = g.rowBytes();
-    const std::uint64_t block = linear / block_bytes;
-    const std::uint64_t within = linear % block_bytes;
+    const std::uint64_t within = linear & (g.rowBytes() - 1);
 
     mem::DecodedAddr d;
-    d.channel = static_cast<unsigned>(block % C);
-    d.rank = static_cast<unsigned>((block / C) % R);
-    d.bank = static_cast<unsigned>((block / (C * R)) % B);
-    const std::uint64_t row_linear = block / (C * R * B);
-    d.subarray =
-        static_cast<unsigned>(row_linear / g.rowsPerSubarray);
-    d.row = static_cast<unsigned>(row_linear % g.rowsPerSubarray);
+    const std::uint64_t row_linear =
+        splitBanks(linear >> rowBytesBits_, d);
+    d.subarray = static_cast<unsigned>(row_linear >> rowsBits_);
+    d.row = static_cast<unsigned>(row_linear & (g.rowsPerSubarray - 1));
     if (d.subarray >= g.subarraysPerBank)
         rcnvm_fatal("database does not fit on ", toString(kind_));
-    d.col = static_cast<unsigned>(within / g.wordBytes);
-    d.offset = static_cast<unsigned>(within % g.wordBytes);
+    d.col = static_cast<unsigned>(within >> wordBits_);
+    d.offset = static_cast<unsigned>(within & (g.wordBytes - 1));
     return map_.encode(d, Orientation::Row);
 }
 

@@ -211,6 +211,10 @@ class Database
     Addr physAddr(unsigned bin, unsigned r, unsigned c,
                   Orientation space) const;
 
+    /** Spread @p n over @p d's channel, rank and bank, channel
+     *  fastest; returns what is left above them. */
+    std::uint64_t splitBanks(std::uint64_t n, mem::DecodedAddr &d) const;
+
     /** One row's x-interval [x0, x1] (in words) of a physical
      *  scan. */
     struct Segment {
@@ -255,6 +259,14 @@ class Database
     /** By value: the database must stay usable for plan building
      *  after the caller's map goes out of scope. */
     mem::AddressMap map_;
+    // log2 of the geometry fields physAddr() splits by; the address
+    // map demands that each be a power of two.
+    unsigned channelBits_;
+    unsigned rankBits_;
+    unsigned bankBits_;
+    unsigned rowsBits_;     //!< rows per subarray
+    unsigned rowBytesBits_; //!< bytes per row
+    unsigned wordBits_;     //!< bytes per word
     bool colCapable_;
     bool spread_;
     BinPacker packer_;
