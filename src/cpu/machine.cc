@@ -107,10 +107,8 @@ Machine::drain(Tick start, const Tick *end)
                     " parked packets, ", migrations,
                     " migrations in flight");
 
-    // One snapshot of the shared registry replaces the old per-layer
-    // StatsMap merge: derived values are formulas evaluated here,
-    // over fully aggregated inputs, so nothing non-additive is ever
-    // pushed through StatsMap::merge.
+    // One snapshot of the shared registry: derived values are
+    // formulas evaluated here, over fully aggregated inputs.
     RunResult result;
     result.ticks = (end != nullptr ? *end : eq_.now()) - start;
     result.stats = registry_.snapshot();

@@ -104,24 +104,4 @@ StatsMap::kindOf(const std::string &name) const
     return it == entries_.end() ? StatKind::Scalar : it->second.kind;
 }
 
-void
-StatsMap::merge(const StatsMap &other)
-{
-    for (const auto &[name, e] : other.entries_) {
-        auto [it, inserted] = entries_.emplace(name, e);
-        if (inserted)
-            continue;
-        StatEntry &mine = it->second;
-        if (mine.kind == StatKind::Additive &&
-            e.kind == StatKind::Additive) {
-            mine.value += e.value;
-        } else {
-            // A derived value (ratio, mean, maximum) cannot be
-            // summed; the incoming map is the newer snapshot, so its
-            // value wins.
-            mine = e;
-        }
-    }
-}
-
 } // namespace rcnvm::util

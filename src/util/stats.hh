@@ -178,13 +178,13 @@ class Histogram
     unsigned hi_ = 0;
 };
 
-/** How a statistic combines when two maps are merged. */
+/** Whether a statistic may be summed across runs. */
 enum class StatKind : std::uint8_t {
-    Additive, //!< raw event counts: merge by summation
-    Scalar,   //!< derived values (ratios, means, maxima): last wins
+    Additive, //!< raw event counts: sums are meaningful
+    Scalar,   //!< derived values (ratios, means, maxima): never summed
 };
 
-/** One named statistic: its value and its merge behaviour. */
+/** One named statistic: its value and its kind. */
 struct StatEntry {
     double value = 0.0;
     StatKind kind = StatKind::Scalar;
@@ -201,8 +201,8 @@ struct StatEntry {
  *
  * Every entry carries a StatKind: add() produces Additive entries
  * (raw event counts), set() produces Scalar entries (derived values
- * that must never be summed). merge() respects the kinds — see
- * merge() for the exact collision rules.
+ * that must never be summed). The stats JSON exports the kinds for
+ * readers that combine runs.
  */
 class StatsMap
 {
@@ -223,7 +223,7 @@ class StatsMap
     /** True when the statistic exists. */
     bool contains(const std::string &name) const;
 
-    /** Merge kind of @p name (Scalar when absent). */
+    /** Kind of @p name (Scalar when absent). */
     StatKind kindOf(const std::string &name) const;
 
     /** All entries in name order. */
@@ -231,15 +231,6 @@ class StatsMap
     {
         return entries_;
     }
-
-    /**
-     * Merge another map into this one. Collisions on shared names
-     * are typed: two Additive entries sum; when either side is
-     * Scalar the other map's value wins (last-writer-wins), so
-     * non-additive statistics — utilizations, averages, maxima —
-     * are never corrupted by summation.
-     */
-    void merge(const StatsMap &other);
 
   private:
     std::map<std::string, StatEntry> entries_;

@@ -1,227 +1,16 @@
 #include "util/stats_io.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 namespace rcnvm::util {
 
 namespace {
 
-/** Recursive-descent parser over an in-memory buffer. */
-class Parser
-{
-  public:
-    explicit Parser(std::string text) : text_(std::move(text)) {}
-
-    JsonValue
-    parse()
-    {
-        JsonValue v = parseValue();
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing characters after document");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &what) const
-    {
-        throw std::runtime_error("JSON parse error at offset " +
-                                 std::to_string(pos_) + ": " + what);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    bool
-    consumeWord(const char *w)
-    {
-        const std::size_t n = std::string(w).size();
-        if (text_.compare(pos_, n, w) == 0) {
-            pos_ += n;
-            return true;
-        }
-        return false;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        const char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
-        if (c == '"') {
-            JsonValue v;
-            v.type = JsonValue::Type::String;
-            v.string = parseString();
-            return v;
-        }
-        if (consumeWord("true")) {
-            JsonValue v;
-            v.type = JsonValue::Type::Bool;
-            v.boolean = true;
-            return v;
-        }
-        if (consumeWord("false")) {
-            JsonValue v;
-            v.type = JsonValue::Type::Bool;
-            return v;
-        }
-        if (consumeWord("null"))
-            return JsonValue{};
-        return parseNumber();
-    }
-
-    JsonValue
-    parseObject()
-    {
-        expect('{');
-        JsonValue v;
-        v.type = JsonValue::Type::Object;
-        if (peek() == '}') {
-            ++pos_;
-            return v;
-        }
-        for (;;) {
-            if (peek() != '"')
-                fail("expected object key");
-            std::string key = parseString();
-            expect(':');
-            v.object.emplace_back(std::move(key), parseValue());
-            const char c = peek();
-            ++pos_;
-            if (c == '}')
-                return v;
-            if (c != ',')
-                fail("expected ',' or '}' in object");
-        }
-    }
-
-    JsonValue
-    parseArray()
-    {
-        expect('[');
-        JsonValue v;
-        v.type = JsonValue::Type::Array;
-        if (peek() == ']') {
-            ++pos_;
-            return v;
-        }
-        for (;;) {
-            v.array.push_back(parseValue());
-            const char c = peek();
-            ++pos_;
-            if (c == ']')
-                return v;
-            if (c != ',')
-                fail("expected ',' or ']' in array");
-        }
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                fail("dangling escape");
-            const char e = text_[pos_++];
-            switch (e) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'n': out += '\n'; break;
-              case 't': out += '\t'; break;
-              case 'r': out += '\r'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'u': {
-                // Exports only emit ASCII; decode BMP code points
-                // below 0x80 and replace the rest.
-                if (pos_ + 4 > text_.size())
-                    fail("truncated \\u escape");
-                const unsigned cp = static_cast<unsigned>(
-                    std::stoul(text_.substr(pos_, 4), nullptr, 16));
-                pos_ += 4;
-                out += cp < 0x80 ? static_cast<char>(cp) : '?';
-                break;
-              }
-              default:
-                fail("unknown escape");
-            }
-        }
-        fail("unterminated string");
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        const std::size_t start = pos_;
-        if (pos_ < text_.size() &&
-            (text_[pos_] == '-' || text_[pos_] == '+'))
-            ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '-' ||
-                text_[pos_] == '+'))
-            ++pos_;
-        if (pos_ == start)
-            fail("expected a value");
-        JsonValue v;
-        v.type = JsonValue::Type::Number;
-        try {
-            v.number = std::stod(text_.substr(start, pos_ - start));
-        } catch (const std::exception &) {
-            fail("malformed number");
-        }
-        return v;
-    }
-
-    std::string text_;
-    std::size_t pos_ = 0;
-};
-
-/** Emit a double so the round trip is exact for counters and sane
- *  for ratios (max_digits10 keeps bit-exactness). */
+/** Emit a double exactly for counters and sanely for ratios
+ *  (max_digits10 lets a reader recover the bits). */
 void
 emitNumber(std::ostream &os, double v)
 {
@@ -236,30 +25,6 @@ emitNumber(std::ostream &os, double v)
 }
 
 } // namespace
-
-const JsonValue *
-JsonValue::find(const std::string &key) const
-{
-    for (const auto &[k, v] : object) {
-        if (k == key)
-            return &v;
-    }
-    return nullptr;
-}
-
-JsonValue
-parseJson(std::istream &in)
-{
-    std::ostringstream oss;
-    oss << in.rdbuf();
-    return Parser(oss.str()).parse();
-}
-
-JsonValue
-parseJson(const std::string &text)
-{
-    return Parser(text).parse();
-}
 
 std::string
 jsonEscape(const std::string &s)
@@ -312,30 +77,6 @@ writeStatsJson(std::ostream &os, const StatsMap &stats,
            << "\"";
     }
     os << "}}";
-}
-
-StatsMap
-statsFromJson(const JsonValue &run)
-{
-    const JsonValue *stats = run.find("stats");
-    if (!stats || stats->type != JsonValue::Type::Object)
-        throw std::runtime_error(
-            "stats JSON lacks a \"stats\" object");
-    const JsonValue *kinds = run.find("kinds");
-
-    StatsMap out;
-    for (const auto &[name, v] : stats->object) {
-        bool additive = false;
-        if (kinds) {
-            if (const JsonValue *k = kinds->find(name))
-                additive = k->string == "additive";
-        }
-        if (additive)
-            out.add(name, v.number);
-        else
-            out.set(name, v.number);
-    }
-    return out;
 }
 
 void

@@ -1,8 +1,9 @@
 /**
  * @file
- * Machine-readable statistics export/import: a JSON writer + minimal
- * parser (round-trip tested) and a CSV writer, so evaluation
- * artifacts are audited from files instead of stdout scraping.
+ * Machine-readable statistics export: a JSON writer and a CSV
+ * writer, so evaluation artifacts are audited from files instead of
+ * stdout scraping. Stats flow one way, registry -> snapshot -> file;
+ * nothing in the library reads them back.
  *
  * The JSON schema for one run is
  *
@@ -14,56 +15,21 @@
  *     "kinds": { "<name>": "additive" | "scalar", ... }
  *   }
  *
- * `kinds` preserves merge semantics across the round trip, so a
- * parsed map behaves exactly like the one that was written.
+ * `kinds` tells an outside reader which entries it may sum across
+ * runs (additive raw counts) and which it must not (scalar derived
+ * values: ratios, means, maxima).
  */
 
 #ifndef RCNVM_UTIL_STATS_IO_HH_
 #define RCNVM_UTIL_STATS_IO_HH_
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "util/stats.hh"
 #include "util/types.hh"
 
 namespace rcnvm::util {
-
-/**
- * A minimal JSON value (null/bool/number/string/array/object) —
- * just enough DOM to read back our own exports and to validate
- * chrome-trace output in tests.
- */
-struct JsonValue {
-    enum class Type {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    Type type = Type::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    /** Member lookup on an object; nullptr when absent. */
-    const JsonValue *find(const std::string &key) const;
-};
-
-/** Parse one JSON document; throws std::runtime_error on malformed
- *  input. */
-JsonValue parseJson(std::istream &in);
-
-/** Parse from a string (convenience overload). */
-JsonValue parseJson(const std::string &text);
 
 /** Escape @p s for inclusion in a JSON string literal. */
 std::string jsonEscape(const std::string &s);
@@ -71,11 +37,6 @@ std::string jsonEscape(const std::string &s);
 /** Serialise one run's statistics as a JSON object (schema above). */
 void writeStatsJson(std::ostream &os, const StatsMap &stats,
                     const std::string &label = "", Tick ticks = Tick{});
-
-/** Rebuild a StatsMap (values and kinds) from a run object parsed
- *  out of writeStatsJson output; throws std::runtime_error when the
- *  document lacks a "stats" member. */
-StatsMap statsFromJson(const JsonValue &run);
 
 /** Serialise statistics as `label,stat,value` CSV rows (no header;
  *  callers writing multiple runs emit the header once). */

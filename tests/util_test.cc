@@ -239,68 +239,6 @@ TEST(Stats, MapSetAddGet)
     EXPECT_FALSE(m.contains("b"));
 }
 
-TEST(Stats, MapMergeSumsSharedNames)
-{
-    // Raw counts (add) are additive: shared names sum on merge.
-    StatsMap a, b;
-    a.add("x", 1.0);
-    a.add("y", 2.0);
-    b.add("y", 3.0);
-    b.add("z", 4.0);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("x"), 1.0);
-    EXPECT_DOUBLE_EQ(a.get("y"), 5.0);
-    EXPECT_DOUBLE_EQ(a.get("z"), 4.0);
-    EXPECT_EQ(a.kindOf("y"), StatKind::Additive);
-}
-
-// Regression for the original merge bug: merge() summed EVERY shared
-// name, so non-additive derived values (rates, means, utilisations)
-// were silently doubled when two snapshots met. Scalar entries must
-// survive a merge with last-writer-wins semantics instead.
-TEST(Stats, MergeDoesNotSumScalars)
-{
-    StatsMap a, b;
-    a.set("mem.busUtilization", 0.75);
-    a.set("mem.bufferMissRate", 0.5);
-    b.set("mem.busUtilization", 0.75);
-    b.set("mem.bufferMissRate", 0.5);
-    a.merge(b);
-    // The buggy merge produced 1.5 and 1.0 here.
-    EXPECT_DOUBLE_EQ(a.get("mem.busUtilization"), 0.75);
-    EXPECT_DOUBLE_EQ(a.get("mem.bufferMissRate"), 0.5);
-    EXPECT_EQ(a.kindOf("mem.busUtilization"), StatKind::Scalar);
-}
-
-TEST(Stats, MergeScalarTakesIncomingValue)
-{
-    StatsMap a, b;
-    a.set("rate", 0.25);
-    b.set("rate", 0.75);
-    a.merge(b); // the incoming map is the newer snapshot
-    EXPECT_DOUBLE_EQ(a.get("rate"), 0.75);
-}
-
-TEST(Stats, MergeMixedKindsKeepsIncoming)
-{
-    // A name that changes kind across snapshots (e.g. a stat that
-    // was a raw count in one producer and a derived value in
-    // another) must not be summed; the incoming entry wins whole.
-    StatsMap a, b;
-    a.add("n", 2.0);
-    b.set("n", 0.5);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("n"), 0.5);
-    EXPECT_EQ(a.kindOf("n"), StatKind::Scalar);
-
-    StatsMap c, d;
-    c.set("m", 0.5);
-    d.add("m", 2.0);
-    c.merge(d);
-    EXPECT_DOUBLE_EQ(c.get("m"), 2.0);
-    EXPECT_EQ(c.kindOf("m"), StatKind::Additive);
-}
-
 TEST(Stats, StrictLookupThrowsOnUnknownName)
 {
     StatsMap m;
