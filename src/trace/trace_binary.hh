@@ -160,7 +160,7 @@ void writeBinaryTrace(const std::string &path,
                       const std::vector<cpu::AccessPlan> &plans);
 
 /** Materialise a binary trace as per-core plans. Convenience for
- *  tools/tests and the fixed-plan golden path; replay of large
+ *  `rcnvm_trace convert`, perfbench and tests; replay of large
  *  traces streams through MmapTraceReader/TraceDemux instead. */
 std::vector<cpu::AccessPlan>
 readBinaryTrace(const std::string &path);
