@@ -25,7 +25,6 @@ Core::start(OpSource &source,
     outstanding_ = 0;
     readyTick_ = eq_.now();
     finished_ = false;
-    fencePending_ = false;
     stalledFull_ = false;
     stalledRetry_ = false;
     scheduleAdvance(eq_.now());
@@ -102,10 +101,8 @@ Core::advance()
             continue;
 
           case OpKind::Fence:
-            if (outstanding_ > 0) {
-                fencePending_ = true;
+            if (outstanding_ > 0)
                 return; // resumed by onAccessDone
-            }
             source_->advance();
             continue;
 
@@ -172,9 +169,6 @@ Core::advance()
 
     // Reaching here means the source is exhausted (the loop returns
     // from inside on every stall).
-    if (fencePending_ && outstanding_ == 0)
-        fencePending_ = false;
-
     // The final operation may have been a Compute/Pin that set a
     // future ready time; the core is only done once it elapses.
     if (eq_.now() < readyTick_) {

@@ -105,7 +105,6 @@ class Core
     bool advanceScheduled_ = false;
     bool stalledFull_ = false;
     bool stalledRetry_ = false;
-    bool fencePending_ = false;
     bool priority_ = false;
     bool finished_ = true;
     Tick stallStart_{0};
