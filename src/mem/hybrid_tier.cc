@@ -58,6 +58,7 @@ HybridMemory::HybridMemory(MemorySystem &far, MemorySystem &near,
       near_(near),
       cfg_(config),
       eq_(eq),
+      wordsPerLine_(64 / far.map().geometry().wordBytes),
       remap_(far.map().geometry(), near.map().geometry()),
       tracker_(far.map().geometry(), kEwmaAlpha, config.decayPeriod),
       frames_(remap_.frames()),
@@ -66,6 +67,12 @@ HybridMemory::HybridMemory(MemorySystem &far, MemorySystem &near,
     if (near_.caps().columnAccess)
         rcnvm_panic("hybrid tier: the near tier is row-oriented by "
                     "construction; use a DRAM device");
+    const unsigned rowLines =
+        far.map().geometry().colsPerSubarray / wordsPerLine_;
+    if (rowLines > TierFrame::kMaxLines)
+        rcnvm_fatal("hybrid tier: a far row of ", rowLines,
+                    " lines exceeds the ", TierFrame::kMaxLines,
+                    " a frame's dirty bits track");
 }
 
 unsigned
@@ -102,7 +109,8 @@ HybridMemory::tryIssue(MemPacket &pkt)
         pkt.addr = farAddr; // refused: hand back untouched
         return false;
     }
-    touchNear(frames_[static_cast<std::size_t>(frame)], pkt.isWrite);
+    touchNear(frames_[static_cast<std::size_t>(frame)],
+              d.col / wordsPerLine_, pkt.isWrite);
     return true;
 }
 
@@ -117,12 +125,13 @@ HybridMemory::setRetryCallback(std::function<void()> cb)
 }
 
 void
-HybridMemory::touchNear(TierFrame &f, bool is_write)
+HybridMemory::touchNear(TierFrame &f, unsigned line, bool is_write)
 {
     rowAccesses_.inc();
     nearHits_.inc();
     f.touches += 1.0;
-    f.dirty = f.dirty || is_write;
+    if (is_write)
+        f.dirty.set(line);
 }
 
 void
@@ -141,10 +150,11 @@ HybridMemory::onColumnAccess(const DecodedAddr &d)
 {
     colAccesses_.inc();
     // A 64-byte column-oriented line crosses 8 consecutive far rows
-    // (one word from each) at the same column index.
-    const unsigned wordsPerLine = 64 / far_.map().geometry().wordBytes;
-    const unsigned base = d.row & ~(wordsPerLine - 1);
-    for (unsigned i = 0; i < wordsPerLine; ++i) {
+    // (one word from each) at the same column index, so it reads
+    // the same row line of each.
+    const unsigned base = d.row & ~(wordsPerLine_ - 1);
+    const unsigned line = d.col / wordsPerLine_;
+    for (unsigned i = 0; i < wordsPerLine_; ++i) {
         DecodedAddr rd = d;
         rd.row = base + i;
         rd.offset = 0;
@@ -155,16 +165,16 @@ HybridMemory::onColumnAccess(const DecodedAddr &d)
             continue;
         colNearOverlaps_.inc();
         TierFrame &f = frames_[static_cast<std::uint32_t>(frameIdx)];
-        if (f.dirty) {
-            // The far copy of this row is stale where the near copy
-            // was written; push the overlapped line segment back so
-            // the column reader observes current data.
-            rd.col = d.col & ~(wordsPerLine - 1);
+        if (f.dirty.test(line)) {
+            // The far copy of this line is stale: the near copy was
+            // written. Push the line back so the column reader
+            // observes current data.
+            rd.col = line * wordsPerLine_;
             MemPacket wb;
             wb.setAddr(far_.map().encodeRow(rd));
             wb.isWrite = true;
             far_.issue(std::move(wb));
-            f.dirty = false;
+            f.dirty.reset(line);
             colDirtyForces_.inc();
         }
         if (!f.busy && !migrationPending(row) &&
@@ -254,12 +264,11 @@ HybridMemory::copyTraffic(const DecodedAddr &src_row, bool src_near,
     // engine would, without the full 128-line cost (the remainder is
     // folded into migrationLatency).
     const Geometry &g = far_.map().geometry();
-    const unsigned wordsPerLine = 64 / g.wordBytes;
     const unsigned stride =
-        std::max(wordsPerLine, g.colsPerSubarray / kMigrationBurstLines);
+        std::max(wordsPerLine_, g.colsPerSubarray / kMigrationBurstLines);
     for (unsigned l = 0; l < kMigrationBurstLines; ++l) {
         const unsigned col = (l * stride) % g.colsPerSubarray &
-                             ~(wordsPerLine - 1);
+                             ~(wordsPerLine_ - 1);
         DecodedAddr s = src_row;
         s.col = col;
         MemPacket rd;
@@ -314,13 +323,13 @@ HybridMemory::startPromotion(std::uint64_t row_id)
         m.frame = static_cast<std::uint32_t>(victimFrame);
         TierFrame &vf = frames_[m.frame];
         m.victimRow = static_cast<std::int64_t>(vf.rowId);
-        if (vf.dirty) {
+        if (vf.dirty.any()) {
             // Copy the displaced row's data home before reuse. The
             // busy frame takes no more writes, so the far copy is
             // current from here on.
             copyTraffic(remap_.frameLocation(m.frame), true,
                         remap_.rowLocation(vf.rowId), false);
-            vf.dirty = false;
+            vf.dirty.reset();
             dirtyWritebacks_.inc();
         }
     } else {
@@ -356,9 +365,12 @@ HybridMemory::startDemotion(std::uint32_t frame)
     m.frame = frame;
     m.channel = ch;
 
-    if (f.dirty) {
+    if (f.dirty.any()) {
+        // As for an evicted victim: the far copy is current from
+        // here on.
         copyTraffic(remap_.frameLocation(frame), true,
                     remap_.rowLocation(f.rowId), false);
+        f.dirty.reset();
         dirtyWritebacks_.inc();
     }
     f.busy = true;
@@ -381,7 +393,7 @@ HybridMemory::commit(const Migration &m)
     if (m.promoteRow >= 0) {
         remap_.map(static_cast<std::uint64_t>(m.promoteRow), m.frame);
         f.valid = true;
-        f.dirty = false;
+        f.dirty.reset();
         f.rowId = static_cast<std::uint64_t>(m.promoteRow);
         f.touches = 0;
         promotions_.inc();

@@ -13,15 +13,17 @@
  * the one routing decision. Row-oriented accesses to a mapped row are
  * redirected to its DRAM frame, except while a demotion or eviction
  * takes the row out of it; column-oriented accesses always execute
- * in the far device (only RC-NVM can serve them). A column
- * access overlapping a dirty mapped row first forces a write-back of
- * the stale far segment so column readers never observe
- * pre-migration data.
+ * in the far device (only RC-NVM can serve them). A frame keeps one
+ * dirty bit per 64-byte row line: a column access crossing a written
+ * line of a mapped row first forces that line home, so column
+ * readers never observe pre-migration data, and a demotion or an
+ * eviction copies the row home while any line is still dirty.
  */
 
 #ifndef RCNVM_MEM_HYBRID_TIER_HH_
 #define RCNVM_MEM_HYBRID_TIER_HH_
 
+#include <bitset>
 #include <cstdint>
 #include <vector>
 
@@ -44,11 +46,16 @@ const char *toString(MigrationPolicyKind kind);
 
 /** One resident near-tier frame. */
 struct TierFrame {
+    /** Most 64-byte lines a far row may hold; HybridMemory rejects a
+     *  wider row. */
+    static constexpr unsigned kMaxLines = 128;
+
     bool valid = false;  //!< holds a committed mapping
     bool busy = false;   //!< a migration in flight targets it
-    bool dirty = false;  //!< written since promotion
     std::uint64_t rowId = 0; //!< resident far row (valid frames)
     double touches = 0;  //!< accesses while resident
+    /** Row lines written since promotion and not yet copied home. */
+    std::bitset<kMaxLines> dirty;
 };
 
 /** Tier configuration carried by cpu::MachineConfig. */
@@ -116,15 +123,16 @@ class HybridMemory : public MemoryTier
         unsigned channel = 0;
     };
 
-    /** Post-acceptance bookkeeping of a row access served by @p f. */
-    void touchNear(TierFrame &f, bool is_write);
+    /** Post-acceptance bookkeeping of a row access to row line
+     *  @p line served by @p f. */
+    void touchNear(TierFrame &f, unsigned line, bool is_write);
 
     /** Post-acceptance bookkeeping of a far row access: tracker
      *  update plus a possible promotion start. */
     void onFarRowAccess(std::uint64_t row_id);
 
     /** Post-acceptance bookkeeping of a column access: tracker and
-     *  dirty-overlap handling for each far row the line crosses. */
+     *  dirty-line handling for each far row the line crosses. */
     void onColumnAccess(const DecodedAddr &d);
 
     /** Promote this far-resident row into the DRAM tier now? */
@@ -160,6 +168,7 @@ class HybridMemory : public MemoryTier
     MemorySystem &near_;
     HybridTierConfig cfg_;
     sim::EventQueue &eq_;
+    unsigned wordsPerLine_; //!< far words in one 64-byte line
     RemapTable remap_;
     RowLocalityTracker tracker_;
     std::vector<TierFrame> frames_;
@@ -172,7 +181,7 @@ class HybridMemory : public MemoryTier
     util::Counter colAccesses_;   //!< column packets (always far)
     util::Counter colNearOverlaps_; //!< column lines crossing a
                                     //!< mapped row
-    util::Counter colDirtyForces_;  //!< stale-segment write-backs
+    util::Counter colDirtyForces_;  //!< dirty-line write-backs
                                     //!< forced by column access
     util::Counter promotions_;
     util::Counter demotions_;     //!< policy demotions + evictions
